@@ -116,6 +116,8 @@ class ScenarioConfig:
             raise ConfigError("particles must be >= 1")
         if self.traj_steps < 1:
             raise ConfigError("traj_steps must be >= 1")
+        if not (math.isfinite(self.traj_length) and self.traj_length > 0):
+            raise ConfigError("traj_length must be finite and positive")
         if not (0 < self.probability_floor < 1):
             raise ConfigError("probability_floor must be in (0, 1)")
         if self.eval_queries < 1 or self.eval_top_k < 1:

@@ -18,6 +18,8 @@ initialised from a seed; there is no training here.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -301,11 +303,11 @@ def _write_array(fh, a: np.ndarray) -> None:
 
 
 def _read_array(fh, *shape: int) -> np.ndarray:
-    n = int(np.prod(shape))
-    buf = fh.read(4 * n)
-    if len(buf) != 4 * n:
+    # checked before reading: fh.read(size) allocates ``size`` bytes up front
+    size = 4 * math.prod(shape)
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ValueError("parameter file truncated")
-    return np.frombuffer(buf, dtype="<f4").reshape(shape).copy()
+    return np.frombuffer(fh.read(size), dtype="<f4").reshape(shape).copy()
 
 
 def _write_vlad(fh, p: VladParams) -> None:

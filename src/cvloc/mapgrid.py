@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -84,6 +85,18 @@ class GridMap:
     @property
     def num_cells(self) -> int:
         return self.width * self.height
+
+    @cached_property
+    def descriptor_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """Float64 copy of the descriptors and their squared row norms, built
+        on first use and kept for the map's lifetime (descriptor arrays are
+        never written in place), so each field query reuses them."""
+        if self.descriptors is None:
+            raise ValueError("map has no stored descriptors")
+        d = self.descriptors.astype(np.float64)
+        norms = np.einsum("ij,ij->i", d, d)
+        d.flags.writeable = norms.flags.writeable = False  # shared by every query
+        return d, norms
 
     def __len__(self) -> int:
         return self.num_cells

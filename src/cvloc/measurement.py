@@ -24,6 +24,11 @@ MODES = ("corner-sum", "bilinear")
 
 DEFAULT_FLOOR = 1e-12
 
+# Expanded squared distances at or below this share of max ||x||^2 + ||q||^2
+# may have cancelled and are recomputed by direct difference. The largest row
+# norm keeps the test one scalar compare and only widens the recomputed set.
+_CANCEL_RATIO = 1e-4
+
 
 @dataclass(frozen=True)
 class ProbabilityField:
@@ -56,9 +61,13 @@ def location_probabilities(
 ) -> ProbabilityField:
     """Softmax of negated descriptor distances over all cells.
 
-    Computed with max-subtraction so the normalisation is stable for any
-    distance scale; smaller distance always means strictly larger
-    probability.
+    Squared distances are taken in expansion form, ||x||^2 - 2 x.q + ||q||^2,
+    over the map's float64 descriptor basis (built once per map), so a query
+    costs one matrix-vector product. Rows where the expansion may cancel, at
+    or below ``_CANCEL_RATIO`` (max ||x||^2 + ||q||^2), are recomputed by
+    direct difference. The softmax uses max-subtraction, so the normalisation
+    is stable for any distance scale; smaller distance always means strictly
+    larger probability.
     """
     if db_map.descriptors is None:
         raise ValueError("map has no stored descriptors")
@@ -68,12 +77,21 @@ def location_probabilities(
         raise ValueError(
             f"query dimension {values.shape} != map descriptor dimension {db_map.descriptors.shape[1]}"
         )
-    diff = db_map.descriptors.astype(np.float64) - values[None, :]
-    dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    logits = -dists
-    logits -= logits.max()
-    e = np.exp(logits)
-    return ProbabilityField(db_map.with_probabilities(e / e.sum()), floor)
+    basis, sq_norms = db_map.descriptor_basis
+    qq = float(values @ values)
+    d = basis @ values
+    d *= -2.0
+    d += sq_norms
+    d += qq
+    near = np.flatnonzero(d <= _CANCEL_RATIO * (float(sq_norms.max()) + qq))
+    if near.size:
+        diff = basis[near] - values
+        d[near] = np.einsum("ij,ij->i", diff, diff)
+    np.sqrt(d, out=d)
+    np.subtract(d.min(), d, out=d)
+    np.exp(d, out=d)
+    d /= d.sum()
+    return ProbabilityField(db_map.with_probabilities(d), floor)
 
 
 def measurement_probability(field: ProbabilityField, state, mode: str = "corner-sum") -> float:

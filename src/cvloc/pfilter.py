@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measurement import ProbabilityField, location_probabilities, measurement_probabilities
+from .measurement import ProbabilityField, measurement_probabilities
 from .motion import (
     ControlAction,
     MotionNoise,
@@ -170,8 +170,7 @@ def estimate_pose(pset: ParticleSet, fallback_heading: float = 0.0) -> tuple[Pos
 
 
 def localize_step(
-    db_map,
-    ground_desc,
+    field: ProbabilityField,
     frame_prev: Pose,
     frame_curr: Pose,
     prev_set: ParticleSet,
@@ -180,19 +179,14 @@ def localize_step(
     sensor_noise: MotionNoise | None = None,
     sensor_rng: np.random.Generator | None = None,
     mode: str = "corner-sum",
-    floor: float = 1e-12,
     prev_heading: float = 0.0,
-    field: ProbabilityField | None = None,
     ess_threshold: float | None = None,
 ) -> tuple[Pose, ParticleSet]:
-    """One full localization frame: measurement field from the current
-    ground descriptor, odometry from the two frame poses (optionally
-    corrupted by sensor noise, drawn from ``sensor_rng`` when supplied so
-    odometry streams stay comparable across scenarios), then the particle
-    filter step and the averaged pose. A prebuilt ``field`` skips the
-    descriptor-distance computation (used when the caller also renders it)."""
-    if field is None:
-        field = location_probabilities(db_map, ground_desc, floor=floor)
+    """One full localization frame against the current measurement field:
+    odometry from the two frame poses (optionally corrupted by sensor noise,
+    drawn from ``sensor_rng`` when supplied so odometry streams stay
+    comparable across scenarios), then the particle filter step and the
+    averaged pose."""
     u = simulate_odometry(frame_prev, frame_curr)
     if sensor_noise is not None:
         u = perturb_control(u, sensor_noise, sensor_rng if sensor_rng is not None else rng)

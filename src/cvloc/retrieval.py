@@ -9,6 +9,7 @@ package targets (<= 1e5 entries).
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -163,13 +164,16 @@ def load_db(path: str) -> DescriptorDatabase:
         version, count, dim = struct.unpack("<IQI", fh.read(16))
         if version != _VERSION:
             raise ValueError(f"unsupported database version {version}")
+        body = os.fstat(fh.fileno()).st_size - fh.tell()
+        if count * (24 + 4 * dim) != body:
+            raise ValueError(
+                f"database header declares {count} entries of dimension {dim}, "
+                f"which does not match the {body} bytes that follow"
+            )
         ids = np.empty(count, dtype=np.uint64)
         geos = np.empty((count, 2), dtype=np.float64)
         descs = np.empty((count, dim), dtype=np.float32)
         for i in range(count):
             ids[i], geos[i, 0], geos[i, 1] = struct.unpack("<Qdd", fh.read(24))
-            buf = fh.read(4 * dim)
-            if len(buf) != 4 * dim:
-                raise ValueError("database file truncated")
-            descs[i] = np.frombuffer(buf, dtype="<f4")
+            descs[i] = np.frombuffer(fh.read(4 * dim), dtype="<f4")
         return DescriptorDatabase(ids, geos, descs)

@@ -277,10 +277,10 @@ def run_simulation(cfg: ScenarioConfig, out_dir: str | None = None) -> tuple[Run
         field = location_probabilities(db_map, desc, floor=cfg.probability_floor)
 
         est, pset = localize_step(
-            db_map, desc, gt_prev, gt, pset, noise, filter_rng,
+            field, gt_prev, gt, pset, noise, filter_rng,
             sensor_noise=odo_noise, sensor_rng=sensor_rng,
             mode=cfg.measurement_mode, prev_heading=est_heading,
-            field=field, ess_threshold=ess_gate,
+            ess_threshold=ess_gate,
         )
         est_heading = est.theta
 

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -37,6 +38,12 @@ class TestConfigHandling:
     def test_bad_value_exits_2(self, capsys):
         code, _, err = run_cli(["simulate", "--set", "particles=many"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("length", ["-300", "0", "nan"])
+    def test_non_positive_traj_length_exits_2(self, length, capsys):
+        code, _, err = run_cli(["simulate", *SMALL, "--set", f"traj_length={length}"], capsys)
+        assert code == 2
+        assert "traj_length" in err
 
     def test_config_file_with_comments_and_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "ok.cfg"
@@ -94,6 +101,48 @@ class TestDatabaseCommands:
         code, out, _ = run_cli(["query", *SMALL, "--pose", "60,60,0", "-k", "1"], capsys)
         assert code == 0
         assert len(out.strip().splitlines()) == 2
+
+
+class TestTruncatedInputs:
+    def test_truncated_db_header_exits_2(self, tmp_path, capsys):
+        db_path = tmp_path / "short.db"
+        db_path.write_bytes(b"CVLOCDB1" + b"\x01\x00")
+        code, _, err = run_cli(["query", *SMALL, "--db", str(db_path), "--pose", "60,60,0"], capsys)
+        assert code == 2
+        assert err.startswith("error[input]")
+
+    def test_db_count_beyond_file_length_exits_2(self, tmp_path, capsys):
+        db_path = tmp_path / "map.db"
+        assert run_cli(["build-db", *SMALL, "--out", str(db_path)], capsys)[0] == 0
+        raw = db_path.read_bytes()
+        for cut in (raw[:-1], raw[:len(raw) // 2], raw[:28]):
+            db_path.write_bytes(cut)
+            code, _, err = run_cli(["query", *SMALL, "--db", str(db_path), "--pose", "60,60,0"], capsys)
+            assert code == 2
+            assert "does not match" in err
+
+    def test_db_huge_declared_count_rejected_before_allocating(self, tmp_path):
+        db_path = tmp_path / "huge.db"
+        db_path.write_bytes(b"CVLOCDB1" + struct.pack("<IQI", 1, 2**60, 32))
+        with pytest.raises(ValueError, match="does not match"):
+            load_db(str(db_path))
+
+    def test_truncated_params_file_exits_2(self, tmp_path, capsys):
+        params = tmp_path / "short.params"
+        params.write_bytes(b"CVLDESC1" + b"\x01\x00")
+        code, _, err = run_cli(["localize", *SMALL, "--set", f"params_file={params}",
+                                "--pose", "60,60,0"], capsys)
+        assert code == 2
+        assert err.startswith("error[input]")
+
+    def test_params_huge_declared_shape_exits_2(self, tmp_path, capsys):
+        params = tmp_path / "huge.params"
+        params.write_bytes(b"CVLDESC1" + struct.pack("<II", 1, 1)
+                           + struct.pack("<IIIIII", 2**31, 2**31, 32, 0, 0, 1))
+        code, _, err = run_cli(["localize", *SMALL, "--set", f"params_file={params}",
+                                "--pose", "60,60,0"], capsys)
+        assert code == 2
+        assert "truncated" in err
 
 
 class TestLocalizeCommand:

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from mpmath import mp
 
+from cvloc.config import ScenarioConfig
+from cvloc.descriptor import GROUND, forward
 from cvloc.mapgrid import GridMap, LocalPoint
 from cvloc.measurement import (
+    MODES,
     ProbabilityField,
     emit_heatmap,
     location_probabilities,
@@ -12,9 +17,24 @@ from cvloc.measurement import (
     read_heatmap_csv,
     uniform_field,
 )
-from cvloc.motion import Pose
+from cvloc.motion import MotionNoise, Pose, make_rng
+from cvloc.pfilter import init_particles, localize_step
+from cvloc.simulate import build_pipeline, build_world, filter_noise, scenario_trajectory
+from cvloc.world import build_descriptor_map, synth_features
 
 mp.dps = 50
+
+
+def oracle_location_probabilities(db_map, q, floor=1e-12):
+    """Direct-difference field: a float64 difference against every map row
+    per query, then the max-shifted softmax of negated distances."""
+    values = np.asarray(q, dtype=np.float64)
+    diff = db_map.descriptors.astype(np.float64) - values[None, :]
+    dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    logits = -dists
+    logits -= logits.max()
+    e = np.exp(logits)
+    return ProbabilityField(db_map.with_probabilities(e / e.sum()), floor)
 
 
 def map_with_descriptor_distances(dists, width=None):
@@ -88,6 +108,79 @@ class TestLocationProbabilities:
         m = map_with_descriptor_distances([1.0] * 4, width=2)
         with pytest.raises(ValueError):
             location_probabilities(m, np.zeros(3))
+
+
+def unit_descriptor_map(seed, scale, width=40, height=30, dim=32):
+    """float32 map of random unit-norm descriptors times ``scale``."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(width * height, dim))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    grid = GridMap((40.0, -105.0), 1.0, width, height)
+    return grid.with_descriptors((x * scale).astype(np.float32))
+
+
+def oracle_queries(db_map, seed):
+    """Random, exact-hit and near-hit queries (a map row plus noise of
+    1e-9 to 1e-1 of its norm)."""
+    rng = np.random.default_rng(seed + 100)
+    descs = db_map.descriptors.astype(np.float64)
+    dim = descs.shape[1]
+    scale = float(np.linalg.norm(descs[0]))
+    random = rng.normal(size=dim)
+    queries = [("random", random / np.linalg.norm(random) * scale)]
+    row = descs[int(rng.integers(len(descs)))]
+    queries.append(("exact-hit", row.copy()))
+    for rel in 10.0 ** np.arange(-9, 0):
+        noise = rng.normal(size=dim)
+        queries.append((f"near-hit {rel:g}", row + noise / np.linalg.norm(noise) * rel * scale))
+    return queries
+
+
+class TestFieldAgainstOracle:
+    """The expansion-form field against the direct-difference oracle."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_oracle(self, seed, scale):
+        db_map = unit_descriptor_map(seed, scale)
+        for kind, q in oracle_queries(db_map, seed):
+            want = oracle_location_probabilities(db_map, q).probabilities
+            got = location_probabilities(db_map, q).probabilities
+            live = want >= 1e-300
+            rel = np.abs(got[live] - want[live]) / want[live]
+            assert rel.max() <= 1e-12, f"{kind}: max relative error {rel.max():.3g}"
+            assert np.all(got[~live] < 1e-299), kind
+
+    def test_basis_built_once_per_map(self):
+        db_map = unit_descriptor_map(4, 1.0)
+        assert "descriptor_basis" not in vars(db_map)
+        location_probabilities(db_map, db_map.descriptors[0])
+        basis = vars(db_map)["descriptor_basis"]
+        location_probabilities(db_map, db_map.descriptors[1])
+        assert vars(db_map)["descriptor_basis"] is basis
+        assert basis[0].dtype == np.float64 and db_map.descriptors.dtype == np.float32
+        assert not basis[0].flags.writeable and not basis[1].flags.writeable
+
+    def test_c7_scenario_weights_match_oracle(self):
+        cfg = ScenarioConfig()
+        world = build_world(cfg)
+        pipeline = build_pipeline(cfg)
+        db_map = build_descriptor_map(world, pipeline, cfg.world_seed)
+        poses = scenario_trajectory(cfg, world.grid)
+        rng = make_rng(cfg.master_seed)
+        spread = MotionNoise(cfg.init_spread_xy, math.radians(cfg.init_spread_theta_deg), 0.0, 0.0)
+        pset = init_particles(poses[0], spread, cfg.particles, rng)
+        for t in range(1, 21):
+            desc = forward(pipeline, synth_features(world, poses[t], cfg.world_seed, view=GROUND))
+            field = location_probabilities(db_map, desc, cfg.probability_floor)
+            oracle = oracle_location_probabilities(db_map, desc.values, cfg.probability_floor)
+            _, pset = localize_step(field, poses[t - 1], poses[t], pset, filter_noise(cfg), rng)
+            for mode in MODES:
+                np.testing.assert_allclose(
+                    measurement_probabilities(field, pset.states, mode),
+                    measurement_probabilities(oracle, pset.states, mode),
+                    rtol=1e-12, atol=0,
+                )
 
 
 class TestMeasurementProbability:

@@ -190,6 +190,7 @@ class TestLocalizeStep:
         return grid.with_descriptors(descs)
 
     def test_peaked_measurement_snaps_to_truth(self):
+        from cvloc.measurement import location_probabilities
         from cvloc.pfilter import localize_step
 
         db_map = self._world_db()
@@ -197,7 +198,8 @@ class TestLocalizeStep:
         query = np.array([17.0, 17.0])
         prev = init_particles(Pose(3.0, 5.0, 0.0), MotionNoise(2.0, 0.2, 0, 0), 500, make_rng(20))
         est, new_set = localize_step(
-            db_map, query, Pose(3.0, 5.0, 0.0), truth, prev, ZERO_NOISE, make_rng(21)
+            location_probabilities(db_map, query), Pose(3.0, 5.0, 0.0), truth, prev, ZERO_NOISE,
+            make_rng(21),
         )
         assert len(new_set) == 500
         assert math.hypot(est.x - truth.x, est.y - truth.y) < db_map.cell_interval
@@ -211,9 +213,7 @@ class TestLocalizeStep:
         start = Pose(4.0, 4.0, 0.0)
         target = Pose(6.0, 4.0, 0.0)
         prev = init_particles(start, ZERO_NOISE, 100, make_rng(22))
-        est, _ = localize_step(
-            None, None, start, target, prev, ZERO_NOISE, make_rng(23), field=field
-        )
+        est, _ = localize_step(field, start, target, prev, ZERO_NOISE, make_rng(23))
         assert (est.x, est.y) == pytest.approx((6.0, 4.0))
 
 
