@@ -1,60 +1,8 @@
 """Cross-view geo-localization: order-invariant global descriptors,
 ranking losses, a descriptor-distance measurement model over a tessellated
-map, and a particle-filter tracking loop with a scenario simulator."""
+map, and a particle-filter tracking loop with a scenario simulator.
 
-from .mapgrid import (
-    GeoRect,
-    GridCell,
-    GridMap,
-    LocalPoint,
-    OutOfMapError,
-    geo_to_local,
-    local_to_geo,
-    surrounding_corners,
-    tessellate,
-)
-from .descriptor import (
-    DualPipeline,
-    GlobalDescriptor,
-    LocalFeatureSet,
-    SharedPipeline,
-    VladParams,
-    forward,
-    soft_assign,
-    vlad_aggregate,
-)
-from .losses import (
-    LossConfig,
-    QuadrupletDistances,
-    TripletDistances,
-    batch_loss,
-    enumerate_triplets,
-    hard_negative,
-    max_margin_quadruplet,
-    max_margin_triplet,
-    weighted_quadruplet,
-    weighted_soft_margin,
-)
-from .measurement import ProbabilityField, emit_heatmap, location_probabilities, measurement_probability
-from .motion import ControlAction, MotionNoise, Pose, sample_motion, simulate_odometry, wrap_angle
-from .pfilter import (
-    Particle,
-    ParticleSet,
-    estimate_pose,
-    init_particles,
-    localize_step,
-    pf_step,
-    resample_systematic,
-)
-from .retrieval import (
-    DescriptorDatabase,
-    add_distractors,
-    build_db,
-    query,
-    recall_at_top_percent,
-    recall_vs_distance,
-)
-from .simulate import RunSummary, eval_retrieval, heading_error, position_error, run_simulation
-from .world import SyntheticWorld, synth_features
+The package root exports only ``__version__``; import from the submodules
+(``cvloc.mapgrid``, ``cvloc.retrieval``, ``cvloc.simulate``, ...)."""
 
 __version__ = "0.1.0"

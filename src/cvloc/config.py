@@ -124,10 +124,12 @@ class ScenarioConfig:
             raise ConfigError("eval_queries and eval_top_k must be >= 1")
         if not (0 < self.eval_percent <= 100):
             raise ConfigError("eval_percent must be in (0, 100]")
+        if self.heatmap_every < 0:
+            raise ConfigError("heatmap_every must be >= 0")
         for name in (
             "sigma_trans", "sigma_trans_rate", "sigma_rot_deg", "sigma_rot_rate",
             "odom_sigma_trans", "odom_sigma_trans_rate", "odom_sigma_rot_deg",
-            "odom_sigma_rot_rate", "init_spread_xy", "init_spread_theta_deg",
+            "odom_sigma_rot_rate", "init_spread_xy", "init_spread_theta_deg", "ess_threshold",
         ):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
@@ -155,8 +157,8 @@ class ScenarioConfig:
 
     def parsed_thresholds(self) -> list[float]:
         vals = [float(p) for p in self.eval_thresholds.split(",") if p.strip()]
-        if not vals:
-            raise ValueError("eval_thresholds must list at least one distance")
+        if not vals or not all(v >= 0 for v in vals):
+            raise ValueError("eval_thresholds must list at least one distance, none negative or NaN")
         return vals
 
 

@@ -41,15 +41,6 @@ class GeoRect(NamedTuple):
 
 
 @dataclass(frozen=True)
-class GridCell:
-    """One lattice cell: metric location plus optional payloads."""
-
-    location: LocalPoint
-    descriptor: np.ndarray | None = None
-    probability: float | None = None
-
-
-@dataclass(frozen=True)
 class GridMap:
     """Immutable lattice of width x height cells, ``cell_interval`` metres apart.
 
@@ -108,15 +99,6 @@ class GridMap:
         row = index // self.width
         return LocalPoint(col * self.cell_interval, row * self.cell_interval)
 
-    def cell(self, index: int) -> GridCell:
-        desc = None if self.descriptors is None else self.descriptors[index]
-        prob = None if self.probabilities is None else float(self.probabilities[index])
-        return GridCell(self.cell_location(index), desc, prob)
-
-    @property
-    def cells(self) -> list[GridCell]:
-        return [self.cell(i) for i in range(self.num_cells)]
-
     def locations(self) -> np.ndarray:
         """All cell locations as an (num_cells, 2) array, row-major order."""
         cols = np.arange(self.num_cells) % self.width
@@ -174,33 +156,38 @@ def geo_distance_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
 
 
+def corner_cells(
+    grid: GridMap, xs: np.ndarray, ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The lattice cell under each point: ``(inside, sw, tx, ty)``.
+
+    ``inside`` masks points within the hull (non-finite ones are outside).
+    For the inside points, in order, ``sw`` is the cell's SW corner index
+    and ``tx``, ``ty`` the offsets within it. The column is ``int(x / s)``;
+    far east/north edge points belong to the last interior cell.
+    """
+    ex, ey = grid.extent
+    inside = (xs >= 0) & (xs <= ex) & (ys >= 0) & (ys <= ey)
+    gx = xs[inside] / grid.cell_interval
+    gy = ys[inside] / grid.cell_interval
+    i = np.minimum(gx.astype(np.int64), grid.width - 2)
+    j = np.minimum(gy.astype(np.int64), grid.height - 2)
+    return inside, j * grid.width + i, gx - i, gy - j
+
+
 def surrounding_corners(grid: GridMap, p: LocalPoint) -> tuple[int, int, int, int]:
     """Indices of the four lattice corners of the cell containing ``p``.
 
-    Returned in (SW, SE, NW, NE) order. Points on the far east/north edge
-    belong to the last interior cell. Raises OutOfMapError outside the hull.
+    Returned in (SW, SE, NW, NE) order, by :func:`corner_cells`. Raises
+    OutOfMapError outside the hull.
     """
     if not (math.isfinite(p.x) and math.isfinite(p.y)):
         raise ValueError(f"non-finite local point {p}")
-    if not grid.contains(p):
+    inside, sw, _, _ = corner_cells(grid, np.array([p.x]), np.array([p.y]))
+    if not inside[0]:
         raise OutOfMapError(f"point {p} outside grid hull {grid.extent}")
-    s = grid.cell_interval
-    i = min(int(p.x // s), grid.width - 2)
-    j = min(int(p.y // s), grid.height - 2)
-    sw = j * grid.width + i
+    sw = int(sw[0])
     return (sw, sw + 1, sw + grid.width, sw + grid.width + 1)
-
-
-def corner_weights(grid: GridMap, p: LocalPoint) -> tuple[tuple[int, int, int, int], np.ndarray]:
-    """Surrounding corners plus their bilinear area weights (sum to 1)."""
-    corners = surrounding_corners(grid, p)
-    s = grid.cell_interval
-    i = corners[0] % grid.width
-    j = corners[0] // grid.width
-    tx = p.x / s - i
-    ty = p.y / s - j
-    w = np.array([(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty])
-    return corners, w
 
 
 def tessellate(bounds: GeoRect, interval: float) -> GridMap:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptor import GlobalDescriptor
-from .mapgrid import GridMap, LocalPoint
+from .mapgrid import GridMap, corner_cells
 
 MODES = ("corner-sum", "bilinear")
 
@@ -111,28 +111,17 @@ def measurement_probabilities(
     """
     if mode not in MODES:
         raise ValueError(f"unknown measurement mode {mode!r}; expected one of {MODES}")
-    grid = field.grid
     p = field.probabilities
-    xs = np.asarray(states, dtype=np.float64)[:, 0]
-    ys = np.asarray(states, dtype=np.float64)[:, 1]
-    ex, ey = grid.extent
-    inside = (xs >= 0) & (xs <= ex) & (ys >= 0) & (ys <= ey)
-
-    out = np.full(xs.shape, field.floor)
+    states = np.asarray(states, dtype=np.float64)
+    inside, sw, tx, ty = corner_cells(field.grid, states[:, 0], states[:, 1])
+    out = np.full(inside.shape, field.floor)
     if not inside.any():
         return out
-    s = grid.cell_interval
-    gx = xs[inside] / s
-    gy = ys[inside] / s
-    i = np.minimum(gx.astype(np.int64), grid.width - 2)
-    j = np.minimum(gy.astype(np.int64), grid.height - 2)
-    sw = j * grid.width + i
-    corners = np.stack([p[sw], p[sw + 1], p[sw + grid.width], p[sw + grid.width + 1]])
+    width = field.grid.width
+    corners = np.stack([p[sw], p[sw + 1], p[sw + width], p[sw + width + 1]])
     if mode == "corner-sum":
         out[inside] = corners.sum(axis=0)
     else:
-        tx = gx - i
-        ty = gy - j
         w = np.stack([(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty])
         out[inside] = (w * corners).sum(axis=0)
     return out

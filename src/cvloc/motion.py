@@ -42,9 +42,6 @@ class Pose:
             raise ValueError(f"non-finite pose ({self.x}, {self.y}, {self.theta})")
         self.theta = wrap_angle(self.theta)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.theta])
-
 
 @dataclass(frozen=True)
 class ControlAction:
@@ -92,28 +89,12 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def sample_motion(prev: Pose, u: ControlAction, noise: MotionNoise, rng: np.random.Generator) -> Pose:
-    """Draw one successor pose from the motion model.
-
-    The sampled "true" increments subtract zero-mean Gaussian noise from
-    the commanded ones; the rotation enters the trigonometric terms, so the
-    translation is applied along the already-rotated heading.
-    """
-    s_trans, s_rot = noise.effective(u)
-    d_trans = u.delta_trans - (rng.normal(0.0, s_trans) if s_trans > 0 else 0.0)
-    d_rot = u.delta_rot - (rng.normal(0.0, s_rot) if s_rot > 0 else 0.0)
-    heading = prev.theta + d_rot
-    return Pose(
-        prev.x + d_trans * math.cos(heading),
-        prev.y + d_trans * math.sin(heading),
-        wrap_angle(heading),
-    )
-
-
 def sample_motion_batch(
     states: np.ndarray, u: ControlAction, noise: MotionNoise, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorised :func:`sample_motion` over an (M, 3) state array."""
+    """Draw one successor per row of an (M, 3) state array. The sampled
+    increments subtract zero-mean Gaussian noise from the commanded ones,
+    and the translation follows the already-rotated heading."""
     m = states.shape[0]
     s_trans, s_rot = noise.effective(u)
     d_trans = u.delta_trans - (rng.normal(0.0, s_trans, m) if s_trans > 0 else np.zeros(m))

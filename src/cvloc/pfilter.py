@@ -26,12 +26,6 @@ from .motion import (
 
 
 @dataclass(frozen=True)
-class Particle:
-    state: Pose
-    weight: float
-
-
-@dataclass(frozen=True)
 class ParticleSet:
     """M hypotheses with importance weights, stored as dense arrays.
 
@@ -56,10 +50,6 @@ class ParticleSet:
 
     def __len__(self) -> int:
         return self.states.shape[0]
-
-    def particle(self, m: int) -> Particle:
-        x, y, theta = self.states[m]
-        return Particle(Pose(float(x), float(y), float(theta)), float(self.weights[m]))
 
 
 def init_particles(

@@ -146,15 +146,21 @@ def add_distractors(
     )
 
 
+def _record(dim: int) -> np.dtype:
+    """One packed little-endian database entry: 24 + 4*dim bytes."""
+    return np.dtype([("id", "<u8"), ("lat", "<f8"), ("lon", "<f8"), ("desc", "<f4", (dim,))])
+
+
 def save_db(db: DescriptorDatabase, path: str) -> None:
-    """Binary layout: magic, u32 version, u64 count, u32 dimension, then per
-    entry u64 id, f64 lat, f64 lon, f32 descriptor; all little-endian."""
+    """Binary layout: magic, u32 version, u64 count, u32 dimension, then one
+    :func:`_record` per entry (u64 id, f64 lat, f64 lon, f32 descriptor)."""
+    records = np.empty(len(db), dtype=_record(db.dimension))
+    records["id"], records["lat"], records["lon"] = db.ids, db.geos[:, 0], db.geos[:, 1]
+    records["desc"] = db.descriptors
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IQI", _VERSION, len(db), db.dimension))
-        for i in range(len(db)):
-            fh.write(struct.pack("<Qdd", int(db.ids[i]), db.geos[i, 0], db.geos[i, 1]))
-            fh.write(np.ascontiguousarray(db.descriptors[i], dtype="<f4").tobytes())
+        fh.write(records.tobytes())
 
 
 def load_db(path: str) -> DescriptorDatabase:
@@ -170,10 +176,9 @@ def load_db(path: str) -> DescriptorDatabase:
                 f"database header declares {count} entries of dimension {dim}, "
                 f"which does not match the {body} bytes that follow"
             )
-        ids = np.empty(count, dtype=np.uint64)
-        geos = np.empty((count, 2), dtype=np.float64)
-        descs = np.empty((count, dim), dtype=np.float32)
-        for i in range(count):
-            ids[i], geos[i, 0], geos[i, 1] = struct.unpack("<Qdd", fh.read(24))
-            descs[i] = np.frombuffer(fh.read(4 * dim), dtype="<f4")
-        return DescriptorDatabase(ids, geos, descs)
+        records = np.frombuffer(fh.read(body), dtype=_record(dim), count=count)
+    return DescriptorDatabase(
+        records["id"].astype(np.uint64),
+        np.stack([records["lat"], records["lon"]], axis=1),
+        records["desc"].astype(np.float32),
+    )

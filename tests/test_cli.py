@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cvloc.cli import main
 from cvloc.retrieval import load_db
@@ -44,6 +48,19 @@ class TestConfigHandling:
         code, _, err = run_cli(["simulate", *SMALL, "--set", f"traj_length={length}"], capsys)
         assert code == 2
         assert "traj_length" in err
+
+    @pytest.mark.parametrize("args, key", [
+        (["--set", "heatmap_every=-5"], "heatmap_every"),
+        (["--heatmap-every", "-5"], "heatmap_every"),
+        (["--set", "ess_threshold=nan"], "ess_threshold"),
+        (["--set", "ess_threshold=-0.5"], "ess_threshold"),
+        (["--set", "eval_thresholds=5,nan,25"], "eval_thresholds"),
+        (["--set", "eval_thresholds=5,-10"], "eval_thresholds"),
+    ])
+    def test_out_of_range_value_exits_2(self, args, key, tmp_path, capsys):
+        code, _, err = run_cli(["simulate", *SMALL, "--out-dir", str(tmp_path), *args], capsys)
+        assert code == 2
+        assert key in err
 
     def test_config_file_with_comments_and_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "ok.cfg"
@@ -143,6 +160,62 @@ class TestTruncatedInputs:
                                 "--pose", "60,60,0"], capsys)
         assert code == 2
         assert "truncated" in err
+
+
+# offset and struct format of each database header field after the magic
+DB_HEADER = {"version": (8, "<I"), "count": (12, "<Q"), "dim": (20, "<I")}
+
+DB_MUTATION = st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, 2**20)),
+    st.tuples(st.just("flip"), st.integers(0, 40) | st.integers(0, 2**20), st.integers(1, 255)),
+    st.tuples(st.just("set"), st.just("version"), st.sampled_from([0, 2, 2**32 - 1])),
+    st.tuples(st.just("set"), st.just("count"),
+              st.sampled_from([0, 1, 4, 2**31, 2**32 - 1, 2**60, 2**64 - 1]) | st.integers(0, 2**64 - 1)),
+    st.tuples(st.just("set"), st.just("dim"),
+              st.sampled_from([0, 1, 31, 33, 2**31, 2**32 - 1]) | st.integers(0, 2**32 - 1)),
+)
+
+
+def mutate_db(data: bytearray, mutation) -> bytearray:
+    kind, *args = mutation
+    if kind == "cut":
+        return data[:args[0] % (len(data) + 1)]
+    if kind == "flip":
+        if data:
+            data[args[0] % len(data)] ^= args[1]
+        return data
+    offset, fmt = DB_HEADER[args[0]]
+    if len(data) >= offset + struct.calcsize(fmt):
+        struct.pack_into(fmt, data, offset, args[1])
+    return data
+
+
+@pytest.fixture(scope="module")
+def small_db(tmp_path_factory):
+    path = tmp_path_factory.mktemp("db") / "map.db"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["build-db", *SMALL, "--out", str(path)]) == 0
+    return path
+
+
+class TestHostileDatabase:
+    @settings(max_examples=200, deadline=None)
+    @example(mutations=[("set", "dim", 2**31)])
+    @example(mutations=[("set", "dim", 2**32 - 1)])
+    @example(mutations=[("set", "count", 2**64 - 1)])
+    @example(mutations=[("cut", 24), ("set", "count", 0), ("set", "dim", 2**31)])
+    @example(mutations=[("cut", 24), ("set", "count", 0), ("set", "dim", 2**32 - 1)])
+    @given(mutations=st.lists(DB_MUTATION, min_size=1, max_size=3))
+    def test_query_never_exits_1(self, small_db, mutations):
+        data = bytearray(small_db.read_bytes())
+        for mutation in mutations:
+            data = mutate_db(data, mutation)
+        path = small_db.with_name("hostile.db")
+        path.write_bytes(bytes(data))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["query", *SMALL, "--db", str(path), "--pose", "60,60,0"])
+        assert code in (0, 2), err.getvalue()
 
 
 class TestLocalizeCommand:

@@ -153,7 +153,7 @@ class TestTessellate:
 class TestGridMap:
     def test_cell_count_invariant(self):
         g = make_grid(width=4, height=6)
-        assert len(g.cells) == g.width * g.height == len(g)
+        assert len(g.locations()) == g.width * g.height == len(g)
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
@@ -166,6 +166,5 @@ class TestGridMap:
 
     def test_cell_payloads(self):
         g = make_grid().with_probabilities(np.full(9, 1.0 / 9))
-        cell = g.cell(4)
-        assert cell.location == (10.0, 10.0)
-        assert cell.probability == pytest.approx(1.0 / 9)
+        assert g.cell_location(4) == (10.0, 10.0)
+        assert g.probabilities[4] == pytest.approx(1.0 / 9)

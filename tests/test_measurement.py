@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from cvloc.config import ScenarioConfig
 from cvloc.descriptor import GROUND, forward
-from cvloc.mapgrid import GridMap, LocalPoint
+from cvloc.mapgrid import GridMap, LocalPoint, surrounding_corners
 from cvloc.measurement import (
     MODES,
     ProbabilityField,
@@ -240,6 +242,26 @@ class TestMeasurementProbability:
         f = field_from_probs([1.0 / 9] * 9, 3, 3)
         with pytest.raises(ValueError):
             measurement_probability(f, Pose(0, 0), "cubic")
+
+    @settings(max_examples=300, deadline=None)
+    @example(s=0.1, kx=10, ky=10, frac=None)
+    @given(
+        s=st.sampled_from([0.1, 0.3, 1 / 3, 5.0]),
+        kx=st.integers(0, 11),
+        ky=st.integers(0, 11),
+        frac=st.none() | st.tuples(st.floats(0, 1), st.floats(0, 1)),
+    )
+    def test_filter_reads_the_corners_surrounding_corners_names(self, s, kx, ky, frac):
+        # exact lattice multiples k*s (frac None) are where a floor-division
+        # lookup and the filter's int(x / s) lookup used to pick different cells
+        n = 12
+        ex, ey = (n - 1) * s, (n - 1) * s
+        p = LocalPoint(kx * s, ky * s) if frac is None else LocalPoint(frac[0] * ex, frac[1] * ey)
+        for c in surrounding_corners(GridMap((40.0, -105.0), s, n, n), p):
+            one_hot = np.zeros(n * n)
+            one_hot[c] = 1.0
+            f = field_from_probs(one_hot, n, n, interval=s)
+            assert measurement_probabilities(f, np.array([[p.x, p.y]]), "corner-sum")[0] == 1.0
 
 
 class TestProbabilityField:

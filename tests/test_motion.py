@@ -12,11 +12,30 @@ from cvloc.motion import (
     ZERO_NOISE,
     make_rng,
     perturb_control,
-    sample_motion,
     sample_motion_batch,
     simulate_odometry,
     wrap_angle,
 )
+
+
+def sample_motion(prev: Pose, u: ControlAction, noise: MotionNoise, rng: np.random.Generator) -> Pose:
+    """Scalar reference for :func:`sample_motion_batch`: one successor pose,
+    with the same draws in the same order as a one-row batch."""
+    s_trans, s_rot = noise.effective(u)
+    d_trans = u.delta_trans - (rng.normal(0.0, s_trans) if s_trans > 0 else 0.0)
+    d_rot = u.delta_rot - (rng.normal(0.0, s_rot) if s_rot > 0 else 0.0)
+    heading = prev.theta + d_rot
+    return Pose(
+        prev.x + d_trans * math.cos(heading),
+        prev.y + d_trans * math.sin(heading),
+        wrap_angle(heading),
+    )
+
+
+def sample_one(prev: Pose, u: ControlAction, noise: MotionNoise, rng: np.random.Generator) -> Pose:
+    """The program's motion step on a single state."""
+    state = np.array([[prev.x, prev.y, prev.theta]], dtype=np.float64)
+    return Pose(*sample_motion_batch(state, u, noise, rng)[0])
 
 
 class TestWrapAngle:
@@ -56,26 +75,26 @@ class TestPose:
 
 class TestSampleMotion:
     def test_straight_ahead(self):
-        p = sample_motion(Pose(0, 0, 0), ControlAction(1.0, 0.0), ZERO_NOISE, make_rng(0))
+        p = sample_one(Pose(0, 0, 0), ControlAction(1.0, 0.0), ZERO_NOISE, make_rng(0))
         assert (p.x, p.y, p.theta) == pytest.approx((1.0, 0.0, 0.0))
 
     def test_quarter_turn_then_translate(self):
         # rotation applies before the trig terms: cos(pi/2)=0, sin(pi/2)=1
-        p = sample_motion(Pose(0, 0, 0), ControlAction(1.0, math.pi / 2), ZERO_NOISE, make_rng(0))
+        p = sample_one(Pose(0, 0, 0), ControlAction(1.0, math.pi / 2), ZERO_NOISE, make_rng(0))
         assert p.x == pytest.approx(0.0, abs=1e-15)
         assert p.y == pytest.approx(1.0)
         assert p.theta == pytest.approx(math.pi / 2)
 
     def test_null_action_is_identity(self):
         prev = Pose(3.0, -2.0, 0.4)
-        p = sample_motion(prev, ControlAction(0.0, 0.0), ZERO_NOISE, make_rng(0))
+        p = sample_one(prev, ControlAction(0.0, 0.0), ZERO_NOISE, make_rng(0))
         assert (p.x, p.y, p.theta) == (prev.x, prev.y, prev.theta)
 
     def test_sampled_mean_converges_to_noiseless_pose(self):
         # statistical oracle: mean of 10k samples within 3*sigma/sqrt(10k)
         noise = MotionNoise()  # defaults
         u = ControlAction(1.0, 0.2)
-        target = sample_motion(Pose(0, 0, 0), u, ZERO_NOISE, make_rng(0))
+        target = sample_one(Pose(0, 0, 0), u, ZERO_NOISE, make_rng(0))
         states = sample_motion_batch(np.zeros((10_000, 3)), u, noise, make_rng(99))
         s_trans, s_rot = noise.effective(u)
         tol_xy = 3 * s_trans / 100.0 + 3 * s_rot / 100.0  # rot noise couples into xy
@@ -89,6 +108,16 @@ class TestSampleMotion:
         a = sample_motion_batch(np.zeros((5, 3)), u, noise, make_rng(7))
         b = sample_motion_batch(np.zeros((5, 3)), u, noise, make_rng(7))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("noise", [MotionNoise(), MotionNoise(0.5, 0.3, 0.1, 0.2), ZERO_NOISE])
+    def test_one_row_matches_scalar_oracle_bit_for_bit(self, noise):
+        rng = np.random.default_rng(5)
+        for seed in range(200):
+            prev = Pose(*rng.uniform(-50, 50, 2), rng.uniform(-math.pi, math.pi))
+            u = ControlAction(rng.uniform(0, 5), rng.uniform(-3, 3))
+            want = sample_motion(prev, u, noise, make_rng(seed))
+            got = sample_one(prev, u, noise, make_rng(seed))
+            assert (got.x, got.y, got.theta) == (want.x, want.y, want.theta)
 
     def test_theta_always_wrapped(self):
         states = np.zeros((100, 3))
@@ -121,7 +150,7 @@ class TestSimulateOdometry:
         heading = prev.theta + d_rot
         target = Pose(prev.x + d_trans * math.cos(heading), prev.y + d_trans * math.sin(heading), heading)
         u = simulate_odometry(prev, target)
-        replay = sample_motion(prev, u, ZERO_NOISE, make_rng(0))
+        replay = sample_one(prev, u, ZERO_NOISE, make_rng(0))
         assert replay.x == pytest.approx(target.x, abs=1e-9)
         assert replay.y == pytest.approx(target.y, abs=1e-9)
         assert replay.theta == pytest.approx(target.theta, abs=1e-12)

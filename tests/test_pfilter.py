@@ -241,9 +241,8 @@ class TestEffectiveSampleSize:
 class TestParticleSet:
     def test_particle_accessor(self):
         ps = particle_set([[1.0, 2.0, 0.3], [4.0, 5.0, -0.1]], [0.7, 0.3])
-        p = ps.particle(1)
-        assert (p.state.x, p.state.y, p.state.theta) == (4.0, 5.0, -0.1)
-        assert p.weight == 0.3
+        assert tuple(ps.states[1]) == (4.0, 5.0, -0.1)
+        assert ps.weights[1] == 0.3
 
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,12 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
+from cvloc.cli import main
 from cvloc.retrieval import (
+    DescriptorDatabase,
     add_distractors,
     build_db,
     load_db,
@@ -204,7 +209,66 @@ class TestDistractors:
             add_distractors(db, [(100, (0, 0), np.zeros(5, dtype=np.float32))])
 
 
+def struct_save_db(db, path):
+    """Per-entry reference writer for the database format."""
+    with open(path, "wb") as fh:
+        fh.write(b"CVLOCDB1")
+        fh.write(struct.pack("<IQI", 1, len(db), db.dimension))
+        for i in range(len(db)):
+            fh.write(struct.pack("<Qdd", int(db.ids[i]), db.geos[i, 0], db.geos[i, 1]))
+            fh.write(np.ascontiguousarray(db.descriptors[i], dtype="<f4").tobytes())
+
+
+def struct_load_db(path):
+    """Per-entry reference reader for the database format."""
+    with open(path, "rb") as fh:
+        assert fh.read(8) == b"CVLOCDB1"
+        version, count, dim = struct.unpack("<IQI", fh.read(16))
+        assert version == 1
+        ids = np.empty(count, dtype=np.uint64)
+        geos = np.empty((count, 2), dtype=np.float64)
+        descs = np.empty((count, dim), dtype=np.float32)
+        for i in range(count):
+            ids[i], geos[i, 0], geos[i, 1] = struct.unpack("<Qdd", fh.read(24))
+            descs[i] = np.frombuffer(fh.read(4 * dim), dtype="<f4")
+        assert fh.read() == b""
+        return DescriptorDatabase(ids, geos, descs)
+
+
+def random_records(count, dim, seed):
+    """Random database with full-range ids, signed geos and non-unit descriptors."""
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, 2**64 - 1, size=count, dtype=np.uint64, endpoint=True)
+    geos = rng.uniform(-180, 180, size=(count, 2))
+    descs = (rng.normal(size=(count, dim)) * 1e3).astype(np.float32)
+    return DescriptorDatabase(ids, geos, descs)
+
+
+# sha256 of `cvloc build-db` at the default scenario config
+BUILD_DB_DEFAULT_SHA256 = "09e6addb2b4321a18cee713d8112336cc683690f808daeb58a5bd4f843968c3f"
+
+
 class TestPersistence:
+    @pytest.mark.parametrize("count", [0, 1, 17])
+    @pytest.mark.parametrize("dim", [1, 9, 32])
+    def test_matches_per_entry_reference_format(self, tmp_path, count, dim):
+        db = random_records(count, dim, seed=100 * count + dim)
+        ours, ref = tmp_path / "ours.bin", tmp_path / "ref.bin"
+        save_db(db, str(ours))
+        struct_save_db(db, str(ref))
+        assert ours.read_bytes() == ref.read_bytes()
+        loaded, expected = load_db(str(ref)), struct_load_db(str(ref))
+        for attr in ("ids", "geos", "descriptors"):
+            got, want = getattr(loaded, attr), getattr(expected, attr)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+    def test_build_db_default_bytes_unchanged(self, tmp_path, capsys):
+        path = tmp_path / "map.db"
+        assert main(["build-db", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == BUILD_DB_DEFAULT_SHA256
+
     def test_round_trip_identical(self, tmp_path):
         db, _ = random_db(17, 9, seed=21)
         path = tmp_path / "db.bin"
