@@ -126,10 +126,17 @@ class ScenarioConfig:
             raise ConfigError("eval_percent must be in (0, 100]")
         if self.heatmap_every < 0:
             raise ConfigError("heatmap_every must be >= 0")
+        if not (math.isfinite(self.world_length_scale) and self.world_length_scale > 0):
+            raise ConfigError("world_length_scale must be finite and positive")
+        if not (math.isfinite(self.corridor_width) and self.corridor_width > 0):
+            raise ConfigError("corridor_width must be finite and positive")
+        if not math.isfinite(self.corridor_gain):
+            raise ConfigError("corridor_gain must be finite")
         for name in (
             "sigma_trans", "sigma_trans_rate", "sigma_rot_deg", "sigma_rot_rate",
             "odom_sigma_trans", "odom_sigma_trans_rate", "odom_sigma_rot_deg",
             "odom_sigma_rot_rate", "init_spread_xy", "init_spread_theta_deg", "ess_threshold",
+            "world_view_noise",
         ):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
@@ -152,7 +159,10 @@ class ScenarioConfig:
             parts = [p for p in chunk.strip().split(",") if p]
             if len(parts) != 5:
                 raise ValueError(f"alias region needs 5 numbers, got {chunk!r}")
-            out.append(tuple(float(p) for p in parts))
+            vals = tuple(float(p) for p in parts)
+            if not (all(math.isfinite(v) for v in vals) and vals[4] >= 0):
+                raise ValueError(f"alias region needs finite numbers and a radius >= 0, got {chunk!r}")
+            out.append(vals)
         return out
 
     def parsed_thresholds(self) -> list[float]:

@@ -95,6 +95,8 @@ class AffineMap:
     def __post_init__(self):
         if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
             raise ValueError("affine map shapes inconsistent")
+        if not (np.all(np.isfinite(self.weight)) and np.all(np.isfinite(self.bias))):
+            raise ValueError("parameters must be finite")
 
     @property
     def in_dim(self) -> int:
@@ -207,7 +209,7 @@ def _vlad_batch(params: VladParams, feats: np.ndarray) -> np.ndarray:
     """(B, N, D) feature batches -> (B, K*D) aggregated residuals."""
     c = params.centroids.astype(np.float64)
     a = _assign_batch(params, feats)  # (B, N, K)
-    weighted = np.einsum("bnk,bnd->bkd", a, feats)
+    weighted = np.matmul(a.transpose(0, 2, 1), feats)  # (B, K, D)
     totals = a.sum(axis=1)  # (B, K)
     v = weighted - totals[:, :, None] * c[None, :, :]
     return v.reshape(feats.shape[0], -1)

@@ -100,7 +100,7 @@ def sample_motion_batch(
     d_trans = u.delta_trans - (rng.normal(0.0, s_trans, m) if s_trans > 0 else np.zeros(m))
     d_rot = u.delta_rot - (rng.normal(0.0, s_rot, m) if s_rot > 0 else np.zeros(m))
     heading = states[:, 2] + d_rot
-    out = np.empty_like(states)
+    out = np.empty(states.shape, dtype=np.float64)
     out[:, 0] = states[:, 0] + d_trans * np.cos(heading)
     out[:, 1] = states[:, 1] + d_trans * np.sin(heading)
     out[:, 2] = wrap_angles(heading)

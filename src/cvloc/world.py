@@ -24,6 +24,10 @@ from .motion import Pose
 
 TWO_PI = 2.0 * math.pi
 
+# Upper bound on the cells per map-build block (whole grid rows). At 24 × 16
+# float64 features a block's features take 25 MB.
+MAP_BLOCK_CELLS = 8192
+
 
 @dataclass(frozen=True)
 class AliasRegion:
@@ -83,6 +87,18 @@ def _field_params(seed: int, n: int, d: int, scale: float, spawn: int):
     return wave, phase
 
 
+@lru_cache(maxsize=2)
+def _column_factors(seed: int, n: int, d: int, scale: float, width: int, interval: float):
+    """cos a and sin a of a = kx·x + φ at every lattice column x = col·interval:
+    the row-independent half of the map's separable field, (W, n, d) each.
+    Cached so that the blocks of one map build share them."""
+    wave, phase = _field_params(seed, n, d, scale, 0)
+    a = (np.arange(width) * interval)[:, None, None] * wave[..., 0] + phase
+    cos_a, sin_a = np.cos(a), np.sin(a)
+    cos_a.flags.writeable = sin_a.flags.writeable = False  # shared by every block
+    return cos_a, sin_a
+
+
 def _eval_field(world: SyntheticWorld, positions: np.ndarray, seed: int, spawn: int) -> np.ndarray:
     """(P, 2) positions -> (P, n_features, feature_dim) sinusoid features."""
     wave, phase = _field_params(seed, world.n_features, world.feature_dim, world.length_scale, spawn)
@@ -138,17 +154,61 @@ def synth_features(world: SyntheticWorld, pose: Pose, rng_seed: int, view: str =
     return LocalFeatureSet(feats, view)
 
 
-def satellite_cell_features(world: SyntheticWorld, rng_seed: int) -> np.ndarray:
-    """Features for every grid cell at once: (num_cells, N, D)."""
-    return _features_at(world, world.grid.locations(), rng_seed, SATELLITE)
+def satellite_cell_features(world: SyntheticWorld, rng_seed: int, rows: slice = slice(None)) -> np.ndarray:
+    """Features of the cells in grid rows ``rows`` (default: every row):
+    (cells, N, D), row-major like ``GridMap.locations``.
+
+    Cells sit on a lattice, x = col·s and y = row·s, so each sinusoid splits
+    as cos(a + b) = cos a·cos b − sin a·sin b with a = kx·x + φ per column and
+    b = ky·y per row: (W + H)·N·D trig calls instead of W·H·N·D. Cells that
+    an alias region remaps off the lattice take the direct path, as does a
+    flat world; the corridor is additive and applied per cell either way.
+    """
+    grid = world.grid
+    row_ids = np.arange(grid.height)[rows]
+    positions = np.stack(np.meshgrid(np.arange(grid.width), row_ids), axis=-1).reshape(-1, 2) * grid.cell_interval
+    if world.flat:
+        return _features_at(world, positions, rng_seed, SATELLITE)
+    wave, _ = _field_params(rng_seed, world.n_features, world.feature_dim, world.length_scale, 0)
+    cos_a, sin_a = _column_factors(rng_seed, world.n_features, world.feature_dim, world.length_scale,
+                                   grid.width, grid.cell_interval)
+    b = (row_ids * grid.cell_interval)[:, None, None] * wave[..., 1]  # (rows, N, D)
+    tmp = np.empty_like(cos_a)
+    feats = np.empty((len(row_ids),) + cos_a.shape)
+    for out, cos_b, sin_b in zip(feats, np.cos(b), np.sin(b)):  # per row: temporaries stay in cache
+        np.multiply(cos_a, cos_b, out=out)
+        out -= np.multiply(sin_a, sin_b, out=tmp)
+    feats = feats.reshape((-1,) + wave.shape[:2])
+    _apply_corridor(world, feats, positions)
+    if world.aliases:
+        moved = np.any(_remap_aliases(world, positions) != positions, axis=1)
+        if moved.any():
+            feats[moved] = _features_at(world, positions[moved], rng_seed, SATELLITE)
+    return feats
 
 
 def build_descriptor_map(world: SyntheticWorld, pipeline: PipelineConfig, rng_seed: int) -> GridMap:
     """Run every cell's satellite features through the pipeline and store
-    the descriptors on the grid (float32, matching the database format)."""
-    feats = satellite_cell_features(world, rng_seed)
-    descs = forward_batch(pipeline, feats, SATELLITE)
-    return world.grid.with_descriptors(descs.astype(np.float32))
+    the descriptors on the grid (float32, matching the database format).
+
+    The map is built in blocks of whole grid rows of at most
+    ``MAP_BLOCK_CELLS`` cells (one row if a row is longer), so peak memory
+    does not grow with the map beyond the float32 output itself.
+    """
+    grid = world.grid
+    out = None
+    step = max(1, MAP_BLOCK_CELLS // grid.width)
+    for r0 in range(0, grid.height, step):
+        rows = slice(r0, min(r0 + step, grid.height))
+        descs = forward_batch(pipeline, satellite_cell_features(world, rng_seed, rows), SATELLITE)
+        if out is None:
+            out = np.empty((grid.num_cells, descs.shape[1]), dtype=np.float32)
+        block = out[rows.start * grid.width : rows.stop * grid.width]
+        block[:] = descs
+        # checked as stored: a finite float64 value can still overflow float32
+        if not np.all(np.isfinite(block)):
+            raise ValueError(f"non-finite map descriptors in grid rows {rows.start}..{rows.stop - 1}")
+    return grid.with_descriptors(out)
 
 
 def world_fingerprint(world: SyntheticWorld, rng_seed: int) -> str:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvloc.cli import main
+from cvloc.descriptor import random_dual_pipeline, save_pipeline
 from cvloc.retrieval import load_db
 
 SMALL = [
@@ -61,6 +62,28 @@ class TestConfigHandling:
         code, _, err = run_cli(["simulate", *SMALL, "--out-dir", str(tmp_path), *args], capsys)
         assert code == 2
         assert key in err
+
+    @pytest.mark.parametrize("args, key", [
+        (["--set", "world_length_scale=nan"], "world_length_scale"),
+        (["--set", "world_length_scale=0"], "world_length_scale"),
+        (["--set", "world_length_scale=inf"], "world_length_scale"),
+        (["--set", "world_view_noise=nan"], "world_view_noise"),
+        (["--set", "world_view_noise=-0.1"], "world_view_noise"),
+        (["--set", "corridor=true", "--set", "corridor_gain=nan"], "corridor_gain"),
+        (["--set", "corridor=true", "--set", "corridor_width=0"], "corridor_width"),
+        (["--set", "corridor=true", "--set", "corridor_width=inf"], "corridor_width"),
+        (["--set", "alias_regions=inf,0,10,10,5"], "alias region"),
+        (["--set", "alias_regions=0,0,10,10,nan"], "alias region"),
+        (["--set", "alias_regions=0,0,10,10,-1"], "alias region"),
+        # passes validation, overflows the field: the map build's own check
+        (["--set", "world_length_scale=1e-308"], "non-finite map descriptors"),
+    ])
+    def test_hostile_map_build_value_exits_2(self, args, key, tmp_path, capsys):
+        out = tmp_path / "map.db"
+        code, _, err = run_cli(["build-db", *SMALL, "--out", str(out), *args], capsys)
+        assert code == 2
+        assert key in err
+        assert not out.exists()
 
     def test_config_file_with_comments_and_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "ok.cfg"
@@ -216,6 +239,71 @@ class TestHostileDatabase:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["query", *SMALL, "--db", str(path), "--pose", "60,60,0"])
         assert code in (0, 2), err.getvalue()
+
+
+# offset of each parameter-file header field after the magic, all "<I"
+PARAMS_HEADER = {"version": 8, "variant": 12, "k": 16, "d": 20, "r": 24, "h1": 28, "h2": 32, "norm": 36}
+PARAMS_BIAS0 = 18536  # satellite reduction bias[0] of the default dual file
+
+PARAMS_MUTATION = st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, 2**20)),
+    st.tuples(st.just("flip"), st.integers(0, 40) | st.integers(0, 2**20), st.integers(1, 255)),
+    st.tuples(st.just("set"), st.sampled_from(sorted(PARAMS_HEADER)),
+              st.sampled_from([0, 1, 2, 3, 7, 8, 16, 32, 2**31, 2**32 - 1]) | st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("float"), st.integers(0, 2**20),
+              st.sampled_from([float("nan"), float("inf"), -float("inf"), 3.4e38, -3.4e38, 1e30, 0.0])
+              | st.floats(width=32)),
+)
+
+
+def mutate_params(data: bytearray, mutation) -> bytearray:
+    kind, *args = mutation
+    if kind == "cut":
+        return data[:args[0] % (len(data) + 1)]
+    if kind == "flip":
+        if data:
+            data[args[0] % len(data)] ^= args[1]
+        return data
+    if kind == "set":
+        offset, value = PARAMS_HEADER[args[0]], args[1]
+        if len(data) >= offset + 4:
+            struct.pack_into("<I", data, offset, value)
+        return data
+    # a float32 array element: any 4-aligned offset after the 40-byte header
+    if len(data) >= 44:
+        struct.pack_into("<f", data, 40 + 4 * (args[0] % ((len(data) - 40) // 4)), args[1])
+    return data
+
+
+@pytest.fixture(scope="module")
+def params_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("params") / "dual.params"
+    save_pipeline(random_dual_pipeline(11, tie_views=True), str(path))
+    return path
+
+
+class TestHostileParams:
+    @settings(max_examples=200, deadline=None)
+    @example(mutations=[("float", (PARAMS_BIAS0 - 40) // 4, float("nan"))])
+    @example(mutations=[("float", (PARAMS_BIAS0 - 40) // 4, float("inf"))])
+    @example(mutations=[("set", "r", 0), ("set", "norm", 0)])
+    @example(mutations=[("set", "variant", 2), ("set", "h1", 0), ("set", "h2", 0)])
+    @example(mutations=[("set", "norm", 0), ("float", 700, 3.4e38)])
+    @given(mutations=st.lists(PARAMS_MUTATION, min_size=1, max_size=3))
+    def test_build_db_never_exits_1(self, params_file, mutations):
+        data = bytearray(params_file.read_bytes())
+        for mutation in mutations:
+            data = mutate_params(data, mutation)
+        path = params_file.with_name("hostile.params")
+        path.write_bytes(bytes(data))
+        out = params_file.with_name("hostile.db")
+        out.unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["build-db", *SMALL, "--set", f"params_file={path}", "--out", str(out)])
+        assert code in (0, 2), err.getvalue()
+        if code == 0:
+            assert np.all(np.isfinite(load_db(str(out)).descriptors))
 
 
 class TestLocalizeCommand:

@@ -13,6 +13,8 @@ from cvloc.descriptor import (
     SharedPipeline,
     TransformParams,
     VladParams,
+    _assign_batch,
+    _vlad_batch,
     forward,
     load_pipeline,
     random_dual_pipeline,
@@ -101,6 +103,27 @@ class TestVladAggregate:
         assert v5 == pytest.approx(5.0 * v1, rel=1e-12)
 
 
+def einsum_vlad_batch(params: VladParams, feats: np.ndarray) -> np.ndarray:
+    """Reference for ``_vlad_batch``: the weighted sums as one einsum (the
+    program uses a batched matmul, which sums in another order)."""
+    a = _assign_batch(params, feats)
+    weighted = np.einsum("bnk,bnd->bkd", a, feats)
+    v = weighted - a.sum(axis=1)[:, :, None] * params.centroids.astype(np.float64)[None, :, :]
+    return v.reshape(feats.shape[0], -1)
+
+
+class TestVladBatchAgainstOracle:
+    @settings(max_examples=200)
+    @given(st.integers(1, 40), st.integers(1, 32), st.integers(1, 10), st.integers(1, 20),
+           st.integers(0, 2**32 - 1))
+    def test_matches_einsum_form(self, b, n, k, d, seed):
+        # features in [-1, 1] like the world's sinusoids
+        rng = np.random.default_rng(seed)
+        p = VladParams(rng.uniform(-1, 1, (k, d)), rng.uniform(-1, 1, (k, d)), rng.uniform(-1, 1, k))
+        feats = rng.uniform(-1, 1, (b, n, d))
+        np.testing.assert_allclose(_vlad_batch(p, feats), einsum_vlad_batch(p, feats), rtol=0, atol=1e-14)
+
+
 def dual_with_identity(k=2, d=3, normalize=False) -> DualPipeline:
     rng = np.random.default_rng(11)
     vlad = VladParams(rng.normal(size=(k, d)), rng.normal(size=(k, d)), rng.normal(size=k))
@@ -182,6 +205,14 @@ class TestParameterFile:
         p.write_bytes(b"NOTAPRM0" + b"\x00" * 64)
         with pytest.raises(ValueError):
             load_pipeline(str(p))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["weight", "bias"])
+    def test_non_finite_affine_parameters_rejected(self, bad, part):
+        weight, bias = np.ones((2, 3), dtype=np.float32), np.zeros(2, dtype=np.float32)
+        (weight if part == "weight" else bias)[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            AffineMap(weight, bias)
 
     def test_seeded_init_is_deterministic(self):
         a = random_dual_pipeline(42)

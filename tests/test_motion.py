@@ -119,6 +119,18 @@ class TestSampleMotion:
             got = sample_one(prev, u, noise, make_rng(seed))
             assert (got.x, got.y, got.theta) == (want.x, want.y, want.theta)
 
+    @pytest.mark.parametrize("noise", [MotionNoise(), ZERO_NOISE])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float32])
+    def test_non_float64_states_match_float64(self, dtype, noise):
+        states = np.array([[0, 0, 0], [3, -2, 1], [10, 7, -3]], dtype=dtype)
+        u = ControlAction(1.0, math.pi / 2)
+        got = sample_motion_batch(states, u, noise, make_rng(3))
+        want = sample_motion_batch(states.astype(np.float64), u, noise, make_rng(3))
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+        if noise is ZERO_NOISE:
+            assert got[0, 2] == pytest.approx(math.pi / 2)
+
     def test_theta_always_wrapped(self):
         states = np.zeros((100, 3))
         states[:, 2] = 3.0

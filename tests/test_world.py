@@ -3,12 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from cvloc.descriptor import forward, random_dual_pipeline
+import cvloc.world
+from cvloc.config import ScenarioConfig
+from cvloc.descriptor import (
+    SATELLITE,
+    AffineMap,
+    BranchParams,
+    DualPipeline,
+    ReductionParams,
+    forward,
+    forward_batch,
+    random_dual_pipeline,
+)
 from cvloc.mapgrid import GridMap, OutOfMapError
 from cvloc.motion import Pose
+from cvloc.simulate import build_pipeline, build_world
 from cvloc.world import (
+    MAP_BLOCK_CELLS,
     AliasRegion,
+    Corridor,
     SyntheticWorld,
+    _features_at,
     build_descriptor_map,
     satellite_cell_features,
     synth_features,
@@ -176,3 +191,94 @@ class TestFlatWorld:
         db = build_descriptor_map(w, pipeline, 7)
         assert db.descriptors.shape == (121, 32)
         assert db.descriptors.dtype == np.float32
+
+
+def oneshot_descriptor_map(world, pipeline, seed):
+    """Reference map build: every cell's features on the direct path, then
+    one forward pass over the whole map, then float32."""
+    feats = _features_at(world, world.grid.locations(), seed, SATELLITE)
+    return forward_batch(pipeline, feats, SATELLITE).astype(np.float32)
+
+
+# non-square, more than one block of rows (8192 // 97 = 84), and a height
+# that is not a multiple of it
+ODD_GRID = GridMap((40.0, -105.0), 2.5, 97, 131)
+
+WORLD_KINDS = {
+    "default": {},
+    "corridor": {"corridor": Corridor(120.0, 160.0, 70.0, 10.0, 1.0)},
+    "alias": {"aliases": (AliasRegion(50.0, 50.0, 150.0, 150.0, 30.0),
+                          AliasRegion(200.0, 20.0, 60.0, 250.0, 12.0))},
+    "corridor+alias": {"corridor": Corridor(120.0, 160.0, 70.0, 10.0, 1.0),
+                       "aliases": (AliasRegion(50.0, 50.0, 150.0, 150.0, 30.0),)},
+    "flat": {"flat": True},
+}
+
+
+class TestLatticeFeatures:
+    @pytest.mark.parametrize("kind", WORLD_KINDS)
+    def test_matches_direct_path(self, kind):
+        w = SyntheticWorld(grid=ODD_GRID, seed=7, **WORLD_KINDS[kind])
+        want = _features_at(w, ODD_GRID.locations(), 7, SATELLITE)
+        got = satellite_cell_features(w, 7)
+        assert got.shape == (ODD_GRID.num_cells, w.n_features, w.feature_dim)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        step = MAP_BLOCK_CELLS // ODD_GRID.width
+        blocks = [satellite_cell_features(w, 7, slice(r, r + step)) for r in range(0, ODD_GRID.height, step)]
+        np.testing.assert_array_equal(np.concatenate(blocks), got)
+
+    def test_aliased_cells_take_the_direct_path_exactly(self):
+        w = SyntheticWorld(grid=ODD_GRID, seed=7, **WORLD_KINDS["corridor+alias"])
+        locs = ODD_GRID.locations()
+        inside = np.hypot(locs[:, 0] - 150.0, locs[:, 1] - 150.0) <= 30.0
+        assert inside.sum() > 100
+        got = satellite_cell_features(w, 7)[inside]
+        np.testing.assert_array_equal(got, _features_at(w, locs[inside], 7, SATELLITE))
+
+
+class TestBlockedMapBuild:
+    def test_default_5m_map_equals_oneshot_build_exactly(self, monkeypatch):
+        cfg = ScenarioConfig(out_dir="")
+        world, pipeline = build_world(cfg), build_pipeline(cfg)
+        want = oneshot_descriptor_map(world, pipeline, cfg.world_seed)
+        np.testing.assert_array_equal(build_descriptor_map(world, pipeline, cfg.world_seed).descriptors, want)
+        # the same map in many small blocks
+        monkeypatch.setattr(cvloc.world, "MAP_BLOCK_CELLS", 1000)
+        np.testing.assert_array_equal(build_descriptor_map(world, pipeline, cfg.world_seed).descriptors, want)
+
+    @pytest.mark.parametrize("kind", ["default", "corridor+alias"])
+    def test_within_one_float32_ulp_of_oneshot_build(self, kind):
+        w = SyntheticWorld(grid=ODD_GRID, seed=7, **WORLD_KINDS[kind])
+        pipeline = random_dual_pipeline(11, tie_views=True)
+        got = build_descriptor_map(w, pipeline, 7).descriptors
+        assert got.dtype == np.float32
+        np.testing.assert_array_max_ulp(got, oneshot_descriptor_map(w, pipeline, 7), maxulp=1)
+
+    def test_forward_pass_sees_bounded_blocks(self, monkeypatch):
+        cfg = ScenarioConfig(cell_interval=2.0, out_dir="")
+        world, pipeline = build_world(cfg), build_pipeline(cfg)
+        rows = []
+
+        def counting_forward(config, feats, view):
+            rows.append(len(feats))
+            return forward_batch(config, feats, view)
+
+        monkeypatch.setattr(cvloc.world, "forward_batch", counting_forward)
+        db = build_descriptor_map(world, pipeline, cfg.world_seed)
+        assert len(rows) > 1
+        assert max(rows) <= MAP_BLOCK_CELLS
+        assert sum(rows) == db.num_cells == world.grid.num_cells
+
+    def test_overflowing_field_rejected(self):
+        # wavelengths this short overflow the wavenumbers to inf: NaN features
+        w = make_world(cells=11, length_scale=1e-308)
+        with pytest.raises(ValueError, match="non-finite"):
+            build_descriptor_map(w, random_dual_pipeline(11, tie_views=True), 7)
+
+    def test_float32_overflow_rejected(self):
+        # finite in float64, beyond float32 range once stored
+        p = random_dual_pipeline(11, tie_views=True, normalize_output=False)
+        big = AffineMap(np.full((32, 128), 1e38, dtype=np.float32), np.zeros(32, dtype=np.float32))
+        branch = BranchParams(p.satellite.vlad, ReductionParams(big))
+        with pytest.raises(ValueError, match="non-finite"):
+            build_descriptor_map(make_world(cells=11), DualPipeline(branch, branch, False), 7)
