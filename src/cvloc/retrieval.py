@@ -3,7 +3,8 @@ retrieval metrics (top-K / top-percent recall, distance-threshold recall).
 
 Search is a brute-force linear scan over plain Euclidean distances, which
 keeps results exact and oracle-comparable at the database sizes this
-package targets (<= 1e5 entries).
+package targets (<= 1e5 entries). The metrics rank each query once, to
+the largest K they need, and read every recall from that rank table.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,6 +36,8 @@ class DescriptorDatabase:
             raise ValueError("inconsistent database arrays")
         if len(np.unique(self.ids)) != n:
             raise ValueError("duplicate ids in database")
+        if not (np.all(np.isfinite(self.descriptors)) and np.all(np.isfinite(self.geos))):
+            raise ValueError("database descriptors and geos must be finite")
 
     @property
     def dimension(self) -> int:
@@ -41,6 +45,14 @@ class DescriptorDatabase:
 
     def __len__(self) -> int:
         return self.ids.shape[0]
+
+    @cached_property
+    def descriptors64(self) -> np.ndarray:
+        """Read-only float64 copy of the descriptors, built on the first query
+        and shared by every later one."""
+        d = self.descriptors.astype(np.float64)
+        d.flags.writeable = False
+        return d
 
     def entry(self, id_: int) -> tuple[tuple[float, float], np.ndarray]:
         idx = np.nonzero(self.ids == id_)[0]
@@ -76,7 +88,11 @@ def build_db(items: Iterable[tuple[int, tuple[float, float], np.ndarray]]) -> De
 
 
 def query(db: DescriptorDatabase, q: np.ndarray, k: int) -> RetrievalResult:
-    """Exact k nearest entries by Euclidean distance, ties broken by id."""
+    """Exact k nearest entries by Euclidean distance, ties broken by id.
+
+    Only the rows at or inside the k-th distance are sorted; keeping every
+    row tied with it leaves the id tie-break exact.
+    """
     if len(db) == 0:
         raise ValueError("cannot query an empty database")
     if not 1 <= k <= len(db):
@@ -84,10 +100,48 @@ def query(db: DescriptorDatabase, q: np.ndarray, k: int) -> RetrievalResult:
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (db.dimension,):
         raise ValueError(f"query dimension {q.shape} != database dimension {db.dimension}")
-    diff = db.descriptors.astype(np.float64) - q[None, :]
+    if not np.all(np.isfinite(q)):
+        raise ValueError("query descriptor must be finite")
+    diff = db.descriptors64 - q[None, :]
     dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    order = np.lexsort((db.ids, dists))[:k]
-    return RetrievalResult(db.ids[order].copy(), dists[order].copy())
+    rows = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
+    order = rows[np.lexsort((db.ids[rows], dists[rows]))[:k]]
+    return RetrievalResult(db.ids[order], dists[order])
+
+
+def top_percent_k(size: int, percent: float) -> int:
+    """Set size of the closest ``percent`` of a database, rounded up, at least 1."""
+    if not 0 < percent <= 100:
+        raise ValueError(f"percent must be in (0, 100], got {percent}")
+    return max(1, math.ceil(percent / 100.0 * size))
+
+
+def rank_table(db: DescriptorDatabase, descs: Sequence[np.ndarray], k: int) -> np.ndarray:
+    """(Q, k) ids of each query's k nearest entries, one :func:`query` each."""
+    return np.array([query(db, q, k).ids for q in descs], dtype=np.uint64).reshape(len(descs), k)
+
+
+def recall_in_table(table: np.ndarray, true_ids: Sequence[int], k: int) -> float:
+    """Fraction of queries whose true id is among the first k ids of its
+    :func:`rank_table` row."""
+    hits = np.any(table[:, :k] == np.asarray(true_ids, dtype=np.uint64)[:, None], axis=1)
+    return int(np.count_nonzero(hits)) / len(table)
+
+
+def threshold_recall(
+    db: DescriptorDatabase,
+    top_ids: np.ndarray,
+    true_geos: Sequence[tuple[float, float]],
+    thresholds: Sequence[float],
+) -> list[tuple[float, float]]:
+    """Recall curve over metric thresholds: a query counts as localized at
+    threshold T when its top-1 entry lies within T metres of the true geo."""
+    errors = []
+    for id_, (lat, lon) in zip(top_ids, true_geos):
+        (glat, glon), _ = db.entry(int(id_))
+        errors.append(geo_distance_m(lat, lon, glat, glon))
+    errors_arr = np.array(errors)
+    return [(float(t), float(np.mean(errors_arr <= t))) for t in thresholds]
 
 
 def recall_at_top_percent(
@@ -97,19 +151,12 @@ def recall_at_top_percent(
 ) -> float:
     """Fraction of queries whose true id lands in the closest ``percent``
     of the database (set size rounded up, so at least 1)."""
-    if not 0 < percent <= 100:
-        raise ValueError(f"percent must be in (0, 100], got {percent}")
-    k = max(1, math.ceil(percent / 100.0 * len(db)))
-    return recall_at_k(db, queries, k)
+    return recall_at_k(db, queries, top_percent_k(len(db), percent))
 
 
 def recall_at_k(db: DescriptorDatabase, queries: Sequence[tuple[int, np.ndarray]], k: int) -> float:
-    hits = 0
-    for true_id, desc in queries:
-        result = query(db, desc, k)
-        if np.uint64(true_id) in result.ids:
-            hits += 1
-    return hits / len(queries)
+    table = rank_table(db, [desc for _, desc in queries], k)
+    return recall_in_table(table, [true_id for true_id, _ in queries], k)
 
 
 def recall_vs_distance(
@@ -117,15 +164,9 @@ def recall_vs_distance(
     queries: Sequence[tuple[tuple[float, float], np.ndarray]],
     thresholds: Sequence[float],
 ) -> list[tuple[float, float]]:
-    """Recall curve over metric thresholds: a query counts as localized at
-    threshold T when its top-1 entry lies within T metres of the true geo."""
-    errors = []
-    for (lat, lon), desc in queries:
-        top = query(db, desc, 1)
-        (glat, glon), _ = db.entry(int(top.ids[0]))
-        errors.append(geo_distance_m(lat, lon, glat, glon))
-    errors_arr = np.array(errors)
-    return [(float(t), float(np.mean(errors_arr <= t))) for t in thresholds]
+    """:func:`threshold_recall` with each query ranked to its top 1."""
+    table = rank_table(db, [desc for _, desc in queries], 1)
+    return threshold_recall(db, table[:, 0], [geo for geo, _ in queries], thresholds)
 
 
 def add_distractors(

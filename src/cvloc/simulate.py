@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .descriptor import (
     GROUND,
     PipelineConfig,
@@ -30,7 +30,7 @@ from .mapgrid import GridMap, LocalPoint, local_to_geo, tessellate
 from .measurement import location_probabilities, emit_heatmap
 from .motion import MotionNoise, Pose
 from .pfilter import init_particles, localize_step
-from .retrieval import DescriptorDatabase, build_db, recall_at_k, recall_at_top_percent, recall_vs_distance
+from .retrieval import DescriptorDatabase, build_db, rank_table, recall_in_table, threshold_recall, top_percent_k
 from .world import AliasRegion, Corridor, SyntheticWorld, build_descriptor_map, synth_features
 
 
@@ -366,23 +366,26 @@ def eval_retrieval(cfg: ScenarioConfig, out_dir: str | None = None) -> dict:
     pipeline = build_pipeline(cfg)
     db_map = build_descriptor_map(world, pipeline, cfg.world_seed)
     db = database_from_map(db_map)
+    if cfg.eval_top_k > len(db):
+        raise ConfigError(f"eval_top_k={cfg.eval_top_k} exceeds the database size {len(db)}")
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.master_seed, spawn_key=(99,))))
     ex, ey = world.grid.extent
-    id_queries = []
-    geo_queries = []
+    descs, true_ids, true_geos = [], [], []
     for _ in range(cfg.eval_queries):
         x = rng.uniform(0.0, ex)
         y = rng.uniform(0.0, ey)
         theta = rng.uniform(-math.pi, math.pi)
         desc = forward(pipeline, synth_features(world, Pose(x, y, theta), cfg.world_seed, view=GROUND))
-        id_queries.append((_nearest_cell(world.grid, x, y), desc.values))
-        geo_queries.append((local_to_geo(world.grid, LocalPoint(x, y)), desc.values))
+        descs.append(desc.values)
+        true_ids.append(_nearest_cell(world.grid, x, y))
+        true_geos.append(local_to_geo(world.grid, LocalPoint(x, y)))
 
-    ks = list(range(1, cfg.eval_top_k + 1))
-    topk_curve = [(k, recall_at_k(db, id_queries, k)) for k in ks]
-    top_percent = recall_at_top_percent(db, id_queries, cfg.eval_percent)
-    threshold_curve = recall_vs_distance(db, geo_queries, cfg.parsed_thresholds())
+    percent_k = top_percent_k(len(db), cfg.eval_percent)
+    table = rank_table(db, descs, max(cfg.eval_top_k, percent_k))
+    topk_curve = [(k, recall_in_table(table, true_ids, k)) for k in range(1, cfg.eval_top_k + 1)]
+    top_percent = recall_in_table(table, true_ids, percent_k)
+    threshold_curve = threshold_recall(db, table[:, 0], true_geos, cfg.parsed_thresholds())
 
     result = {
         "database_size": len(db),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cvloc.retrieval
 from cvloc.cli import main
 from cvloc.descriptor import random_dual_pipeline, save_pipeline
 from cvloc.retrieval import load_db
@@ -188,6 +189,10 @@ class TestTruncatedInputs:
 # offset and struct format of each database header field after the magic
 DB_HEADER = {"version": (8, "<I"), "count": (12, "<Q"), "dim": (20, "<I")}
 
+DB_HEADER_BYTES = 24  # magic, version, count, dim
+DB_ENTRY_FIELDS = {"lat": (8, "<d"), "lon": (16, "<d")}  # offsets in an entry, before the descriptor
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
 DB_MUTATION = st.one_of(
     st.tuples(st.just("cut"), st.integers(0, 2**20)),
     st.tuples(st.just("flip"), st.integers(0, 40) | st.integers(0, 2**20), st.integers(1, 255)),
@@ -196,6 +201,10 @@ DB_MUTATION = st.one_of(
               st.sampled_from([0, 1, 4, 2**31, 2**32 - 1, 2**60, 2**64 - 1]) | st.integers(0, 2**64 - 1)),
     st.tuples(st.just("set"), st.just("dim"),
               st.sampled_from([0, 1, 31, 33, 2**31, 2**32 - 1]) | st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("geo"), st.integers(0, 2**20), st.sampled_from(sorted(DB_ENTRY_FIELDS)),
+              st.sampled_from([*NON_FINITE, 1e308, -1e308, 0.0]) | st.floats()),
+    st.tuples(st.just("desc"), st.integers(0, 2**20), st.integers(0, 2**10),
+              st.sampled_from([*NON_FINITE, 3.4e38, -3.4e38, 1e30, 0.0]) | st.floats(width=32)),
 )
 
 
@@ -207,9 +216,24 @@ def mutate_db(data: bytearray, mutation) -> bytearray:
         if data:
             data[args[0] % len(data)] ^= args[1]
         return data
-    offset, fmt = DB_HEADER[args[0]]
-    if len(data) >= offset + struct.calcsize(fmt):
-        struct.pack_into(fmt, data, offset, args[1])
+    if kind == "set":
+        offset, fmt = DB_HEADER[args[0]]
+        if len(data) >= offset + struct.calcsize(fmt):
+            struct.pack_into(fmt, data, offset, args[1])
+        return data
+    # a geo or descriptor number of one entry, as laid out by the header's dim
+    if len(data) < DB_HEADER_BYTES:
+        return data
+    dim = struct.unpack_from("<I", data, 20)[0]
+    entries = (len(data) - DB_HEADER_BYTES) // (24 + 4 * dim)
+    if entries == 0:
+        return data
+    start = DB_HEADER_BYTES + (args[0] % entries) * (24 + 4 * dim)
+    if kind == "geo":
+        offset, fmt = DB_ENTRY_FIELDS[args[1]]
+        struct.pack_into(fmt, data, start + offset, args[2])
+    elif dim:
+        struct.pack_into("<f", data, start + 24 + 4 * (args[1] % dim), args[2])
     return data
 
 
@@ -228,6 +252,11 @@ class TestHostileDatabase:
     @example(mutations=[("set", "count", 2**64 - 1)])
     @example(mutations=[("cut", 24), ("set", "count", 0), ("set", "dim", 2**31)])
     @example(mutations=[("cut", 24), ("set", "count", 0), ("set", "dim", 2**32 - 1)])
+    @example(mutations=[("desc", 0, 0, float("nan"))])
+    @example(mutations=[("desc", 500, 31, -float("inf"))])
+    @example(mutations=[("geo", 0, "lat", float("nan"))])
+    @example(mutations=[("geo", 929, "lon", float("inf"))])
+    @example(mutations=[("desc", 3, 7, 3.4e38), ("geo", 3, "lat", 1e308)])
     @given(mutations=st.lists(DB_MUTATION, min_size=1, max_size=3))
     def test_query_never_exits_1(self, small_db, mutations):
         data = bytearray(small_db.read_bytes())
@@ -235,10 +264,25 @@ class TestHostileDatabase:
             data = mutate_db(data, mutation)
         path = small_db.with_name("hostile.db")
         path.write_bytes(bytes(data))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["query", *SMALL, "--db", str(path), "--pose", "60,60,0"])
         assert code in (0, 2), err.getvalue()
+        if code == 0:
+            rows = out.getvalue().splitlines()[1:]
+            numbers = [float(v) for row in rows for v in row.split(",")[2:]]
+            assert rows and np.all(np.isfinite(numbers)), out.getvalue()
+
+    @pytest.mark.parametrize("field", ["desc", "lat", "lon"])
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_entry_exits_2(self, small_db, field, value, capsys):
+        kind, which = ("desc", 5) if field == "desc" else ("geo", field)
+        data = mutate_db(bytearray(small_db.read_bytes()), (kind, 17, which, value))
+        path = small_db.with_name("non_finite.db")
+        path.write_bytes(bytes(data))
+        code, out, err = run_cli(["query", *SMALL, "--db", str(path), "--pose", "60,60,0"], capsys)
+        assert code == 2 and out == ""
+        assert "finite" in err
 
 
 # offset of each parameter-file header field after the magic, all "<I"
@@ -330,6 +374,30 @@ class TestLocalizeCommand:
 
 
 class TestEvalCommand:
+    # K_max = max(eval_top_k, ceil(eval_percent% of the 930 entries))
+    @pytest.mark.parametrize("percent, k_max", [(1, 20), (10, 93)])
+    def test_one_rank_call_per_query(self, percent, k_max, tmp_path, monkeypatch, capsys):
+        seen = []
+        real = cvloc.retrieval.query
+        monkeypatch.setattr(cvloc.retrieval, "query",
+                            lambda db, q, k: seen.append((np.asarray(q).tobytes(), k)) or real(db, q, k))
+        code, _, err = run_cli(["eval", *SMALL, "--set", "eval_queries=30", "--set",
+                                f"eval_percent={percent}", "--out-dir", str(tmp_path)], capsys)
+        assert code == 0, err
+        assert len(seen) == 30 and len({q for q, _ in seen}) == 30
+        assert {k for _, k in seen} == {k_max}
+
+    @pytest.mark.parametrize("args, size", [
+        (["--set", "eval_top_k=100000"], 930),
+        (["--set", "eval_top_k=931"], 930),
+        (["--set", "cell_interval=100"], 4),
+    ])
+    def test_oversized_k_exits_2_before_ranking(self, args, size, monkeypatch, capsys):
+        monkeypatch.setattr(cvloc.retrieval, "query", None)  # any rank call would raise TypeError
+        code, out, err = run_cli(["eval", *SMALL, *args], capsys)
+        assert code == 2 and out == ""
+        assert "eval_top_k" in err and f"database size {size}" in err
+
     def test_writes_metric_curves(self, tmp_path, capsys):
         out = tmp_path / "eval"
         surface = tmp_path / "loss.csv"

@@ -1,20 +1,29 @@
 import hashlib
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cvloc.retrieval
 from cvloc.cli import main
+from cvloc.mapgrid import geo_distance_m
 from cvloc.retrieval import (
     DescriptorDatabase,
+    RetrievalResult,
     add_distractors,
     build_db,
     load_db,
     query,
+    rank_table,
     recall_at_k,
     recall_at_top_percent,
+    recall_in_table,
     recall_vs_distance,
     save_db,
+    threshold_recall,
 )
 
 
@@ -37,6 +46,123 @@ def brute_force_ranking(items, q):
     return scored
 
 
+def oracle_query(db, q, k):
+    """Full-sort reference for :func:`query`: every distance, one lexsort."""
+    q = np.asarray(q, dtype=np.float64)
+    diff = db.descriptors.astype(np.float64) - q[None, :]
+    dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    order = np.lexsort((db.ids, dists))[:k]
+    return RetrievalResult(db.ids[order].copy(), dists[order].copy())
+
+
+def oracle_recall_at_k(db, queries, k):
+    """Reference recall@K: one full ranking per query and per K."""
+    hits = 0
+    for true_id, desc in queries:
+        if np.uint64(true_id) in oracle_query(db, desc, k).ids:
+            hits += 1
+    return hits / len(queries)
+
+
+def oracle_recall_at_top_percent(db, queries, percent):
+    return oracle_recall_at_k(db, queries, max(1, math.ceil(percent / 100.0 * len(db))))
+
+
+def oracle_recall_vs_distance(db, queries, thresholds):
+    """Reference threshold curve: one top-1 ranking per query."""
+    errors = []
+    for (lat, lon), desc in queries:
+        (glat, glon), _ = db.entry(int(oracle_query(db, desc, 1).ids[0]))
+        errors.append(geo_distance_m(lat, lon, glat, glon))
+    errors_arr = np.array(errors)
+    return [(float(t), float(np.mean(errors_arr <= t))) for t in thresholds]
+
+
+@st.composite
+def tied_databases(draw, max_size=30):
+    """Databases built to tie: integer-valued descriptors drawn from a few
+    distinct rows (so rows repeat), unique ids in arbitrary order and far
+    apart, and geos spread over the globe. Returns (db, vector strategy)."""
+    dim = draw(st.integers(1, 3))
+    vec = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    distinct = draw(st.lists(vec, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=max_size))
+    n = len(picks)
+    ids = draw(st.lists(st.integers(0, 2**64 - 1), min_size=n, max_size=n, unique=True))
+    geo = st.tuples(st.floats(-80, 80), st.floats(-180, 180))
+    geos = draw(st.lists(geo, min_size=n, max_size=n))
+    db = DescriptorDatabase(np.array(ids, dtype=np.uint64), np.array(geos, dtype=np.float64),
+                            np.array([distinct[i] for i in picks], dtype=np.float32))
+    return db, vec | st.sampled_from(distinct)
+
+
+class TestQueryAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_k_equals_full_sort(self, data):
+        db, vectors = data.draw(tied_databases())
+        q = np.array(data.draw(vectors), dtype=np.float64)
+        for k in range(1, len(db) + 1):
+            got, want = query(db, q, k), oracle_query(db, q, k)
+            assert got.ids.dtype == want.ids.dtype and got.distances.dtype == want.distances.dtype
+            np.testing.assert_array_equal(got.ids, want.ids)
+            np.testing.assert_array_equal(got.distances, want.distances)
+
+    @pytest.mark.parametrize("n,dim,seed", [(500, 6, 1), (7921, 32, 2)])
+    def test_random_float_database(self, n, dim, seed):
+        db, _ = random_db(n, dim, seed=seed)
+        rng = np.random.default_rng(seed + 50)
+        for q in [rng.normal(size=dim), db.descriptors[n // 2].astype(np.float64)]:
+            for k in (1, 2, 20, 80, n):
+                got, want = query(db, q, k), oracle_query(db, q, k)
+                np.testing.assert_array_equal(got.ids, want.ids)
+                np.testing.assert_array_equal(got.distances, want.distances)
+
+
+class TestRankTableAgainstOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_metrics_equal_per_k_loops(self, data):
+        db, vectors = data.draw(tied_databases(max_size=20))
+        n = len(db)
+        rows = st.integers(0, n - 1)
+        picks = data.draw(st.lists(st.tuples(rows, vectors), min_size=1, max_size=8))
+        descs = [np.array(v, dtype=np.float64) for _, v in picks]
+        # true ids and geos of arbitrary entries; the first may lack an entry
+        true_ids = [int(db.ids[r]) for r, _ in picks]
+        absent = next(i for i in range(n + 1) if i not in db.ids)
+        true_ids[0] = data.draw(st.sampled_from([true_ids[0], absent]))
+        true_geos = [tuple(db.geos[(r + 1) % n]) for r, _ in picks]
+        id_queries = list(zip(true_ids, descs))
+        geo_queries = list(zip(true_geos, descs))
+        thresholds = [0.0, 1.0, 1e5, 1e6, 2e7, float("inf")]
+        percents = [1.0, 12.5, 50.0, 99.9, 100.0]
+
+        table = rank_table(db, descs, n)
+        assert table.shape == (len(descs), n) and table.dtype == np.uint64
+        for k in range(1, n + 1):
+            want = oracle_recall_at_k(db, id_queries, k)
+            assert recall_at_k(db, id_queries, k) == want
+            assert recall_in_table(table, true_ids, k) == want
+        for p in percents:
+            assert recall_at_top_percent(db, id_queries, p) == oracle_recall_at_top_percent(db, id_queries, p)
+        want = oracle_recall_vs_distance(db, geo_queries, thresholds)
+        assert recall_vs_distance(db, geo_queries, thresholds) == want
+        assert threshold_recall(db, table[:, 0], true_geos, thresholds) == want
+
+    def test_one_query_call_per_row(self, monkeypatch):
+        db, items = random_db(50, 4, seed=30)
+        calls = []
+        real = cvloc.retrieval.query
+        monkeypatch.setattr(cvloc.retrieval, "query", lambda *a: calls.append(a) or real(*a))
+        table = rank_table(db, [items[i][2] for i in range(7)], 12)
+        assert table.shape == (7, 12) and len(calls) == 7
+
+    def test_no_queries_gives_empty_table(self):
+        db, _ = random_db(5, 3)
+        assert rank_table(db, [], 3).shape == (0, 3)
+
+
 class TestBuildDb:
     def test_empty_database(self):
         db = build_db([])
@@ -57,6 +183,24 @@ class TestBuildDb:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             build_db([(1, (0, 0), np.zeros(2)), (2, (0, 0), np.zeros(3))])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["descriptors", "lat", "lon"])
+    def test_non_finite_entries_rejected(self, field, value):
+        db, _ = random_db(4, 3)
+        descs, geos = db.descriptors.copy(), db.geos.copy()
+        if field == "descriptors":
+            descs[2, 1] = value
+        else:
+            geos[2, ("lat", "lon").index(field)] = value
+        with pytest.raises(ValueError, match="finite"):
+            DescriptorDatabase(db.ids, geos, descs)
+
+    def test_float64_descriptors_built_once_and_read_only(self):
+        db, _ = random_db(6, 3)
+        d = db.descriptors64
+        assert d is db.descriptors64 and d.dtype == np.float64 and not d.flags.writeable
+        np.testing.assert_array_equal(d, db.descriptors)
 
 
 class TestQuery:
@@ -96,6 +240,12 @@ class TestQuery:
         db, _ = random_db(3, 2)
         with pytest.raises(ValueError):
             query(db, np.zeros(2), 4)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, value):
+        db, _ = random_db(3, 2)
+        with pytest.raises(ValueError, match="finite"):
+            query(db, np.array([0.0, value]), 1)
 
 
 class TestRecallTopPercent:
@@ -246,6 +396,23 @@ def random_records(count, dim, seed):
 
 # sha256 of `cvloc build-db` at the default scenario config
 BUILD_DB_DEFAULT_SHA256 = "09e6addb2b4321a18cee713d8112336cc683690f808daeb58a5bd4f843968c3f"
+
+
+# sha256 of each `cvloc eval --out-dir` file at the default scenario config
+EVAL_DEFAULT_SHA256 = {
+    "recall_percent.csv": "edbf3ae2b4e98e558aede27ad3a1b35599ad0ca6727ea297c4921e5895af7af7",
+    "recall_threshold.csv": "1c60e158135aaac36efa77cf6429d1f3da7368cd82f4229ed3c80f9779d0c308",
+    "recall_topk.csv": "c16f13c255bee9b8f7761580646763322ba732210a70d09ffc81c61a31effda5",
+    "retrieval_summary.json": "32fba85bd530057b25105471758dfae7357c187831b0e192166a1ebbe3a3a492",
+}
+
+
+class TestEvalOutputs:
+    def test_default_files_unchanged(self, tmp_path, capsys):
+        assert main(["eval", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert got == EVAL_DEFAULT_SHA256
 
 
 class TestPersistence:
