@@ -129,18 +129,9 @@ class TransformParams:
 
 
 @dataclass(frozen=True)
-class ReductionParams:
-    projection: AffineMap  # (R, K*D)
-
-    @property
-    def out_dim(self) -> int:
-        return self.projection.out_dim
-
-
-@dataclass(frozen=True)
 class BranchParams:
     vlad: VladParams
-    reduction: ReductionParams
+    reduction: AffineMap  # (R, K*D)
 
 
 @dataclass(frozen=True)
@@ -165,7 +156,7 @@ class SharedPipeline:
 
     transform: TransformParams
     vlad: VladParams
-    reduction: ReductionParams
+    reduction: AffineMap  # (R, K*H2)
     normalize_output: bool = True
 
     def __post_init__(self):
@@ -215,8 +206,8 @@ def _vlad_batch(params: VladParams, feats: np.ndarray) -> np.ndarray:
     return v.reshape(feats.shape[0], -1)
 
 
-def _finish(values: np.ndarray, reduction: ReductionParams, normalize: bool) -> np.ndarray:
-    out = reduction.projection.apply(values)
+def _finish(values: np.ndarray, reduction: AffineMap, normalize: bool) -> np.ndarray:
+    out = reduction.apply(values)
     if normalize:
         norms = np.linalg.norm(out, axis=-1, keepdims=True)
         if np.any(norms == 0):
@@ -274,9 +265,9 @@ def random_dual_pipeline(
     """Seeded random dual pipeline. ``tie_views`` reuses the satellite branch
     for the ground view, emulating a converged, aligned pair of branches."""
     rng = np.random.Generator(np.random.Philox(seed))
-    sat = BranchParams(_random_vlad(rng, clusters, dim), ReductionParams(_random_affine(rng, reduced_dim, clusters * dim)))
+    sat = BranchParams(_random_vlad(rng, clusters, dim), _random_affine(rng, reduced_dim, clusters * dim))
     grd = sat if tie_views else BranchParams(
-        _random_vlad(rng, clusters, dim), ReductionParams(_random_affine(rng, reduced_dim, clusters * dim))
+        _random_vlad(rng, clusters, dim), _random_affine(rng, reduced_dim, clusters * dim)
     )
     return DualPipeline(sat, grd, normalize_output)
 
@@ -296,7 +287,7 @@ def random_shared_pipeline(
     grd = sat if tie_views else _random_affine(rng, h, dim)
     shared = _random_affine(rng, h, h)
     vlad = _random_vlad(rng, clusters, h)
-    red = ReductionParams(_random_affine(rng, reduced_dim, clusters * h))
+    red = _random_affine(rng, reduced_dim, clusters * h)
     return SharedPipeline(TransformParams(sat, grd, shared), vlad, red, normalize_output)
 
 
@@ -344,7 +335,7 @@ def save_pipeline(config: PipelineConfig, path: str) -> None:
             for branch in (config.satellite, config.ground):
                 _write_vlad(fh, branch.vlad)
             for branch in (config.satellite, config.ground):
-                _write_affine(fh, branch.reduction.projection)
+                _write_affine(fh, branch.reduction)
         else:
             k = config.vlad.clusters
             d = config.transform.satellite.in_dim
@@ -356,7 +347,7 @@ def save_pipeline(config: PipelineConfig, path: str) -> None:
             _write_affine(fh, config.transform.satellite)
             _write_affine(fh, config.transform.ground)
             _write_affine(fh, config.transform.shared)
-            _write_affine(fh, config.reduction.projection)
+            _write_affine(fh, config.reduction)
 
 
 def load_pipeline(path: str) -> PipelineConfig:
@@ -371,14 +362,14 @@ def load_pipeline(path: str) -> PipelineConfig:
         if variant == 1:
             sat_vlad = _read_vlad(fh, k, d)
             grd_vlad = _read_vlad(fh, k, d)
-            sat_red = ReductionParams(_read_affine(fh, r, k * d))
-            grd_red = ReductionParams(_read_affine(fh, r, k * d))
+            sat_red = _read_affine(fh, r, k * d)
+            grd_red = _read_affine(fh, r, k * d)
             return DualPipeline(BranchParams(sat_vlad, sat_red), BranchParams(grd_vlad, grd_red), bool(norm))
         if variant == 2:
             vlad = _read_vlad(fh, k, h2)
             sat = _read_affine(fh, h1, d)
             grd = _read_affine(fh, h1, d)
             shared = _read_affine(fh, h2, h1)
-            red = ReductionParams(_read_affine(fh, r, k * h2))
+            red = _read_affine(fh, r, k * h2)
             return SharedPipeline(TransformParams(sat, grd, shared), vlad, red, bool(norm))
         raise ValueError(f"unknown pipeline variant {variant}")

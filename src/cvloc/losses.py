@@ -4,7 +4,10 @@ All loss functions take squared Euclidean distances and return
 ``(value, gradient)``, the gradient being the partials with respect to the
 distance fields in declaration order. Batch construction follows the
 exhaustive strategy (every in-batch cross-view negative for both anchors
-of every positive pair) or hardest-negative mining.
+of every positive pair) or hardest-negative mining. The weighted soft
+margin has one elementwise kernel, :func:`_soft_margin`: the single-item
+losses and :func:`batch_loss`, which works on the whole cross-distance
+matrix at once, all call it.
 """
 
 from __future__ import annotations
@@ -57,16 +60,14 @@ class LossConfig:
                 raise ValueError("margins must be non-negative")
 
 
-def softplus(x: float) -> float:
-    """ln(1 + e^x) via the overflow-safe branch max(x, 0) + log1p(e^-|x|)."""
-    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+def _soft_margin(gap, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise ln(1 + e^{alpha gap}) and its derivative in ``gap``.
 
-
-def sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+    Both are logaddexp forms, overflow-free on either side: the derivative
+    alpha / (1 + e^{-alpha gap}) is alpha e^{-ln(1 + e^{-alpha gap})}.
+    """
+    z = alpha * np.asarray(gap, dtype=np.float64)
+    return np.logaddexp(0.0, z), alpha * np.exp(-np.logaddexp(0.0, -z))
 
 
 def max_margin_triplet(t: TripletDistances, m: float) -> tuple[float, np.ndarray]:
@@ -81,9 +82,8 @@ def weighted_soft_margin(t: TripletDistances, alpha: float) -> tuple[float, np.n
     """ln(1 + e^{alpha (d_pos - d_neg)}); alpha = 1 is the plain soft margin."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    d = t.d_pos - t.d_neg
-    g = alpha * sigmoid(alpha * d)
-    return softplus(alpha * d), np.array([g, -g])
+    value, g = _soft_margin(t.d_pos - t.d_neg, alpha)
+    return float(value), np.array([g, -g])
 
 
 def max_margin_quadruplet(q: QuadrupletDistances, m1: float, m2: float) -> tuple[float, np.ndarray]:
@@ -100,10 +100,8 @@ def weighted_quadruplet(q: QuadrupletDistances, alpha: float) -> tuple[float, np
     """Sum of two weighted soft-margin terms sharing the positive distance."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    s1 = sigmoid(alpha * (q.d_pos - q.d_neg))
-    s2 = sigmoid(alpha * (q.d_pos - q.d_neg_star))
-    value = softplus(alpha * (q.d_pos - q.d_neg)) + softplus(alpha * (q.d_pos - q.d_neg_star))
-    return value, np.array([alpha * (s1 + s2), -alpha * s1, -alpha * s2])
+    values, (g1, g2) = _soft_margin([q.d_pos - q.d_neg, q.d_pos - q.d_neg_star], alpha)
+    return float(values.sum()), np.array([g1 + g2, -g1, -g2])
 
 
 class TripletIndex(NamedTuple):
@@ -146,14 +144,6 @@ def _sq_dists(anchor: np.ndarray, others: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def _extra_negative_index(i: int, j: int, m: int) -> int:
-    """Smallest pair index outside {anchor, negative}; needs m >= 3."""
-    for k in range(m):
-        if k != i and k != j:
-            return k
-    raise ValueError("quadruplet batches need at least 3 pairs")
-
-
 def batch_loss(
     ground: np.ndarray,
     satellite: np.ndarray,
@@ -168,7 +158,8 @@ def batch_loss(
     triplet; ``hard_mining`` keeps only the closest negative per anchor.
     For the quadruplet loss the extra example is the anchor's distance to
     the lowest-indexed pair outside the triplet (exhaustive) or the
-    second-closest negative (hard mining); both need M >= 3.
+    second-closest negative (hard mining); both need M >= 3. Non-finite
+    descriptors or cross distances are a ValueError.
     """
     if mode not in ("exhaustive", "hard_mining"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -181,39 +172,27 @@ def batch_loss(
     m = g.shape[0]
     if m < 2:
         raise ValueError(f"need at least 2 pairs, got {m}")
+    if loss == "quadruplet" and m < 3:
+        raise ValueError("quadruplet batches need at least 3 pairs")
 
     # cross[i, j] = squared distance between ground i and satellite j
     cross = np.square(g[:, None, :] - s[None, :, :]).sum(axis=2)
-    d_pos = np.diag(cross)
-
-    def neg_dist(view: str, i: int, j: int) -> float:
-        # anchor ground_i vs satellite_j, or anchor satellite_i vs ground_j
-        return cross[i, j] if view == "ground" else cross[j, i]
-
-    terms: list[float] = []
+    if not np.all(np.isfinite(cross)):
+        raise ValueError("ground, satellite and their cross distances must be finite")
+    d_pos = np.diag(cross)[:, None]
+    rows = np.arange(m)[:, None]
+    cols = np.nonzero(~np.eye(m, dtype=bool))[1].reshape(m, m - 1)  # every j != i, ascending
+    # (2, M, M-1) negatives: ground anchor i vs satellite j, satellite anchor i vs ground j
+    negs = np.stack([cross[rows, cols], cross[cols, rows]])
     if mode == "exhaustive":
-        for view, i, j in enumerate_triplets(m):
-            t_pos, t_neg = d_pos[i], neg_dist(view, i, j)
-            if loss == "triplet":
-                value, _ = weighted_soft_margin(TripletDistances(t_pos, t_neg), config.alpha)
-            else:
-                k = _extra_negative_index(i, j, m)
-                q = QuadrupletDistances(t_pos, t_neg, neg_dist(view, i, k))
-                value, _ = weighted_quadruplet(q, config.alpha)
-            terms.append(value)
+        first = negs
+        if loss == "quadruplet":
+            extra = np.where((rows != 0) & (cols != 0), 0, np.where((rows != 1) & (cols != 1), 1, 2))
+            second = np.stack([cross[rows, extra], cross[extra, rows]])
     else:
-        for i in range(m):
-            for view in ("ground", "satellite"):
-                negs = np.array([neg_dist(view, i, j) for j in range(m) if j != i])
-                order = np.argsort(negs, kind="stable")
-                if loss == "triplet":
-                    value, _ = weighted_soft_margin(
-                        TripletDistances(d_pos[i], negs[order[0]]), config.alpha
-                    )
-                else:
-                    if m < 3:
-                        raise ValueError("quadruplet hard mining needs at least 3 pairs")
-                    q = QuadrupletDistances(d_pos[i], negs[order[0]], negs[order[1]])
-                    value, _ = weighted_quadruplet(q, config.alpha)
-                terms.append(value)
-    return float(np.mean(terms))
+        hardest = np.sort(negs, axis=-1)
+        first, second = hardest[..., :1], hardest[..., 1:2]
+    value = _soft_margin(d_pos - first, config.alpha)[0]
+    if loss == "quadruplet":
+        value = value + _soft_margin(d_pos - second, config.alpha)[0]
+    return float(np.mean(value))

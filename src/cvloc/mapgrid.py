@@ -137,13 +137,16 @@ def geo_to_local(grid: GridMap, lat: float, lon: float) -> LocalPoint:
     return LocalPoint(x, y)
 
 
-def local_to_geo(grid: GridMap, p: LocalPoint) -> tuple[float, float]:
-    """Inverse of :func:`geo_to_local`."""
-    if not (math.isfinite(p.x) and math.isfinite(p.y)):
+def local_to_geo(grid: GridMap, p: LocalPoint) -> tuple:
+    """Inverse of :func:`geo_to_local`. ``p`` holds scalars or same-shape
+    arrays; ``(lat, lon)`` come back in the same form."""
+    x = np.asarray(p.x, dtype=np.float64)
+    y = np.asarray(p.y, dtype=np.float64)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError(f"non-finite local point {p}")
     lat0, lon0 = grid.origin
-    lat = lat0 + math.degrees(p.y / EARTH_RADIUS_M)
-    lon = lon0 + math.degrees(p.x / (EARTH_RADIUS_M * math.cos(math.radians(lat0))))
+    lat = lat0 + np.degrees(np.divide(y, EARTH_RADIUS_M))
+    lon = lon0 + np.degrees(np.divide(x, EARTH_RADIUS_M * math.cos(math.radians(lat0))))
     return lat, lon
 
 
@@ -204,6 +207,8 @@ def tessellate(bounds: GeoRect, interval: float) -> GridMap:
         raise ValueError(f"degenerate bounds {bounds}")
     probe = GridMap((bounds.lat_min, bounds.lon_min), interval, 2, 2)
     ext = geo_to_local(probe, bounds.lat_max, bounds.lon_max)
+    if not (math.isfinite(ext.x / interval) and math.isfinite(ext.y / interval)):
+        raise ValueError(f"interval {interval} is too small: the cell count overflows")
     width = int(ext.x / interval + _COUNT_EPS) + 1
     height = int(ext.y / interval + _COUNT_EPS) + 1
     if width < 2 or height < 2:

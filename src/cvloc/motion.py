@@ -19,9 +19,7 @@ def wrap_angle(a: float) -> float:
     """Wrap an angle into (-pi, pi]; in-range values pass through unchanged."""
     if not math.isfinite(a):
         raise ValueError(f"non-finite angle {a}")
-    if -math.pi < a <= math.pi:
-        return a
-    return math.pi - (math.pi - a) % TWO_PI
+    return float(wrap_angles(a))
 
 
 def wrap_angles(a: np.ndarray) -> np.ndarray:

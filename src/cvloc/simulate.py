@@ -339,11 +339,9 @@ def database_from_map(db_map: GridMap) -> DescriptorDatabase:
     """One database entry per cell: id = cell index, geo = cell location."""
     if db_map.descriptors is None:
         raise ValueError("map has no descriptors")
-    items = []
-    for i in range(db_map.num_cells):
-        geo = local_to_geo(db_map, db_map.cell_location(i))
-        items.append((i, geo, db_map.descriptors[i]))
-    return build_db(items)
+    locs = db_map.locations()
+    lat, lon = local_to_geo(db_map, LocalPoint(locs[:, 0], locs[:, 1]))
+    return build_db(zip(range(db_map.num_cells), zip(lat, lon), db_map.descriptors))
 
 
 def _nearest_cell(grid: GridMap, x: float, y: float) -> int:

@@ -78,6 +78,9 @@ class TestConfigHandling:
         (["--set", "alias_regions=0,0,10,10,-1"], "alias region"),
         # passes validation, overflows the field: the map build's own check
         (["--set", "world_length_scale=1e-308"], "non-finite map descriptors"),
+        # subnormal intervals: the cell count overflows to infinity
+        (["--set", "cell_interval=1e-320"], "interval"),
+        (["--set", "cell_interval=5e-324"], "interval"),
     ])
     def test_hostile_map_build_value_exits_2(self, args, key, tmp_path, capsys):
         out = tmp_path / "map.db"

@@ -9,7 +9,6 @@ from cvloc.descriptor import (
     BranchParams,
     DualPipeline,
     LocalFeatureSet,
-    ReductionParams,
     SharedPipeline,
     TransformParams,
     VladParams,
@@ -27,8 +26,8 @@ from cvloc.descriptor import (
 mp.dps = 50
 
 
-def identity_reduction(dim: int) -> ReductionParams:
-    return ReductionParams(AffineMap(np.eye(dim, dtype=np.float32), np.zeros(dim, dtype=np.float32)))
+def identity_reduction(dim: int) -> AffineMap:
+    return AffineMap(np.eye(dim, dtype=np.float32), np.zeros(dim, dtype=np.float32))
 
 
 class TestSoftAssign:
@@ -189,8 +188,7 @@ class TestParameterFile:
         loaded = load_pipeline(str(path))
         assert isinstance(loaded, DualPipeline)
         np.testing.assert_array_equal(loaded.satellite.vlad.centroids, cfg.satellite.vlad.centroids)
-        np.testing.assert_array_equal(loaded.ground.reduction.projection.weight,
-                                      cfg.ground.reduction.projection.weight)
+        np.testing.assert_array_equal(loaded.ground.reduction.weight, cfg.ground.reduction.weight)
         assert loaded.normalize_output == cfg.normalize_output
 
     def test_shared_round_trip_bytes_identical(self, tmp_path):

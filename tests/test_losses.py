@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -186,6 +186,95 @@ class TestHardNegative:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             hard_negative(np.zeros(2), np.empty((0, 2)))
+
+
+def oracle_batch_loss(g: np.ndarray, s: np.ndarray, config: LossConfig, mode: str, loss: str) -> float:
+    """The per-triplet loop :func:`batch_loss` replaced: one distance record
+    and one single-item loss call per term, one argsort per anchor."""
+    m = g.shape[0]
+    cross = np.square(g[:, None, :] - s[None, :, :]).sum(axis=2)
+    d_pos = np.diag(cross)
+
+    def neg_dist(view: str, i: int, j: int) -> float:
+        return cross[i, j] if view == "ground" else cross[j, i]
+
+    def extra_negative_index(i: int, j: int) -> int:
+        return next(k for k in range(m) if k != i and k != j)
+
+    terms: list[float] = []
+    if mode == "exhaustive":
+        for view, i, j in enumerate_triplets(m):
+            t_pos, t_neg = d_pos[i], neg_dist(view, i, j)
+            if loss == "triplet":
+                value, _ = weighted_soft_margin(TripletDistances(t_pos, t_neg), config.alpha)
+            else:
+                k = extra_negative_index(i, j)
+                q = QuadrupletDistances(t_pos, t_neg, neg_dist(view, i, k))
+                value, _ = weighted_quadruplet(q, config.alpha)
+            terms.append(value)
+    else:
+        for i in range(m):
+            for view in ("ground", "satellite"):
+                negs = np.array([neg_dist(view, i, j) for j in range(m) if j != i])
+                order = np.argsort(negs, kind="stable")
+                if loss == "triplet":
+                    t = TripletDistances(d_pos[i], negs[order[0]])
+                    value, _ = weighted_soft_margin(t, config.alpha)
+                else:
+                    q = QuadrupletDistances(d_pos[i], negs[order[0]], negs[order[1]])
+                    value, _ = weighted_quadruplet(q, config.alpha)
+                terms.append(value)
+    return float(np.mean(terms))
+
+
+MODES_AND_LOSSES = [(mode, loss) for mode in ("exhaustive", "hard_mining")
+                    for loss in ("triplet", "quadruplet")]
+
+
+@st.composite
+def loss_batches(draw):
+    """(mode, loss, ground, satellite, alpha): M = 2..12 (3..12 for
+    quadruplets), optionally with tied rows so that negatives tie."""
+    mode, loss = draw(st.sampled_from(MODES_AND_LOSSES))
+    m = draw(st.integers(2 if loss == "triplet" else 3, 12))
+    r = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g, s = rng.normal(size=(m, r)), rng.normal(size=(m, r))
+    ties = draw(st.sampled_from(["none", "ground", "satellite", "aligned"]))
+    if ties == "ground":
+        g[1:] = g[0]
+    elif ties == "satellite":
+        s[m // 2:] = s[0]
+    elif ties == "aligned":
+        s[:] = g
+    alpha = draw(st.floats(0.01, 50.0))
+    return mode, loss, g, s, alpha
+
+
+class TestBatchLossOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(loss_batches())
+    def test_matches_per_triplet_loop(self, batch):
+        mode, loss, g, s, alpha = batch
+        cfg = LossConfig(alpha=alpha)
+        got = batch_loss(g, s, cfg, mode, loss)
+        assert got == pytest.approx(oracle_batch_loss(g, s, cfg, mode, loss), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("mode, loss", MODES_AND_LOSSES)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["ground", "satellite"])
+    def test_non_finite_input_rejected(self, mode, loss, bad, side):
+        rng = np.random.default_rng(4)
+        batches = {"ground": rng.normal(size=(5, 3)), "satellite": rng.normal(size=(5, 3))}
+        batches[side][3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            batch_loss(batches["ground"], batches["satellite"], LossConfig(), mode, loss)
+
+    def test_overflowing_cross_distance_rejected(self):
+        # finite descriptors whose squared distance overflows to inf
+        g = np.array([[0.0], [1e200], [2.0]])
+        with pytest.raises(ValueError, match="finite"):
+            batch_loss(g, g.copy(), LossConfig(), "hard_mining")
 
 
 class TestBatchLoss:

@@ -68,6 +68,31 @@ class TestProjection:
         assert back[1] == pytest.approx(lon, abs=1e-9)
 
 
+def local_to_geo_oracle(grid: GridMap, p: LocalPoint) -> tuple[float, float]:
+    """The scalar ``math`` projection that :func:`local_to_geo` replaced."""
+    lat0, lon0 = grid.origin
+    lat = lat0 + math.degrees(p.y / EARTH_RADIUS_M)
+    lon = lon0 + math.degrees(p.x / (EARTH_RADIUS_M * math.cos(math.radians(lat0))))
+    return lat, lon
+
+
+class TestLocalToGeoArrays:
+    def test_array_call_bit_identical_to_scalar_calls(self):
+        g = make_grid(width=23, height=17, interval=4.7, origin=(-33.9, 151.2))
+        rng = np.random.default_rng(3)
+        pts = np.concatenate([g.locations(), rng.uniform(-500.0, 500.0, (200, 2))])
+        array = np.stack(local_to_geo(g, LocalPoint(pts[:, 0], pts[:, 1])), axis=1)
+        scalar = np.array([local_to_geo(g, LocalPoint(float(x), float(y))) for x, y in pts])
+        oracle = np.array([local_to_geo_oracle(g, LocalPoint(float(x), float(y))) for x, y in pts])
+        np.testing.assert_array_equal(array.view(np.int64), scalar.view(np.int64))
+        np.testing.assert_array_equal(array.view(np.int64), oracle.view(np.int64))
+
+    def test_nonfinite_array_entry_rejected(self):
+        xs = np.array([0.0, 1.0, np.nan])
+        with pytest.raises(ValueError):
+            local_to_geo(make_grid(), LocalPoint(xs, np.zeros(3)))
+
+
 class TestSurroundingCorners:
     def test_hand_enumerated_cell(self):
         # lattice: (0,0),(10,0),(20,0) / (0,10),... row-major on a 3x3 grid

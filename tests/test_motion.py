@@ -15,6 +15,7 @@ from cvloc.motion import (
     sample_motion_batch,
     simulate_odometry,
     wrap_angle,
+    wrap_angles,
 )
 
 
@@ -38,7 +39,30 @@ def sample_one(prev: Pose, u: ControlAction, noise: MotionNoise, rng: np.random.
     return Pose(*sample_motion_batch(state, u, noise, rng)[0])
 
 
+def wrap_angle_oracle(a: float) -> float:
+    """The scalar wrap that :func:`wrap_angle` replaced by delegation."""
+    if -math.pi < a <= math.pi:
+        return a
+    return math.pi - (math.pi - a) % (2.0 * math.pi)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
 class TestWrapAngle:
+    def test_bit_identical_to_scalar_oracle(self):
+        # random angles, the branch edges and their neighbours, signed zeros
+        # and huge magnitudes: scalar call, array call and oracle agree bit for bit
+        rng = np.random.default_rng(13)
+        edges = [0.0, -0.0, math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 1e300, -1e300]
+        near = [math.nextafter(e, t) for e in (math.pi, -math.pi) for t in (math.inf, -math.inf)]
+        angles = np.concatenate([rng.uniform(-50, 50, 20_000), rng.uniform(-1e9, 1e9, 5_000),
+                                 np.array(edges + near)])
+        expected = _bits([wrap_angle_oracle(float(a)) for a in angles])
+        np.testing.assert_array_equal(_bits([wrap_angle(float(a)) for a in angles]), expected)
+        np.testing.assert_array_equal(_bits(wrap_angles(angles)), expected)
+
     def test_zero(self):
         assert wrap_angle(0.0) == 0.0
 

@@ -10,7 +10,6 @@ from cvloc.descriptor import (
     AffineMap,
     BranchParams,
     DualPipeline,
-    ReductionParams,
     forward,
     forward_batch,
     random_dual_pipeline,
@@ -279,6 +278,6 @@ class TestBlockedMapBuild:
         # finite in float64, beyond float32 range once stored
         p = random_dual_pipeline(11, tie_views=True, normalize_output=False)
         big = AffineMap(np.full((32, 128), 1e38, dtype=np.float32), np.zeros(32, dtype=np.float32))
-        branch = BranchParams(p.satellite.vlad, ReductionParams(big))
+        branch = BranchParams(p.satellite.vlad, big)
         with pytest.raises(ValueError, match="non-finite"):
             build_descriptor_map(make_world(cells=11), DualPipeline(branch, branch, False), 7)
