@@ -21,6 +21,12 @@ EARTH_RADIUS_M = 6371008.8  # WGS-84 mean radius
 # 99.999999999 m at a 10 m interval still yields 11 columns.
 _COUNT_EPS = 1e-9
 
+# Most cells :func:`tessellate` lays out (a 2,048 x 2,048 lattice). Memory
+# grows with the cell count: the float32 map holds R floats a cell, and a
+# built field adds a float64 copy of it, so this many cells at R = 32 need
+# about 1.6 GB. The 1 m cells of the default map are 194,481.
+MAX_CELLS = 2048 * 2048
+
 
 class OutOfMapError(ValueError):
     """A point falls outside the lattice hull of the grid."""
@@ -197,7 +203,9 @@ def tessellate(bounds: GeoRect, interval: float) -> GridMap:
     """Lay a lattice of cells over ``bounds`` at ``interval`` metres.
 
     Cell (0, 0) sits on the south-west corner; counts per axis are
-    floor(extent / interval) + 1, covering both edges.
+    floor(extent / interval) + 1, covering both edges. A lattice of more
+    than ``MAX_CELLS`` cells is a ValueError, raised before anything is
+    allocated.
     """
     _check_geo(bounds.lat_min, bounds.lon_min)
     _check_geo(bounds.lat_max, bounds.lon_max)
@@ -207,10 +215,14 @@ def tessellate(bounds: GeoRect, interval: float) -> GridMap:
         raise ValueError(f"degenerate bounds {bounds}")
     probe = GridMap((bounds.lat_min, bounds.lon_min), interval, 2, 2)
     ext = geo_to_local(probe, bounds.lat_max, bounds.lon_max)
-    if not (math.isfinite(ext.x / interval) and math.isfinite(ext.y / interval)):
-        raise ValueError(f"interval {interval} is too small: the cell count overflows")
-    width = int(ext.x / interval + _COUNT_EPS) + 1
-    height = int(ext.y / interval + _COUNT_EPS) + 1
+    cols, rows = ext.x / interval + _COUNT_EPS, ext.y / interval + _COUNT_EPS
+    # the first test also rejects an overflowed (or NaN) count before int()
+    if not (cols < MAX_CELLS and rows < MAX_CELLS) or (int(cols) + 1) * (int(rows) + 1) > MAX_CELLS:
+        raise ValueError(
+            f"interval {interval} lays out {(cols + 1) * (rows + 1):.3g} cells over "
+            f"{ext.x:.1f}x{ext.y:.1f} m, more than the {MAX_CELLS:,} a map may have"
+        )
+    width, height = int(cols) + 1, int(rows) + 1
     if width < 2 or height < 2:
         raise ValueError(
             f"bounds span {ext.x:.1f}x{ext.y:.1f} m: fewer than 2x2 cells at interval {interval}"

@@ -1,19 +1,30 @@
 """Descriptor-distance measurement model over the map grid.
 
-A ground-view query descriptor is turned into a probability field by a
-softmax of negated Euclidean distances to every cell's stored descriptor.
-Per-state measurement probabilities are then read off the four lattice
-corners around the state, either as their literal sum (``corner-sum``,
-the default) or as their bilinearly interpolated value (``bilinear``).
-The two modes differ by a state-dependent factor that resampling
-normalises away; both are kept selectable because the published model is
-stated both ways.
+A ground-view query descriptor defines a probability field over the map:
+the softmax of negated Euclidean distances to every cell's stored
+descriptor. Per-state measurement probabilities are read off the four
+lattice corners around the state, either as their literal sum
+(``corner-sum``, the default) or as their bilinearly interpolated value
+(``bilinear``). The two modes differ by a state-dependent factor that
+resampling normalises away; both are kept selectable because the published
+model is stated both ways.
+
+The field is lazy. :func:`location_probabilities` only checks the query;
+the normalised probabilities over every cell are computed on the first
+read of ``ProbabilityField.probabilities``. The particle filter needs only
+ratios of them, so :func:`measurement_probabilities` scores just the
+distinct corner cells the states touch, as exp(m - d) with m the least of
+their distances, and the softmax normaliser Z cancels. The full field, and
+with it Z, is built only when a state is off the map (the floor is on the
+normalised scale), when a heatmap or ``localize`` reads it, or when a cheap
+bound cannot prove that some state scores above the floor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,25 +41,45 @@ DEFAULT_FLOOR = 1e-12
 _CANCEL_RATIO = 1e-4
 
 
+def _checked(p: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(p)) or np.any(p < 0):
+        raise ValueError("probabilities must be finite and non-negative")
+    if abs(float(p.sum()) - 1.0) > 1e-9:
+        raise ValueError(f"probabilities must sum to 1, got {p.sum()}")
+    return p
+
+
 @dataclass(frozen=True)
 class ProbabilityField:
-    """Normalised location probabilities over a grid, plus the off-map floor."""
+    """Normalised location probabilities over a grid, plus the off-map floor.
+
+    Explicit when ``grid`` carries the probabilities. Lazy when ``query``
+    is set: ``grid`` is the descriptor map, and ``probabilities`` is the
+    softmax field of ``query``, computed and checked on first read.
+    """
 
     grid: GridMap
     floor: float = DEFAULT_FLOOR
+    query: np.ndarray | None = None  # (R,) float64, read-only
 
     def __post_init__(self):
-        p = self.grid.probabilities
-        if p is None:
-            raise ValueError("field grid must carry probabilities")
-        if abs(float(p.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"probabilities must sum to 1, got {p.sum()}")
         if not (math.isfinite(self.floor) and self.floor > 0):
             raise ValueError("floor must be a small positive real")
+        if self.query is None:
+            if self.grid.probabilities is None:
+                raise ValueError("field grid must carry probabilities")
+            _checked(self.grid.probabilities)
+
+    @cached_property
+    def probabilities(self) -> np.ndarray:
+        if self.query is None:
+            return self.grid.probabilities
+        return _checked(_softmax_field(self.grid, self.query))
 
     @property
-    def probabilities(self) -> np.ndarray:
-        return self.grid.probabilities
+    def lazy(self) -> bool:
+        """True while the probabilities of a query field are not yet built."""
+        return self.query is not None and "probabilities" not in vars(self)
 
 
 def uniform_field(grid: GridMap, floor: float = DEFAULT_FLOOR) -> ProbabilityField:
@@ -59,6 +90,26 @@ def uniform_field(grid: GridMap, floor: float = DEFAULT_FLOOR) -> ProbabilityFie
 def location_probabilities(
     db_map: GridMap, q: GlobalDescriptor | np.ndarray, floor: float = DEFAULT_FLOOR
 ) -> ProbabilityField:
+    """The lazy softmax field of negated distances from ``q`` to every cell.
+
+    Checks the map and the query (dimension, finite values) and computes
+    nothing over the cells; see :class:`ProbabilityField`.
+    """
+    if db_map.descriptors is None:
+        raise ValueError("map has no stored descriptors")
+    values = q.values if isinstance(q, GlobalDescriptor) else np.asarray(q)
+    values = values.astype(np.float64)  # a private copy
+    if values.shape != (db_map.descriptors.shape[1],):
+        raise ValueError(
+            f"query dimension {values.shape} != map descriptor dimension {db_map.descriptors.shape[1]}"
+        )
+    if not np.all(np.isfinite(values)):
+        raise ValueError("query descriptor must be finite")
+    values.flags.writeable = False
+    return ProbabilityField(db_map, floor, values)
+
+
+def _softmax_field(db_map: GridMap, values: np.ndarray) -> np.ndarray:
     """Softmax of negated descriptor distances over all cells.
 
     Squared distances are taken in expansion form, ||x||^2 - 2 x.q + ||q||^2,
@@ -69,14 +120,6 @@ def location_probabilities(
     is stable for any distance scale; smaller distance always means strictly
     larger probability.
     """
-    if db_map.descriptors is None:
-        raise ValueError("map has no stored descriptors")
-    values = q.values if isinstance(q, GlobalDescriptor) else np.asarray(q)
-    values = values.astype(np.float64)
-    if values.shape != (db_map.descriptors.shape[1],):
-        raise ValueError(
-            f"query dimension {values.shape} != map descriptor dimension {db_map.descriptors.shape[1]}"
-        )
     basis, sq_norms = db_map.descriptor_basis
     qq = float(values @ values)
     d = basis @ values
@@ -91,40 +134,82 @@ def location_probabilities(
     np.subtract(d.min(), d, out=d)
     np.exp(d, out=d)
     d /= d.sum()
-    return ProbabilityField(db_map.with_probabilities(d), floor)
+    return d
+
+
+def _corner_scores(field: ProbabilityField, sw: np.ndarray) -> tuple[np.ndarray, float]:
+    """Scores over the cells, exp(m - d), set only at the four corner cells
+    of each SW corner in ``sw``; d is the query distance of a cell (by
+    direct difference) and m the least d among those cells. Each distinct
+    cell is scored once: the SW corners are marked first, and the other
+    three corners of each distinct one after."""
+    grid = field.grid
+    mark = np.zeros(grid.num_cells, dtype=bool)
+    mark[sw] = True
+    distinct = np.flatnonzero(mark)
+    for offset in (1, grid.width, grid.width + 1):
+        mark[distinct + offset] = True
+    cells = np.flatnonzero(mark)
+    diff = grid.descriptors[cells].astype(np.float64)
+    diff -= field.query
+    d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    m = float(d.min())
+    scores = np.empty(grid.num_cells)
+    scores[cells] = np.exp(m - d)
+    return scores, m
+
+
+def _combine(corners: np.ndarray, tx: np.ndarray, ty: np.ndarray, mode: str) -> np.ndarray:
+    """Per-state value from the (SW, SE, NW, NE) corner values, (4, M)."""
+    if mode == "corner-sum":
+        return corners.sum(axis=0)
+    w = np.stack([(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty])
+    return (w * corners).sum(axis=0)
 
 
 def measurement_probability(field: ProbabilityField, state, mode: str = "corner-sum") -> float:
-    """Measurement probability of one state (Pose or LocalPoint)."""
-    x = float(state.x)
-    y = float(state.y)
-    return float(measurement_probabilities(field, np.array([[x, y]]), mode)[0])
+    """Measurement probability of one state (Pose or LocalPoint), on the
+    normalised scale: the field is built first."""
+    field.probabilities  # builds a lazy field, so the batch path returns probabilities
+    meas, _ = measurement_probabilities(field, np.array([[float(state.x), float(state.y)]]), mode)
+    return float(meas[0])
 
 
 def measurement_probabilities(
     field: ProbabilityField, states: np.ndarray, mode: str = "corner-sum"
-) -> np.ndarray:
-    """Vectorised measurement probabilities for an (M, >=2) state array.
+) -> tuple[np.ndarray, bool]:
+    """Measurement likelihoods for an (M, >=2) state array, and whether the
+    step is degenerate: no state scores above the field's floor.
 
-    Off-map states get the configured floor instead of an error, so the
-    filter stays well-defined when particles drift past the map edge.
+    The likelihoods are the measurement probabilities times one positive
+    factor shared by every state, which weight normalisation removes. The
+    factor is exactly 1 whenever the field's probabilities are built (an
+    explicit field, one already read, or a fallback below). On a lazy field
+    with every state on the map, only the touched corner cells are scored,
+    and the factor is Z·e^m (see :func:`_corner_scores`). Every distance is
+    at least 0, so Z, the sum of e^-d over the N cells, is at most N, and a
+    likelihood above floor·N·e^m proves a probability above the floor. When
+    that bound, compared in logs, fails, the full field decides instead.
+
+    Off-map states get the floor instead of an error, so the filter stays
+    well-defined when particles drift past the map edge.
     """
     if mode not in MODES:
         raise ValueError(f"unknown measurement mode {mode!r}; expected one of {MODES}")
-    p = field.probabilities
     states = np.asarray(states, dtype=np.float64)
-    inside, sw, tx, ty = corner_cells(field.grid, states[:, 0], states[:, 1])
+    grid = field.grid
+    inside, sw, tx, ty = corner_cells(grid, states[:, 0], states[:, 1])
+    corners = sw + np.array([[0], [1], [grid.width], [grid.width + 1]])
+    if field.lazy and inside.size and inside.all():
+        scores, m = _corner_scores(field, sw)
+        meas = _combine(scores[corners], tx, ty, mode)
+        top = float(meas.max())
+        if top > 0 and math.log(top) > math.log(field.floor) + math.log(grid.num_cells) + m:
+            return meas, False
     out = np.full(inside.shape, field.floor)
-    if not inside.any():
-        return out
-    width = field.grid.width
-    corners = np.stack([p[sw], p[sw + 1], p[sw + width], p[sw + width + 1]])
-    if mode == "corner-sum":
-        out[inside] = corners.sum(axis=0)
-    else:
-        w = np.stack([(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty])
-        out[inside] = (w * corners).sum(axis=0)
-    return out
+    if inside.any():
+        out[inside] = _combine(field.probabilities[corners], tx, ty, mode)
+    return out, not bool(np.any(out > field.floor))
 
 
 def _contrast_grid(field: ProbabilityField, contrast: str) -> np.ndarray:

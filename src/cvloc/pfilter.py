@@ -117,17 +117,18 @@ def pf_step(
 
     Weights are replaced (not multiplied) by the measurement probability,
     which is correct for this bootstrap form because resampling equalises
-    them every step. If the measurement leaves every particle at or below
-    the field floor, weights fall back to uniform and the returned set is
-    flagged degenerate. ``ess_threshold`` (fraction of M) optionally gates
-    resampling; the default resamples unconditionally, with accumulating
-    weights only while the gate holds them back.
+    them every step; only the ratios matter, so the measurement's common
+    scale factor cancels. If the measurement leaves every particle at or
+    below the field floor, weights fall back to uniform and the returned set
+    is flagged degenerate. ``ess_threshold`` (fraction of M) optionally
+    gates resampling; the default resamples unconditionally, with
+    accumulating weights only while the gate holds them back.
     """
     states = sample_motion_batch(prev.states, u, noise, rng)
-    meas = measurement_probabilities(field, states, mode)
+    meas, degenerate = measurement_probabilities(field, states, mode)
     raw = meas if ess_threshold is None else prev.weights * meas
     total = raw.sum()
-    degenerate = not (np.isfinite(total) and total > 0) or meas.max() <= field.floor
+    degenerate = degenerate or not (np.isfinite(total) and total > 0)
     if degenerate:
         weights = np.full(len(prev), 1.0 / len(prev))
     else:

@@ -69,22 +69,20 @@ class RetrievalResult:
 
 
 def build_db(items: Iterable[tuple[int, tuple[float, float], np.ndarray]]) -> DescriptorDatabase:
-    """Assemble a database from (id, (lat, lon), descriptor) entries."""
+    """Assemble a database from (id, (lat, lon), descriptor) entries.
+
+    Each column is converted in one call; descriptors of differing shapes
+    are a ValueError, as are the checks of :class:`DescriptorDatabase`."""
     items = list(items)
     if not items:
         return DescriptorDatabase(
             np.empty(0, dtype=np.uint64), np.empty((0, 2)), np.empty((0, 0), dtype=np.float32)
         )
-    dim = np.asarray(items[0][2]).shape[0]
-    ids = np.array([it[0] for it in items], dtype=np.uint64)
-    geos = np.array([it[1] for it in items], dtype=np.float64)
-    descs = np.empty((len(items), dim), dtype=np.float32)
-    for row, (_, _, d) in enumerate(items):
-        d = np.asarray(d, dtype=np.float32)
-        if d.shape != (dim,):
-            raise ValueError(f"descriptor {row} has dimension {d.shape}, expected ({dim},)")
-        descs[row] = d
-    return DescriptorDatabase(ids, geos, descs)
+    return DescriptorDatabase(
+        np.array([it[0] for it in items], dtype=np.uint64),
+        np.array([it[1] for it in items], dtype=np.float64),
+        np.array([it[2] for it in items], dtype=np.float32),
+    )
 
 
 def query(db: DescriptorDatabase, q: np.ndarray, k: int) -> RetrievalResult:

@@ -188,12 +188,6 @@ def generate_trajectory(cfg: ScenarioConfig, grid: GridMap) -> list[Pose]:
         x0 = cx - cfg.traj_length / 2.0
         for t in range(n + 1):
             poses.append(Pose(x0 + t * step, cy, 0.0))
-    for p in poses:
-        if not grid.contains(LocalPoint(p.x, p.y)):
-            raise ValueError(
-                f"trajectory leaves the map at ({p.x:.1f}, {p.y:.1f}); "
-                "enlarge the bounds or shorten traj_length"
-            )
     return poses
 
 
@@ -225,9 +219,19 @@ def save_trajectory(poses: list[Pose], path: str) -> None:
 
 
 def scenario_trajectory(cfg: ScenarioConfig, grid: GridMap) -> list[Pose]:
+    """The loaded or generated ground truth; every pose must lie on the map."""
     if cfg.trajectory_file:
-        return load_trajectory(cfg.trajectory_file)
-    return generate_trajectory(cfg, grid)
+        poses = load_trajectory(cfg.trajectory_file)
+    else:
+        poses = generate_trajectory(cfg, grid)
+    for t, p in enumerate(poses):
+        if not grid.contains(LocalPoint(p.x, p.y)):
+            raise ValueError(
+                f"trajectory pose {t} at ({p.x:.1f}, {p.y:.1f}) is off the map "
+                f"(0..{grid.extent[0]:.1f}, 0..{grid.extent[1]:.1f}); "
+                "enlarge the bounds or shorten the trajectory"
+            )
+    return poses
 
 
 # ---------------------------------------------------------------------------

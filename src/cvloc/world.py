@@ -114,7 +114,9 @@ def _remap_aliases(world: SyntheticWorld, positions: np.ndarray) -> np.ndarray:
     out = positions.copy()
     for region in world.aliases:
         delta = out - np.array([region.dst_x, region.dst_y])
-        mask = np.einsum("ij,ij->i", delta, delta) <= region.radius**2
+        with np.errstate(over="ignore"):  # a radius past ~1e154 squares to inf: all inside
+            r2 = np.float64(region.radius) ** 2
+        mask = np.einsum("ij,ij->i", delta, delta) <= r2
         out[mask] = np.array([region.src_x, region.src_y]) + delta[mask]
     return out
 

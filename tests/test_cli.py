@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import math
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cvloc.retrieval
+import cvloc.simulate
+import cvloc.world
 from cvloc.cli import main
+from cvloc.config import ScenarioConfig
 from cvloc.descriptor import random_dual_pipeline, save_pipeline
 from cvloc.retrieval import load_db
 
@@ -351,6 +356,138 @@ class TestHostileParams:
         assert code in (0, 2), err.getvalue()
         if code == 0:
             assert np.all(np.isfinite(load_db(str(out)).descriptors))
+
+
+class TestMapSizeBound:
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["build-db", "--out", "never.db"], ["eval"], ["localize", "--pose", "1,1,0"],
+        ["query", "--pose", "1,1,0"],
+    ])
+    def test_oversized_grid_exits_2_before_building(self, command, tmp_path, monkeypatch, capsys):
+        # 1e-4 m cells over the default map: 4.4 million cells a side
+        built = []
+        monkeypatch.setattr(cvloc.world, "satellite_cell_features", lambda *a, **k: built.append(a))
+        monkeypatch.setattr(cvloc.world.SyntheticWorld, "__post_init__", lambda w: built.append(w))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli([*command, "--set", "cell_interval=1e-4"], capsys)
+        assert code == 2 and out == ""
+        assert "4,194,304" in err
+        assert built == [] and list(tmp_path.iterdir()) == []
+
+
+SCENARIO_KEYS = {f.name: f.type for f in fields(ScenarioConfig)}
+FLOAT_KEYS = sorted(k for k, t in SCENARIO_KEYS.items() if t == "float")
+COUNT_KEYS = sorted(k for k, t in SCENARIO_KEYS.items() if t in ("int", "bool"))
+NON_FINITE_TEXT = st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1e999"])
+NUMBER_TEXT = NON_FINITE_TEXT | st.sampled_from(
+    ["0", "-0", "5", "-5", "1e308", "-1e308", "5e-324", "", " ", "x"]) | st.floats().map(repr)
+LIST_TEXT = st.lists(st.tuples(NUMBER_TEXT, st.sampled_from([",", ";", ",,", ";;", " , "])),
+                     max_size=12).map(lambda parts: "".join(a + b for a, b in parts))
+
+CONFIG_MUTATION = st.one_of(
+    st.tuples(st.sampled_from(FLOAT_KEYS), NON_FINITE_TEXT),
+    # integer and boolean keys only take text that is not a count, so no run grows
+    st.tuples(st.sampled_from(COUNT_KEYS), NON_FINITE_TEXT | st.sampled_from(["1.5", "", "x", "0x10"])),
+    st.tuples(st.sampled_from(["alias_regions", "eval_thresholds"]), LIST_TEXT),
+    st.tuples(st.from_regex(r"\A[a-z_]{1,16}\Z").filter(lambda k: k not in SCENARIO_KEYS),
+              st.text(max_size=8)),
+)
+
+SMALL_CONFIG = [arg.replace("=", " = ") for arg in SMALL[1::2]]
+
+
+def run_quietly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_simulate(code, out, err):
+    """Exit 0 with a finite summary, or exit 2; never 1."""
+    assert code in (0, 2), err
+    if code == 0:
+        summary = json.loads(out)
+        assert all(math.isfinite(v) for v in summary.values()), out
+
+
+class TestHostileConfig:
+    @settings(max_examples=150, deadline=None)
+    @example(mutations=[("alias_regions", "0,0,10,10,1e200")])
+    @example(mutations=[("alias_regions", "1e308,0,10,10,5")])
+    @example(mutations=[("alias_regions", "0,0,10,10,nan;")])
+    @example(mutations=[("eval_thresholds", "5,,inf")])
+    @example(mutations=[("lat_max", "inf"), ("cell_interval", "nan")])
+    @example(mutations=[("probability_floor", "nan")])
+    @example(mutations=[("partcles", "100")])
+    @given(mutations=st.lists(CONFIG_MUTATION, min_size=1, max_size=3))
+    def test_simulate_never_exits_1(self, tmp_path_factory, mutations):
+        tmp = tmp_path_factory.mktemp("cfg")
+        lines = [*SMALL_CONFIG, f"out_dir = {tmp / 'out'}"]
+        lines += [f"{key} = {value}" for key, value in mutations]
+        path = tmp / "hostile.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        assert_clean_simulate(*run_quietly(["simulate", "--config", str(path)]))
+
+
+TRAJECTORY_MUTATION = st.one_of(
+    st.tuples(st.just("value"), st.integers(0, 40), st.integers(1, 3),
+              NON_FINITE_TEXT | st.sampled_from(["-50", "-0.001", "1e9", "1e308", "x", ""])
+              | st.floats().map(repr)),
+    st.tuples(st.just("cut"), st.integers(0, 40)),
+    st.tuples(st.just("drop column"), st.integers(0, 40)),
+)
+
+
+@pytest.fixture(scope="module")
+def trajectory_rows(tmp_path_factory):
+    """The CSV rows of the SMALL scenario's own loop."""
+    cfg = ScenarioConfig()
+    for arg in SMALL[1::2]:
+        key, value = arg.split("=")
+        setattr(cfg, key, type(getattr(cfg, key))(value))
+    poses = cvloc.simulate.generate_trajectory(cfg, cvloc.simulate.build_grid(cfg))
+    path = tmp_path_factory.mktemp("traj") / "loop.csv"
+    cvloc.simulate.save_trajectory(poses, str(path))
+    return path.read_text().splitlines()
+
+
+class TestHostileTrajectory:
+    @settings(max_examples=100, deadline=None)
+    @example(mutations=[("value", 0, 1, "-50")])
+    @example(mutations=[("value", 0, 2, "nan")])
+    @example(mutations=[("value", 17, 3, "inf")])
+    @example(mutations=[("cut", 1)])
+    @given(mutations=st.lists(TRAJECTORY_MUTATION, min_size=1, max_size=3))
+    def test_simulate_never_exits_1(self, trajectory_rows, tmp_path_factory, mutations):
+        header, rows = trajectory_rows[0], [row.split(",") for row in trajectory_rows[1:]]
+        for kind, index, *args in mutations:
+            if not rows:
+                break
+            row = rows[index % len(rows)]
+            if kind == "cut":
+                rows = rows[:index % len(rows)]
+            elif kind == "drop column":
+                del row[-1:]
+            elif args[0] < len(row):
+                row[args[0]] = args[1]
+        tmp = tmp_path_factory.mktemp("traj")
+        path = tmp / "hostile.csv"
+        path.write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n")
+        assert_clean_simulate(*run_quietly(
+            ["simulate", *SMALL, "--out-dir", str(tmp / "out"), "--set", f"trajectory_file={path}"]))
+
+    @pytest.mark.parametrize("x", ["-50", "nan"])
+    def test_first_pose_off_the_map_exits_2(self, trajectory_rows, tmp_path, x, capsys):
+        rows = list(trajectory_rows)
+        t, _, y, theta = rows[1].split(",")
+        rows[1] = ",".join([t, x, y, theta])
+        path = tmp_path / "traj.csv"
+        path.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(["simulate", *SMALL, "--out-dir", str(tmp_path / "out"),
+                                  "--set", f"trajectory_file={path}"], capsys)
+        assert code == 2 and out == ""
+        assert ("pose 0" in err) if x == "-50" else ("non-finite" in err)
 
 
 class TestLocalizeCommand:

@@ -154,11 +154,14 @@ class TestFieldAgainstOracle:
             assert np.all(got[~live] < 1e-299), kind
 
     def test_basis_built_once_per_map(self):
+        # built on the first read of a field's probabilities, not when the
+        # field is made
         db_map = unit_descriptor_map(4, 1.0)
+        field = location_probabilities(db_map, db_map.descriptors[0])
         assert "descriptor_basis" not in vars(db_map)
-        location_probabilities(db_map, db_map.descriptors[0])
+        field.probabilities
         basis = vars(db_map)["descriptor_basis"]
-        location_probabilities(db_map, db_map.descriptors[1])
+        location_probabilities(db_map, db_map.descriptors[1]).probabilities
         assert vars(db_map)["descriptor_basis"] is basis
         assert basis[0].dtype == np.float64 and db_map.descriptors.dtype == np.float32
         assert not basis[0].flags.writeable and not basis[1].flags.writeable
@@ -177,12 +180,111 @@ class TestFieldAgainstOracle:
             field = location_probabilities(db_map, desc, cfg.probability_floor)
             oracle = oracle_location_probabilities(db_map, desc.values, cfg.probability_floor)
             _, pset = localize_step(field, poses[t - 1], poses[t], pset, filter_noise(cfg), rng)
+            assert field.lazy  # the filter step scored only the corner cells
             for mode in MODES:
-                np.testing.assert_allclose(
-                    measurement_probabilities(field, pset.states, mode),
-                    measurement_probabilities(oracle, pset.states, mode),
-                    rtol=1e-12, atol=0,
-                )
+                want, want_degenerate = measurement_probabilities(oracle, pset.states, mode)
+                # the corner-only likelihoods, up to their common factor
+                lazy = location_probabilities(db_map, desc, cfg.probability_floor)
+                got, degenerate = measurement_probabilities(lazy, pset.states, mode)
+                assert lazy.lazy and degenerate == want_degenerate
+                np.testing.assert_allclose(got / got.sum(), want / want.sum(), rtol=1e-12, atol=0)
+                # the probabilities themselves, once the field is built
+                full = location_probabilities(db_map, desc, cfg.probability_floor)
+                full.probabilities
+                got, _ = measurement_probabilities(full, pset.states, mode)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def built_field(db_map, q, floor=1e-12):
+    """The explicit field of the full-field path: the oracle of the
+    corner-only weighting."""
+    probs = location_probabilities(db_map, q, floor).probabilities
+    return ProbabilityField(db_map.with_probabilities(probs), floor)
+
+
+def states_on_map(db_map, seed, m=300):
+    rng = np.random.default_rng(seed)
+    ex, ey = db_map.extent
+    return np.column_stack([rng.uniform(0, ex, m), rng.uniform(0, ey, m)])
+
+
+class TestSparseWeighting:
+    """The corner-only likelihoods of a lazy field against the full field."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_fast_path_matches_full_field(self, mode):
+        db_map = unit_descriptor_map(0, 1.0)
+        states = states_on_map(db_map, 6)
+        for kind, q in oracle_queries(db_map, 0):
+            field = location_probabilities(db_map, q)
+            got, degenerate = measurement_probabilities(field, states, mode)
+            want, want_degenerate = measurement_probabilities(built_field(db_map, q), states, mode)
+            assert field.lazy and not degenerate and not want_degenerate, kind
+            np.testing.assert_allclose(got / got.sum(), want / want.sum(), rtol=1e-12, atol=0)
+
+    def test_fast_path_builds_neither_field_nor_basis(self):
+        db_map = unit_descriptor_map(1, 1.0)
+        field = location_probabilities(db_map, db_map.descriptors[3])
+        measurement_probabilities(field, states_on_map(db_map, 7))
+        assert "probabilities" not in vars(field)
+        assert "descriptor_basis" not in vars(db_map)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_off_map_state_takes_the_full_path(self, mode):
+        db_map = unit_descriptor_map(2, 1.0)
+        q = db_map.descriptors[5]
+        states = states_on_map(db_map, 8)
+        states[0] = (-1.0, 3.0)
+        field = location_probabilities(db_map, q)
+        got, degenerate = measurement_probabilities(field, states, mode)
+        assert not field.lazy and not degenerate
+        assert got[0] == field.floor
+        want, _ = measurement_probabilities(built_field(db_map, q), states, mode)
+        np.testing.assert_array_equal(got, want)
+
+    def test_all_states_off_map_need_no_field(self):
+        db_map = unit_descriptor_map(2, 1.0)
+        field = location_probabilities(db_map, db_map.descriptors[5])
+        got, degenerate = measurement_probabilities(field, np.full((4, 2), -50.0))
+        assert degenerate and field.lazy
+        assert np.all(got == field.floor)
+
+    def test_degenerate_flat_world_takes_the_full_path(self):
+        # every cell alike: the field is uniform, 1/12 per cell, and a floor
+        # of 0.5 leaves every corner-sum (4/12) below it
+        db_map = map_with_descriptor_distances([2.0] * 12, width=4)
+        field = location_probabilities(db_map, np.zeros(2), floor=0.5)
+        got, degenerate = measurement_probabilities(field, states_on_map(db_map, 9, m=20))
+        assert degenerate and not field.lazy
+        assert got == pytest.approx([4.0 / 12] * 20, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_large_scale_map_falls_back_without_overflow(self, mode):
+        db_map = unit_descriptor_map(3, 1e3)
+        q = oracle_queries(db_map, 3)[0][1]
+        dists = np.linalg.norm(db_map.descriptors.astype(np.float64) - q, axis=1)
+        assert dists.min() > math.log(np.finfo(np.float64).max)  # exp(m) overflows
+        states = states_on_map(db_map, 10)
+        field = location_probabilities(db_map, q)
+        with np.errstate(over="raise"):
+            got, degenerate = measurement_probabilities(field, states, mode)
+        assert not field.lazy
+        want, want_degenerate = measurement_probabilities(built_field(db_map, q), states, mode)
+        assert degenerate == want_degenerate
+        np.testing.assert_array_equal(got, want)
+
+    def test_non_finite_query_rejected(self):
+        m = map_with_descriptor_distances([1.0] * 4, width=2)
+        for bad in (np.array([np.nan, 0.0]), np.array([0.0, np.inf])):
+            with pytest.raises(ValueError, match="finite"):
+                location_probabilities(m, bad)
+
+    def test_query_is_copied(self):
+        db_map = unit_descriptor_map(4, 1.0)
+        q = db_map.descriptors[0].astype(np.float64)
+        field = location_probabilities(db_map, q)
+        q[:] = 0.0
+        assert int(np.argmax(field.probabilities)) == 0
 
 
 class TestMeasurementProbability:
@@ -234,7 +336,7 @@ class TestMeasurementProbability:
         f = field_from_probs(p, 3, 3)
         states = rng.uniform(-0.5, 2.5, size=(40, 2))
         for mode in ("corner-sum", "bilinear"):
-            batch = measurement_probabilities(f, states, mode)
+            batch, _ = measurement_probabilities(f, states, mode)
             single = [measurement_probability(f, LocalPoint(*s), mode) for s in states]
             assert batch == pytest.approx(single)
 
@@ -261,7 +363,8 @@ class TestMeasurementProbability:
             one_hot = np.zeros(n * n)
             one_hot[c] = 1.0
             f = field_from_probs(one_hot, n, n, interval=s)
-            assert measurement_probabilities(f, np.array([[p.x, p.y]]), "corner-sum")[0] == 1.0
+            meas, _ = measurement_probabilities(f, np.array([[p.x, p.y]]), "corner-sum")
+            assert meas[0] == 1.0
 
 
 class TestProbabilityField:

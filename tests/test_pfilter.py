@@ -5,9 +5,11 @@ import pytest
 
 from gridworld import run_comparison
 
+from cvloc.config import ScenarioConfig
+from cvloc.descriptor import GROUND, forward
 from cvloc.mapgrid import GridMap
-from cvloc.measurement import ProbabilityField, uniform_field
-from cvloc.motion import ControlAction, MotionNoise, Pose, ZERO_NOISE, make_rng
+from cvloc.measurement import MODES, ProbabilityField, location_probabilities, uniform_field
+from cvloc.motion import ControlAction, MotionNoise, Pose, ZERO_NOISE, make_rng, simulate_odometry
 from cvloc.pfilter import (
     ParticleSet,
     effective_sample_size,
@@ -17,6 +19,8 @@ from cvloc.pfilter import (
     resample_systematic,
     systematic_indices,
 )
+from cvloc.simulate import build_pipeline, build_world, filter_noise, scenario_trajectory
+from cvloc.world import build_descriptor_map, synth_features
 
 
 def particle_set(states, weights, step=0):
@@ -179,6 +183,82 @@ class TestPfStep:
         # gate passes (threshold tiny): no resampling, weights stay non-uniform
         np.testing.assert_array_equal(out.states, states)
         assert np.unique(out.weights).size > 1
+
+
+@pytest.fixture(scope="module")
+def c7_scenario():
+    cfg = ScenarioConfig()
+    world = build_world(cfg)
+    pipeline = build_pipeline(cfg)
+    db_map = build_descriptor_map(world, pipeline, cfg.world_seed)
+    poses = scenario_trajectory(cfg, world.grid)
+    descs = [forward(pipeline, synth_features(world, poses[t], cfg.world_seed, view=GROUND))
+             for t in range(21)]
+    return cfg, db_map, poses, descs
+
+
+def built_field(db_map, desc, floor):
+    """The explicit field of the full-field path, the oracle of a lazy one."""
+    probs = location_probabilities(db_map, desc, floor).probabilities
+    return ProbabilityField(db_map.with_probabilities(probs), floor)
+
+
+class TestSparseWeighting:
+    """pf_step on lazy fields, which weight only the corner cells, against
+    the same steps on the built full field."""
+
+    @pytest.mark.parametrize("ess_threshold", [None, 0.99])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_weights_match_full_field_on_c7(self, c7_scenario, mode, ess_threshold):
+        cfg, db_map, poses, descs = c7_scenario
+        noise = filter_noise(cfg)
+        spread = MotionNoise(cfg.init_spread_xy, math.radians(cfg.init_spread_theta_deg), 0.0, 0.0)
+        pset = init_particles(poses[0], spread, cfg.particles, make_rng(cfg.master_seed))
+        rng = make_rng(cfg.master_seed + 1)
+        # the gate holds resampling back on some steps and not on others
+        held = 0
+        for t in range(1, 21):
+            u = simulate_odometry(poses[t - 1], poses[t])
+            lazy = location_probabilities(db_map, descs[t], cfg.probability_floor)
+            full = built_field(db_map, descs[t], cfg.probability_floor)
+            oracle_rng = make_rng(0)
+            oracle_rng.bit_generator.state = rng.bit_generator.state
+            want = pf_step(pset, u, full, noise, oracle_rng, mode, ess_threshold)
+            got = pf_step(pset, u, lazy, noise, rng, mode, ess_threshold)
+            assert "probabilities" not in vars(lazy)  # the fast path built no field
+            assert got.degenerate == want.degenerate is False
+            assert got.ess == pytest.approx(want.ess, rel=1e-12, abs=0)
+            np.testing.assert_array_equal(got.states, want.states)
+            np.testing.assert_allclose(got.weights, want.weights, rtol=1e-12, atol=0)
+            held += np.unique(got.weights).size > 1
+            pset = got
+        assert (held > 0) == (ess_threshold is not None) and held < 20
+
+    def test_off_map_particles_take_the_full_path(self, c7_scenario):
+        cfg, db_map, poses, descs = c7_scenario
+        states = np.tile([poses[1].x, poses[1].y, 0.0], (50, 1))
+        states[:25, 0] += np.linspace(-3.0, 3.0, 25)
+        states[0, 0] = -1.0  # off the map
+        pset = ParticleSet(states, np.full(50, 1 / 50))
+        lazy = location_probabilities(db_map, descs[1], cfg.probability_floor)
+        full = built_field(db_map, descs[1], cfg.probability_floor)
+        want = pf_step(pset, ControlAction(0, 0), full, ZERO_NOISE, make_rng(30), ess_threshold=0.0)
+        got = pf_step(pset, ControlAction(0, 0), lazy, ZERO_NOISE, make_rng(30), ess_threshold=0.0)
+        assert "probabilities" in vars(lazy)
+        np.testing.assert_array_equal(got.weights, want.weights)
+        assert got.weights[0] < got.weights[1:].min()
+
+    def test_degenerate_flat_world_flags_the_step(self):
+        # equal descriptors make the field uniform (1/25 a cell); a floor of
+        # 0.5 is above every corner-sum, so the step is degenerate
+        grid = GridMap((40.0, -105.0), 1.0, 5, 5)
+        db_map = grid.with_descriptors(np.ones((25, 4)))
+        field = location_probabilities(db_map, np.zeros(4), floor=0.5)
+        states = np.column_stack([np.linspace(0.5, 3.5, 10), np.full(10, 2.0), np.zeros(10)])
+        out = pf_step(ParticleSet(states, np.full(10, 0.1)), ControlAction(0, 0), field,
+                      ZERO_NOISE, make_rng(31))
+        assert out.degenerate and "probabilities" in vars(field)
+        assert out.ess == pytest.approx(10.0)
 
 
 class TestLocalizeStep:

@@ -15,6 +15,7 @@ from cvloc.simulate import (
     position_error,
     run_simulation,
     save_trajectory,
+    scenario_trajectory,
 )
 
 
@@ -79,8 +80,8 @@ class TestTrajectory:
 
     def test_loop_that_escapes_map_rejected(self):
         cfg = small_cfg(traj_length=5000.0)
-        with pytest.raises(ValueError):
-            generate_trajectory(cfg, build_grid(cfg))
+        with pytest.raises(ValueError, match="off the map"):
+            scenario_trajectory(cfg, build_grid(cfg))
 
     def test_save_load_round_trip(self, tmp_path):
         cfg = small_cfg()
