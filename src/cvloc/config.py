@@ -132,6 +132,8 @@ class ScenarioConfig:
             raise ConfigError("corridor_width must be finite and positive")
         if not math.isfinite(self.corridor_gain):
             raise ConfigError("corridor_gain must be finite")
+        if not (math.isfinite(self.loss_alpha) and self.loss_alpha > 0):
+            raise ConfigError("loss_alpha must be finite and positive")
         for name in (
             "sigma_trans", "sigma_trans_rate", "sigma_rot_deg", "sigma_rot_rate",
             "odom_sigma_trans", "odom_sigma_trans_rate", "odom_sigma_rot_deg",

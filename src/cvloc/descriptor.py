@@ -172,15 +172,39 @@ def soft_assign(params: VladParams, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (params.dim,):
         raise ValueError(f"feature dim {u.shape} does not match clusters of dim {params.dim}")
-    return _assign_batch(params, u[None, :])[0]
+    return _assign_batch(params, u[None, :])[:, 0]
 
 
 def _assign_batch(params: VladParams, feats: np.ndarray) -> np.ndarray:
-    """(..., D) features -> (..., K) simplex rows, numerically stable."""
-    logits = feats @ params.assign_weights.astype(np.float64).T + params.assign_bias.astype(np.float64)
-    logits -= logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits)
-    return e / e.sum(axis=-1, keepdims=True)
+    """(M, D) features -> (K, M) softmax columns, cluster-leading so that
+    every step runs over K contiguous rows rather than M rows of length K."""
+    a = np.dot(params.assign_weights.astype(np.float64), feats.T)
+    a += params.assign_bias[:, None]  # cast to float64 by the add, exactly
+    a -= a.max(axis=0)
+    np.exp(a, out=a)
+    a /= _cluster_sum(a)
+    return a
+
+
+def _cluster_sum(x: np.ndarray) -> np.ndarray:
+    """Sum of the K rows of ``x`` in numpy's pairwise order for K contiguous
+    values, so it rounds as a sum over a last axis of length K does."""
+    n, m = len(x), len(x) - len(x) % 8
+    if n > 128:  # halves, split at a multiple of 8
+        half = n // 2 - n // 2 % 8
+        return _cluster_sum(x[:half]) + _cluster_sum(x[half:])
+    if n < 8:  # one by one
+        total, m = x[0].copy(), 1
+    else:  # eight partial sums, added as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+        r = x[:8]
+        for i in range(8, m, 8):
+            r = r + x[i : i + 8]
+        r = r[0::2] + r[1::2]
+        r = r[0::2] + r[1::2]
+        total = r[0] + r[1]
+    for i in range(m, n):  # the tail, one by one
+        total += x[i]
+    return total
 
 
 def vlad_aggregate(params: VladParams, feats: LocalFeatureSet) -> GlobalDescriptor:
@@ -198,18 +222,19 @@ def vlad_aggregate(params: VladParams, feats: LocalFeatureSet) -> GlobalDescript
 
 def _vlad_batch(params: VladParams, feats: np.ndarray) -> np.ndarray:
     """(B, N, D) feature batches -> (B, K*D) aggregated residuals."""
-    c = params.centroids.astype(np.float64)
-    a = _assign_batch(params, feats)  # (B, N, K)
-    weighted = np.matmul(a.transpose(0, 2, 1), feats)  # (B, K, D)
-    totals = a.sum(axis=1)  # (B, K)
-    v = weighted - totals[:, :, None] * c[None, :, :]
-    return v.reshape(feats.shape[0], -1)
+    b, n, d = feats.shape
+    a = _assign_batch(params, feats.reshape(-1, d)).reshape(-1, b, n)  # (K, B, N)
+    # adds over N one by one, as the former middle-axis sum; copied so the prefix sums go
+    totals = np.add.accumulate(a, axis=2)[:, :, -1:].transpose(1, 0, 2).copy()  # (B, K, 1)
+    weighted = np.matmul(a.transpose(1, 0, 2), feats)  # (B, K, D)
+    weighted -= totals * params.centroids
+    return weighted.reshape(b, -1)
 
 
 def _finish(values: np.ndarray, reduction: AffineMap, normalize: bool) -> np.ndarray:
     out = reduction.apply(values)
     if normalize:
-        norms = np.linalg.norm(out, axis=-1, keepdims=True)
+        norms = np.sqrt(np.add.reduce(out * out, axis=-1, keepdims=True))  # np.linalg.norm, less overhead
         if np.any(norms == 0):
             raise ValueError("cannot normalise a zero descriptor")
         out = out / norms

@@ -177,8 +177,10 @@ def corner_cells(
     """
     ex, ey = grid.extent
     inside = (xs >= 0) & (xs <= ex) & (ys >= 0) & (ys <= ey)
-    gx = xs[inside] / grid.cell_interval
-    gy = ys[inside] / grid.cell_interval
+    if not inside.all():  # masking copies, so only mask when a point is off the map
+        xs, ys = xs[inside], ys[inside]
+    gx = xs / grid.cell_interval
+    gy = ys / grid.cell_interval
     i = np.minimum(gx.astype(np.int64), grid.width - 2)
     j = np.minimum(gy.astype(np.int64), grid.height - 2)
     return inside, j * grid.width + i, gx - i, gy - j

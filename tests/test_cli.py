@@ -538,6 +538,15 @@ class TestEvalCommand:
         assert code == 2 and out == ""
         assert "eval_top_k" in err and f"database size {size}" in err
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "0", "-1"])
+    def test_bad_loss_alpha_exits_2_before_writing(self, alpha, tmp_path, capsys):
+        out, surface = tmp_path / "eval", tmp_path / "loss.csv"
+        code, printed, err = run_cli(["eval", *SMALL, "--set", f"loss_alpha={alpha}",
+                                      "--out-dir", str(out), "--loss-surface", str(surface)], capsys)
+        assert code == 2 and printed == ""
+        assert "loss_alpha" in err
+        assert not surface.exists() and not (out.exists() and any(out.iterdir()))
+
     def test_writes_metric_curves(self, tmp_path, capsys):
         out = tmp_path / "eval"
         surface = tmp_path / "loss.csv"

@@ -13,8 +13,10 @@ from cvloc.descriptor import (
     TransformParams,
     VladParams,
     _assign_batch,
+    _cluster_sum,
     _vlad_batch,
     forward,
+    forward_batch,
     load_pipeline,
     random_dual_pipeline,
     random_shared_pipeline,
@@ -102,13 +104,44 @@ class TestVladAggregate:
         assert v5 == pytest.approx(5.0 * v1, rel=1e-12)
 
 
-def einsum_vlad_batch(params: VladParams, feats: np.ndarray) -> np.ndarray:
-    """Reference for ``_vlad_batch``: the weighted sums as one einsum (the
-    program uses a batched matmul, which sums in another order)."""
-    a = _assign_batch(params, feats)
-    weighted = np.einsum("bnk,bnd->bkd", a, feats)
-    v = weighted - a.sum(axis=1)[:, :, None] * params.centroids.astype(np.float64)[None, :, :]
+def oracle_assign_batch(params: VladParams, feats: np.ndarray) -> np.ndarray:
+    """Reference soft assignment, the program's former path: (..., D) features
+    -> (..., K) simplex rows, with the softmax reduced over the last axis."""
+    logits = feats @ params.assign_weights.astype(np.float64).T + params.assign_bias.astype(np.float64)
+    logits -= logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def oracle_vlad_batch(params: VladParams, feats: np.ndarray) -> np.ndarray:
+    """Reference aggregation, the program's former path: (B, N, D) -> (B, K*D)."""
+    c = params.centroids.astype(np.float64)
+    a = oracle_assign_batch(params, feats)  # (B, N, K)
+    weighted = np.matmul(a.transpose(0, 2, 1), feats)  # (B, K, D)
+    v = weighted - a.sum(axis=1)[:, :, None] * c[None, :, :]
     return v.reshape(feats.shape[0], -1)
+
+
+def oracle_forward(config, feats: np.ndarray, view: str) -> np.ndarray:
+    """``forward_batch`` on the reference aggregation and ``np.linalg.norm``."""
+    if isinstance(config, DualPipeline):
+        vlad, reduction = config.branch(view).vlad, config.branch(view).reduction
+    else:
+        vlad, reduction = config.vlad, config.reduction
+        feats = config.transform.shared.apply(config.transform.for_view(view).apply(feats))
+    out = reduction.apply(oracle_vlad_batch(vlad, feats))
+    return out / np.linalg.norm(out, axis=-1, keepdims=True) if config.normalize_output else out
+
+
+def einsum_vlad_batch(params: VladParams, feats: np.ndarray) -> np.ndarray:
+    """Reference for ``_vlad_batch``: the weighted sums as one einsum over the
+    program's cluster-leading assignments (the program uses a batched matmul,
+    which sums in another order)."""
+    b, n, d = feats.shape
+    a = _assign_batch(params, feats.reshape(-1, d)).reshape(-1, b, n)  # (K, B, N)
+    weighted = np.einsum("kbn,bnd->bkd", a, feats)
+    v = weighted - a.sum(axis=2).T[:, :, None] * params.centroids.astype(np.float64)[None, :, :]
+    return v.reshape(b, -1)
 
 
 class TestVladBatchAgainstOracle:
@@ -121,6 +154,57 @@ class TestVladBatchAgainstOracle:
         p = VladParams(rng.uniform(-1, 1, (k, d)), rng.uniform(-1, 1, (k, d)), rng.uniform(-1, 1, k))
         feats = rng.uniform(-1, 1, (b, n, d))
         np.testing.assert_allclose(_vlad_batch(p, feats), einsum_vlad_batch(p, feats), rtol=0, atol=1e-14)
+
+
+PIPELINE_MAKERS = {"dual": random_dual_pipeline, "shared": random_shared_pipeline}
+# Stated tolerance where the logits' GEMM rounds differently from the former
+# path's (see TestFormerPathOracle); outputs are unit vectors.
+GEMM_ORDER_ATOL = 1e-12
+
+
+class TestFormerPathOracle:
+    """The cluster-leading path against the former last-axis path.
+
+    The softmax, the weighted sums and the per-cluster totals reproduce the
+    former summation orders exactly. The logits are one (K, D) x (D, B*N) GEMM
+    instead of B GEMMs of (N, D) x (D, K): that rounds identically for a
+    single feature set and for N = 24 (the world's default), and may differ
+    in the last bits for other N, where the former path ran B small
+    products (a GEMV per set when N = 1). Beyond K = 256 the BLAS blocking
+    changes, so larger K are held to the same stated tolerance.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([1, 2, 7, 8, 9, 16, 129, 256]), st.sampled_from([1, 40]),
+           st.sampled_from([1, 7, 24]), st.sampled_from(sorted(PIPELINE_MAKERS)),
+           st.sampled_from(["satellite", "ground"]), st.integers(0, 2**32 - 1))
+    def test_matches_former_path(self, k, b, n, variant, view, seed):
+        config = PIPELINE_MAKERS[variant](seed % 2**16, clusters=k)
+        feats = np.random.default_rng(seed).uniform(-1, 1, (b, n, 16))
+        got, want = forward_batch(config, feats, view), oracle_forward(config, feats, view)
+        if b == 1 or n == 24:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=GEMM_ORDER_ATOL)
+        vlad = config.branch(view).vlad if variant == "dual" else config.vlad
+        u = feats[0, 0]  # the shared aggregator's input dimension is 16 as well
+        np.testing.assert_array_equal(soft_assign(vlad, u), oracle_assign_batch(vlad, u[None, :])[0])
+
+    @pytest.mark.parametrize("k", [257, 300])
+    @pytest.mark.parametrize("variant", sorted(PIPELINE_MAKERS))
+    def test_beyond_256_clusters_within_stated_tolerance(self, k, variant):
+        config = PIPELINE_MAKERS[variant](5, clusters=k)
+        feats = np.random.default_rng(k).uniform(-1, 1, (30, 24, 16))
+        np.testing.assert_allclose(forward_batch(config, feats, "satellite"),
+                                   oracle_forward(config, feats, "satellite"), rtol=0, atol=GEMM_ORDER_ATOL)
+
+    @pytest.mark.parametrize("k", [*range(1, 18), 24, 127, 128, 129, 136, 255, 256, 257, 300, 1000])
+    def test_cluster_sum_adds_in_numpy_pairwise_order(self, k):
+        # a contiguous last-axis sum is numpy's pairwise summation over K values
+        x = np.exp(np.random.default_rng(k).normal(0, 3, (k, 64)))
+        np.testing.assert_array_equal(_cluster_sum(x), np.ascontiguousarray(x.T).sum(axis=1))
+        if k >= 8:  # adding the rows one by one rounds differently
+            assert not np.array_equal(_cluster_sum(x), x.sum(axis=0))
 
 
 def dual_with_identity(k=2, d=3, normalize=False) -> DualPipeline:

@@ -11,6 +11,7 @@ from cvloc.mapgrid import (
     GridMap,
     LocalPoint,
     OutOfMapError,
+    corner_cells,
     geo_to_local,
     local_to_geo,
     surrounding_corners,
@@ -135,6 +136,43 @@ class TestSurroundingCorners:
             loc = g.cell_location(c)
             assert abs(loc.x - p.x) <= g.cell_interval
             assert abs(loc.y - p.y) <= g.cell_interval
+
+
+def masked_corner_cells(grid, xs, ys):
+    """Reference for ``corner_cells``: always mask, whether or not every point
+    is on the map."""
+    ex, ey = grid.extent
+    inside = (xs >= 0) & (xs <= ex) & (ys >= 0) & (ys <= ey)
+    gx = xs[inside] / grid.cell_interval
+    gy = ys[inside] / grid.cell_interval
+    i = np.minimum(gx.astype(np.int64), grid.width - 2)
+    j = np.minimum(gy.astype(np.int64), grid.height - 2)
+    return inside, j * grid.width + i, gx - i, gy - j
+
+
+# on the map, on its far edges, off it, and not finite
+COORDS = st.one_of(st.floats(0, 40), st.sampled_from([0.0, 40.0, 20.0, -1e-9, 40.000001, math.nan, math.inf]),
+                   st.floats(-100, 100))
+
+
+class TestCornerCells:
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=40))
+    def test_matches_masked_path(self, points):
+        g = make_grid(width=5, height=5)
+        xy = np.array(points)
+        for xs, ys in ((xy[:, 0], xy[:, 1]), (np.clip(xy[:, 0], 0, 40), np.clip(xy[:, 1], 0, 40))):
+            got, want = corner_cells(g, xs, ys), masked_corner_cells(g, xs, ys)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+
+    def test_all_on_map_outputs_are_fresh_arrays(self):
+        g = make_grid(width=5, height=5)
+        states = np.random.default_rng(0).uniform(0, 40, (50, 3))
+        inside, sw, tx, ty = corner_cells(g, states[:, 0], states[:, 1])
+        assert inside.all() and len(sw) == 50
+        assert not (np.shares_memory(tx, states) or np.shares_memory(ty, states))
 
 
 def metric_rect(width_m: float, height_m: float, origin=(40.0, -105.0)) -> GeoRect:

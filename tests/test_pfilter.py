@@ -94,6 +94,14 @@ class TestSystematicResampling:
         ps = particle_set(np.random.default_rng(5).normal(size=(33, 3)), np.full(33, 1 / 33))
         assert len(resample_systematic(ps, make_rng(6))) == 33
 
+    def test_survivors_share_no_memory_with_the_input(self):
+        ps = particle_set(np.random.default_rng(5).normal(size=(33, 3)), np.full(33, 1 / 33))
+        before = ps.states.copy()
+        out = resample_systematic(ps, make_rng(6))
+        assert not np.shares_memory(out.states, ps.states)
+        out.states[:] = 0.0
+        np.testing.assert_array_equal(ps.states, before)
+
 
 class TestEstimatePose:
     def test_single_particle(self):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -235,7 +236,25 @@ class TestLatticeFeatures:
         np.testing.assert_array_equal(got, _features_at(w, locs[inside], 7, SATELLITE))
 
 
+# sha256 of the 2 m map's float32 descriptor bytes at the default scenario
+# config: 48,841 cells built in 6 blocks (the 5 m map behind the build-db
+# hash is one block). Recorded on the former last-axis soft-assignment path.
+MAP_2M_SHA256 = {
+    "dual": "6bf4150076677671e2c738b53806fa9dde0cf2bb6d81eafeb8163cefb24e9437",
+    "shared": "674a1e9d88b08e9c5223adb8d5acfe1704386cc52463e22b7ccf79456144ecf7",
+}
+
+
 class TestBlockedMapBuild:
+    @pytest.mark.parametrize("variant", sorted(MAP_2M_SHA256))
+    def test_multi_block_2m_map_bytes_unchanged(self, variant):
+        cfg = ScenarioConfig(cell_interval=2.0, pipeline_variant=variant, out_dir="")
+        world, pipeline = build_world(cfg), build_pipeline(cfg)
+        assert -(-world.grid.height // (MAP_BLOCK_CELLS // world.grid.width)) == 6
+        descriptors = build_descriptor_map(world, pipeline, cfg.world_seed).descriptors
+        assert descriptors.shape == (48841, 32)
+        assert hashlib.sha256(descriptors.tobytes()).hexdigest() == MAP_2M_SHA256[variant]
+
     def test_default_5m_map_equals_oneshot_build_exactly(self, monkeypatch):
         cfg = ScenarioConfig(out_dir="")
         world, pipeline = build_world(cfg), build_pipeline(cfg)
