@@ -187,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OutOfMapError) as e:
         print(f"error[config]: {e}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError, struct.error) as e:
+    except (OSError, ValueError, struct.error) as e:
         print(f"error[input]: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # pragma: no cover - last-resort reporting

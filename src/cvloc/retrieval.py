@@ -13,7 +13,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,6 +21,7 @@ from .mapgrid import geo_distance_m
 
 _MAGIC = b"CVLOCDB1"
 _VERSION = 1
+_BLOCK_FLOATS = 1 << 15  # float64 difference scratch per query row block: 256 KB
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,8 @@ class DescriptorDatabase:
         n = self.ids.shape[0]
         if self.geos.shape != (n, 2) or self.descriptors.shape[0] != n or self.descriptors.ndim != 2:
             raise ValueError("inconsistent database arrays")
-        if len(np.unique(self.ids)) != n:
+        ids = np.sort(self.ids)
+        if np.any(ids[1:] == ids[:-1]):
             raise ValueError("duplicate ids in database")
         if not (np.all(np.isfinite(self.descriptors)) and np.all(np.isfinite(self.geos))):
             raise ValueError("database descriptors and geos must be finite")
@@ -45,14 +46,6 @@ class DescriptorDatabase:
 
     def __len__(self) -> int:
         return self.ids.shape[0]
-
-    @cached_property
-    def descriptors64(self) -> np.ndarray:
-        """Read-only float64 copy of the descriptors, built on the first query
-        and shared by every later one."""
-        d = self.descriptors.astype(np.float64)
-        d.flags.writeable = False
-        return d
 
     def entry(self, id_: int) -> tuple[tuple[float, float], np.ndarray]:
         idx = np.nonzero(self.ids == id_)[0]
@@ -88,8 +81,10 @@ def build_db(items: Iterable[tuple[int, tuple[float, float], np.ndarray]]) -> De
 def query(db: DescriptorDatabase, q: np.ndarray, k: int) -> RetrievalResult:
     """Exact k nearest entries by Euclidean distance, ties broken by id.
 
-    Only the rows at or inside the k-th distance are sorted; keeping every
-    row tied with it leaves the id tie-break exact.
+    Distances are taken over row blocks of the float32 descriptors, of two
+    rows at least: einsum sums a lone row longer than 8,192 in chunks. Only
+    the rows at or inside the k-th distance are sorted; keeping every row
+    tied with it leaves the id tie-break exact.
     """
     if len(db) == 0:
         raise ValueError("cannot query an empty database")
@@ -100,8 +95,13 @@ def query(db: DescriptorDatabase, q: np.ndarray, k: int) -> RetrievalResult:
         raise ValueError(f"query dimension {q.shape} != database dimension {db.dimension}")
     if not np.all(np.isfinite(q)):
         raise ValueError("query descriptor must be finite")
-    diff = db.descriptors64 - q[None, :]
-    dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    step = max(2, _BLOCK_FLOATS // max(1, db.dimension))
+    dists = np.empty(len(db))
+    for start in range(0, len(db), step):
+        block = slice(max(0, min(start, len(db) - 2)), start + step)
+        diff = db.descriptors[block] - q
+        dists[block] = np.einsum("ij,ij->i", diff, diff)
+    np.sqrt(dists, out=dists)
     rows = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
     order = rows[np.lexsort((db.ids[rows], dists[rows]))[:k]]
     return RetrievalResult(db.ids[order], dists[order])

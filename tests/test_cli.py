@@ -110,6 +110,41 @@ class TestConfigHandling:
         assert json.loads(out)["steps"] == 20
 
 
+class TestUnusablePaths:
+    """A path that cannot be opened as the file it names is bad input: exit 2
+    with ``error[input]`` and nothing printed, for every command's path arguments."""
+
+    POSE = ["--pose", "60,60,0"]
+
+    @pytest.mark.parametrize("command, args", [
+        ("build-db", ["--out", "{dir}"]),
+        ("build-db", ["--config", "{dir}", "--out", "{dir}/map.db"]),
+        ("build-db", ["--set", "params_file={dir}", "--out", "{dir}/map.db"]),
+        ("query", ["--db", "{dir}", *POSE]),
+        ("query", ["--config", "{dir}", *POSE]),
+        ("query", ["--set", "params_file={dir}", *POSE]),
+        ("localize", ["--heatmap-csv", "{dir}", *POSE]),
+        ("localize", ["--heatmap-pgm", "{dir}", *POSE]),
+        ("localize", ["--config", "{dir}", *POSE]),
+        ("localize", ["--set", "params_file={dir}", *POSE]),
+        ("simulate", ["--set", "trajectory_file={dir}"]),
+        ("simulate", ["--out-dir", "{file}"]),
+        ("simulate", ["--config", "{dir}"]),
+        ("simulate", ["--set", "params_file={dir}"]),
+        ("eval", ["--loss-surface", "{dir}", "--out-dir", "{dir}/out"]),
+        ("eval", ["--out-dir", "{file}"]),
+        ("eval", ["--config", "{dir}"]),
+        ("eval", ["--set", "params_file={dir}"]),
+    ])
+    def test_directory_or_file_in_the_wrong_place_exits_2(self, command, args, tmp_path, capsys):
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        args = [a.format(dir=tmp_path, file=a_file) for a in args]
+        code, out, err = run_cli([command, *SMALL, "--set", "eval_queries=5", *args], capsys)
+        assert code == 2 and out == "", err
+        assert err.startswith("error[input]"), err
+
+
 class TestSimulateCommand:
     def test_deterministic_step_logs(self, tmp_path, capsys):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

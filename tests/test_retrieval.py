@@ -1,10 +1,12 @@
+import contextlib
 import hashlib
+import io
 import math
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cvloc.retrieval
@@ -119,6 +121,32 @@ class TestQueryAgainstOracle:
                 np.testing.assert_array_equal(got.distances, want.distances)
 
 
+class TestQueryRowBlocks:
+    """:func:`query` takes distances over row blocks; the oracle takes them in
+    one shot. Exact ties straddle each block boundary, with ids falling along
+    the rows so the id tie-break reorders rows across blocks."""
+
+    # 1,024, 10, 3 and 2 rows per block; past 8,192 a lone row would sum differently
+    @pytest.mark.parametrize("dim", [32, 3000, 10_000, 40_000])
+    def test_block_edges_equal_full_sort(self, dim):
+        block = max(2, cvloc.retrieval._BLOCK_FLOATS // dim)
+        for n in sorted({max(1, m) for m in (1, block - 1, block, block + 1, 2 * block + 1)}):
+            rng = np.random.default_rng(n)
+            descs = rng.normal(size=(n, dim)).astype(np.float32)
+            tied = sorted({0, block - 1, block, 2 * block, n - 1} & set(range(n)))
+            descs[tied] = descs[tied[0]]
+            ids = (n - np.arange(n, dtype=np.uint64)) * np.uint64(2**40 + 1)
+            db = DescriptorDatabase(ids, np.zeros((n, 2)), descs)
+            for q in (descs[tied[0]].astype(np.float64), rng.normal(size=dim)):
+                full = oracle_query(db, q, n)
+                first_tie = int(np.flatnonzero(np.isin(full.ids, ids[tied]))[0])
+                for k in sorted({1, 2, len(tied), first_tie + 1, first_tie + 2, n} & set(range(1, n + 1))):
+                    got, want = query(db, q, k), oracle_query(db, q, k)
+                    assert got.ids.dtype == want.ids.dtype and got.distances.dtype == want.distances.dtype
+                    np.testing.assert_array_equal(got.ids, want.ids)
+                    np.testing.assert_array_equal(got.distances, want.distances)
+
+
 class TestRankTableAgainstOracle:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -196,11 +224,61 @@ class TestBuildDb:
         with pytest.raises(ValueError, match="finite"):
             DescriptorDatabase(db.ids, geos, descs)
 
-    def test_float64_descriptors_built_once_and_read_only(self):
-        db, _ = random_db(6, 3)
-        d = db.descriptors64
-        assert d is db.descriptors64 and d.dtype == np.float64 and not d.flags.writeable
-        np.testing.assert_array_equal(d, db.descriptors)
+
+UINT64_IDS = st.sampled_from([0, 1, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def id_arrays(draw):
+    """uint64 id arrays of 0..50 entries, with copies of some ids written over
+    others, next to them or far away."""
+    ids = draw(st.lists(UINT64_IDS, max_size=50))
+    if ids:
+        positions = st.integers(0, len(ids) - 1)
+        for src, dst in draw(st.lists(st.tuples(positions, positions), max_size=3)):
+            ids[dst] = ids[src]
+    return np.array(ids, dtype=np.uint64)
+
+
+class TestDuplicateIds:
+    """The id check rejects exactly the arrays that ``np.unique`` finds short."""
+
+    @settings(max_examples=150, deadline=None)
+    @example(ids=np.array([], dtype=np.uint64))
+    @example(ids=np.array([2**64 - 1], dtype=np.uint64))
+    @example(ids=np.array([7, 7], dtype=np.uint64))
+    @example(ids=np.array([0, 5, 9, 0], dtype=np.uint64))
+    @example(ids=np.array([2**64 - 1, 0, 1, 2**64 - 1], dtype=np.uint64))
+    @example(ids=np.array([2**64 - 1, 2**64 - 2, 0, 1], dtype=np.uint64))
+    @given(ids=id_arrays())
+    def test_rejects_exactly_what_unique_rejects(self, ids, tmp_path_factory):
+        n = len(ids)
+        duplicated = len(np.unique(ids)) != n
+        geos, descs = np.zeros((n, 2)), np.ones((n, 1), dtype=np.float32)
+        if duplicated:
+            with pytest.raises(ValueError, match="duplicate ids"):
+                DescriptorDatabase(ids, geos, descs)
+        else:
+            assert len(DescriptorDatabase(ids, geos, descs)) == n
+
+        # the same ids in a database file: 24 header bytes, then 28-byte entries led by the id
+        path = tmp_path_factory.mktemp("ids") / "ids.db"
+        save_db(DescriptorDatabase(np.arange(n, dtype=np.uint64), geos, descs), str(path))
+        raw = bytearray(path.read_bytes())
+        for i, id_ in enumerate(ids):
+            struct.pack_into("<Q", raw, 24 + 28 * i, int(id_))
+        path.write_bytes(bytes(raw))
+        if not duplicated:
+            np.testing.assert_array_equal(load_db(str(path)).ids, ids)
+            return
+        with pytest.raises(ValueError, match="duplicate ids"):
+            load_db(str(path))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["query", "--set", "lat_max=40.00135", "--set", "lon_max=-104.99824",
+                         "--db", str(path), "--pose", "60,60,0"])
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("error[input]: duplicate ids")
 
 
 class TestQuery:
