@@ -2,19 +2,21 @@
 
 Subcommands: build-db, query, localize, simulate, eval. Every scenario key
 can be overridden with ``--set key=value``; see config.py for the schema.
-Exit codes: 0 success, 2 configuration/input errors, 1 unexpected failure.
+Exit codes: 0 success, 2 configuration/input errors, 1 unexpected failure. A
+command that fails removes the output files it created.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import struct
 import sys
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, apply_overrides, load_config
+from .config import CREATED_OUTPUTS, ConfigError, ScenarioConfig, apply_overrides, load_config
 from .descriptor import GROUND, forward
 from .mapgrid import OutOfMapError, local_to_geo
 from .measurement import emit_heatmap, location_probabilities, measurement_probability
@@ -182,17 +184,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    CREATED_OUTPUTS.clear()
     try:
         return args.func(args)
     except (ConfigError, OutOfMapError) as e:
-        print(f"error[config]: {e}", file=sys.stderr)
-        return 2
+        message, code = f"error[config]: {e}", 2
     except (OSError, ValueError, struct.error) as e:
-        print(f"error[input]: {e}", file=sys.stderr)
-        return 2
+        message, code = f"error[input]: {e}", 2
     except Exception as e:  # pragma: no cover - last-resort reporting
-        print(f"error[internal]: {e}", file=sys.stderr)
-        return 1
+        message, code = f"error[internal]: {e}", 1
+    for path in filter(os.path.isfile, CREATED_OUTPUTS):  # a failed command leaves no output file
+        os.remove(path)
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -19,6 +19,17 @@ class ConfigError(ValueError):
     """Invalid scenario configuration (bad key, value, or combination)."""
 
 
+CREATED_OUTPUTS: list[str] = []  # cleared and, when a command fails, removed by cli.main
+
+
+def open_output(path: str, mode: str = "w"):
+    """``open`` for writing (UTF-8 text, or bytes with mode "wb") that records
+    in CREATED_OUTPUTS the files it creates."""
+    if not os.path.lexists(path):
+        CREATED_OUTPUTS.append(path)
+    return open(path, mode, encoding=None if "b" in mode else "utf-8")
+
+
 def _parse_bool(s: str) -> bool:
     v = s.strip().lower()
     if v in ("true", "1", "yes", "on"):
@@ -219,6 +230,6 @@ def load_config(path: str, overrides: dict[str, str] | None = None) -> ScenarioC
 
 
 def write_config(cfg: ScenarioConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for f in fields(ScenarioConfig):
             fh.write(f"{f.name} = {getattr(cfg, f.name)}\n")

@@ -224,10 +224,11 @@ def _vlad_batch(params: VladParams, feats: np.ndarray) -> np.ndarray:
     """(B, N, D) feature batches -> (B, K*D) aggregated residuals."""
     b, n, d = feats.shape
     a = _assign_batch(params, feats.reshape(-1, d)).reshape(-1, b, n)  # (K, B, N)
-    # adds over N one by one, as the former middle-axis sum; copied so the prefix sums go
-    totals = np.add.accumulate(a, axis=2)[:, :, -1:].transpose(1, 0, 2).copy()  # (B, K, 1)
+    # adds over N one by one, as the former middle-axis sum: an outer-axis sum of an N-leading copy
+    totals = np.ascontiguousarray(a.transpose(2, 1, 0)).sum(axis=0)  # (B, K)
     weighted = np.matmul(a.transpose(1, 0, 2), feats)  # (B, K, D)
-    weighted -= totals * params.centroids
+    del a  # freed before the (B, K, D) product below
+    weighted -= totals[:, :, None] * params.centroids
     return weighted.reshape(b, -1)
 
 

@@ -28,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import open_output
 from .descriptor import GlobalDescriptor
 from .mapgrid import GridMap, corner_cells
 
@@ -239,16 +240,14 @@ def emit_heatmap(
     grid = _contrast_grid(field, contrast)
     g = field.grid
     if csv_path is not None:
-        with open(csv_path, "w", encoding="ascii") as fh:
+        xs, ys = np.meshgrid(np.arange(g.width) * g.cell_interval, np.arange(g.height) * g.cell_interval)
+        cells = zip(xs.ravel().tolist(), ys.ravel().tolist(), grid.ravel().tolist())
+        with open_output(csv_path) as fh:
             fh.write("x,y,p\n")
-            for row in range(g.height):
-                for col in range(g.width):
-                    x = col * g.cell_interval
-                    y = row * g.cell_interval
-                    fh.write(f"{x:.9g},{y:.9g},{grid[row, col]:.9g}\n")
+            fh.writelines(f"{x:.9g},{y:.9g},{p:.9g}\n" for x, y, p in cells)
     if pgm_path is not None:
         samples = np.rint(grid[::-1, :] * 65535).astype(">u2")
-        with open(pgm_path, "wb") as fh:
+        with open_output(pgm_path, "wb") as fh:
             fh.write(f"P5\n{g.width} {g.height}\n65535\n".encode("ascii"))
             fh.write(samples.tobytes())
     return grid

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import open_output
 from .mapgrid import geo_distance_m
 
 _MAGIC = b"CVLOCDB1"
@@ -196,7 +197,7 @@ def save_db(db: DescriptorDatabase, path: str) -> None:
     records = np.empty(len(db), dtype=_record(db.dimension))
     records["id"], records["lat"], records["lon"] = db.ids, db.geos[:, 0], db.geos[:, 1]
     records["desc"] = db.descriptors
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IQI", _VERSION, len(db), db.dimension))
         fh.write(records.tobytes())

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig
+from .config import ConfigError, ScenarioConfig, open_output
 from .descriptor import (
     GROUND,
     PipelineConfig,
@@ -212,7 +212,7 @@ def load_trajectory(path: str) -> list[Pose]:
 
 
 def save_trajectory(poses: list[Pose], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write("t,x,y,theta\n")
         for t, p in enumerate(poses):
             fh.write(f"{t},{_fmt(p.x)},{_fmt(p.y)},{_fmt(p.theta)}\n")
@@ -318,13 +318,13 @@ def run_simulation(cfg: ScenarioConfig, out_dir: str | None = None) -> tuple[Run
 
     if target:
         write_step_log(records, os.path.join(target, f"steps.{cfg.log_format}"), cfg.log_format)
-        with open(os.path.join(target, "summary.json"), "w", encoding="utf-8") as fh:
+        with open_output(os.path.join(target, "summary.json")) as fh:
             fh.write(summary.to_json() + "\n")
     return summary, records
 
 
 def write_step_log(records: list[StepRecord], path: str, log_format: str = "csv") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         if log_format == "csv":
             fh.write(",".join(StepRecord._COLUMNS) + "\n")
             for r in records:
@@ -399,20 +399,15 @@ def eval_retrieval(cfg: ScenarioConfig, out_dir: str | None = None) -> dict:
     target = out_dir if out_dir is not None else (cfg.out_dir or None)
     if target:
         os.makedirs(target, exist_ok=True)
-        with open(os.path.join(target, "recall_topk.csv"), "w", encoding="utf-8") as fh:
-            fh.write("k,recall\n")
-            for k, r in topk_curve:
-                fh.write(f"{k},{_fmt(r)}\n")
-        with open(os.path.join(target, "recall_threshold.csv"), "w", encoding="utf-8") as fh:
-            fh.write("threshold_m,recall\n")
-            for thr, r in threshold_curve:
-                fh.write(f"{_fmt(thr)},{_fmt(r)}\n")
-        with open(os.path.join(target, "recall_percent.csv"), "w", encoding="utf-8") as fh:
-            fh.write("percent,recall\n")
-            fh.write(f"{_fmt(cfg.eval_percent)},{_fmt(top_percent)}\n")
-        with open(os.path.join(target, "retrieval_summary.json"), "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
+        outputs = {
+            "recall_topk.csv": ["k,recall"] + [f"{k},{_fmt(r)}" for k, r in topk_curve],
+            "recall_threshold.csv": ["threshold_m,recall"] + [f"{_fmt(t)},{_fmt(r)}" for t, r in threshold_curve],
+            "recall_percent.csv": ["percent,recall", f"{_fmt(cfg.eval_percent)},{_fmt(top_percent)}"],
+            "retrieval_summary.json": [json.dumps(result, indent=2)],
+        }
+        for name, lines in outputs.items():
+            with open_output(os.path.join(target, name)) as fh:
+                fh.write("".join(line + "\n" for line in lines))
     return result
 
 
@@ -420,7 +415,7 @@ def dump_loss_surface(path: str, alpha: float = 10.0, margin: float = 1.0) -> No
     """Loss-vs-distance-gap CSV for the triplet loss family."""
     from .losses import TripletDistances, max_margin_triplet, weighted_soft_margin
 
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write("d,max_margin,soft_margin,weighted\n")
         for d in np.linspace(-3.0, 3.0, 121):
             pos, neg = (d, 0.0) if d >= 0 else (0.0, -d)

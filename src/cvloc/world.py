@@ -24,9 +24,11 @@ from .motion import Pose
 
 TWO_PI = 2.0 * math.pi
 
-# Upper bound on the cells per map-build block (whole grid rows). At 24 × 16
-# float64 features a block's features take 25 MB.
-MAP_BLOCK_CELLS = 8192
+# A map-build block is whole grid rows (at least one) whose float64 features fit
+# MAP_BLOCK_BYTES, ~1,024 cells at 24 × 16; lattice features go in chunks of
+# FEATURE_CHUNK_COLUMNS columns. Blocks, chunks and their temporaries stay in cache.
+MAP_BLOCK_BYTES = 3 << 20
+FEATURE_CHUNK_COLUMNS = 128
 
 
 @dataclass(frozen=True)
@@ -175,11 +177,13 @@ def satellite_cell_features(world: SyntheticWorld, rng_seed: int, rows: slice = 
     cos_a, sin_a = _column_factors(rng_seed, world.n_features, world.feature_dim, world.length_scale,
                                    grid.width, grid.cell_interval)
     b = (row_ids * grid.cell_interval)[:, None, None] * wave[..., 1]  # (rows, N, D)
-    tmp = np.empty_like(cos_a)
+    tmp = np.empty_like(cos_a[:FEATURE_CHUNK_COLUMNS])
     feats = np.empty((len(row_ids),) + cos_a.shape)
-    for out, cos_b, sin_b in zip(feats, np.cos(b), np.sin(b)):  # per row: temporaries stay in cache
-        np.multiply(cos_a, cos_b, out=out)
-        out -= np.multiply(sin_a, sin_b, out=tmp)
+    for c in range(0, grid.width, FEATURE_CHUNK_COLUMNS):
+        cols = slice(c, c + FEATURE_CHUNK_COLUMNS)
+        for out, cos_b, sin_b in zip(feats[:, cols], np.cos(b), np.sin(b)):
+            np.multiply(cos_a[cols], cos_b, out=out)
+            out -= np.multiply(sin_a[cols], sin_b, out=tmp[: len(out)])
     feats = feats.reshape((-1,) + wave.shape[:2])
     _apply_corridor(world, feats, positions)
     if world.aliases:
@@ -193,13 +197,13 @@ def build_descriptor_map(world: SyntheticWorld, pipeline: PipelineConfig, rng_se
     """Run every cell's satellite features through the pipeline and store
     the descriptors on the grid (float32, matching the database format).
 
-    The map is built in blocks of whole grid rows of at most
-    ``MAP_BLOCK_CELLS`` cells (one row if a row is longer), so peak memory
-    does not grow with the map beyond the float32 output itself.
+    The map is built in blocks of whole grid rows whose float64 features fit
+    ``MAP_BLOCK_BYTES`` (one row if larger), so a block stays in cache and peak
+    memory does not grow with the map beyond the float32 output itself.
     """
     grid = world.grid
     out = None
-    step = max(1, MAP_BLOCK_CELLS // grid.width)
+    step = max(1, MAP_BLOCK_BYTES // (grid.width * world.n_features * world.feature_dim * 8))
     for r0 in range(0, grid.height, step):
         rows = slice(r0, min(r0 + step, grid.height))
         descs = forward_batch(pipeline, satellite_cell_features(world, rng_seed, rows), SATELLITE)

@@ -145,6 +145,44 @@ class TestUnusablePaths:
         assert err.startswith("error[input]"), err
 
 
+class TestNoPartialOutput:
+    """A failed command removes the output files it created, so an input error
+    found after some outputs were written still leaves none behind."""
+
+    POSE = ["--pose", "60,60,0"]
+
+    def test_eval_with_an_unusable_loss_surface_leaves_no_out_dir_files(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, printed, err = run_cli(["eval", *SMALL, "--set", "eval_queries=5", "--out-dir", str(out),
+                                      "--loss-surface", str(tmp_path)], capsys)
+        assert code == 2 and printed == "" and err.startswith("error[input]"), err
+        assert list(out.iterdir()) == []
+
+    def test_localize_with_an_unusable_pgm_leaves_no_csv(self, tmp_path, capsys):
+        csv = tmp_path / "h.csv"
+        code, printed, err = run_cli(["localize", *SMALL, *self.POSE, "--heatmap-csv", str(csv),
+                                      "--heatmap-pgm", str(tmp_path)], capsys)
+        assert code == 2 and printed == "" and err.startswith("error[input]"), err
+        assert not csv.exists()
+
+    def test_simulate_with_an_unusable_step_log_leaves_no_heatmaps(self, tmp_path, capsys):
+        (tmp_path / "steps.csv").mkdir()  # fails at the end of the run, after the heatmaps
+        code, printed, err = run_cli(["simulate", *SMALL, "--heatmap-every", "10", "--out-dir", str(tmp_path)],
+                                     capsys)
+        assert code == 2 and printed == "" and err.startswith("error[input]"), err
+        assert list((tmp_path / "heatmaps").iterdir()) == []
+
+    def test_keeps_files_it_did_not_create(self, tmp_path, capsys):
+        before, kept = tmp_path / "before.csv", tmp_path / "kept.csv"
+        before.write_text("x,y,p\n")
+        # created by an earlier command that succeeded
+        assert run_cli(["localize", *SMALL, *self.POSE, "--heatmap-csv", str(kept)], capsys)[0] == 0
+        code, _, _ = run_cli(["localize", *SMALL, *self.POSE, "--heatmap-csv", str(before),
+                              "--heatmap-pgm", str(tmp_path)], capsys)
+        assert code == 2
+        assert before.exists() and kept.exists()
+
+
 class TestSimulateCommand:
     def test_deterministic_step_logs(self, tmp_path, capsys):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

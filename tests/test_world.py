@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from cvloc.mapgrid import GridMap, OutOfMapError
 from cvloc.motion import Pose
 from cvloc.simulate import build_pipeline, build_world
 from cvloc.world import (
-    MAP_BLOCK_CELLS,
+    FEATURE_CHUNK_COLUMNS,
+    MAP_BLOCK_BYTES,
     AliasRegion,
     Corridor,
     SyntheticWorld,
@@ -200,9 +202,30 @@ def oneshot_descriptor_map(world, pipeline, seed):
     return forward_batch(pipeline, feats, SATELLITE).astype(np.float32)
 
 
-# non-square, more than one block of rows (8192 // 97 = 84), and a height
-# that is not a multiple of it
+def block_rows(world):
+    """Grid rows per map-build block: as many whole rows as fit the float64
+    feature budget, at least one."""
+    row_bytes = world.grid.width * world.n_features * world.feature_dim * 8
+    return max(1, MAP_BLOCK_BYTES // row_bytes)
+
+
+def forward_block_sizes(monkeypatch):
+    """Record the cell count of every forward pass the map build makes."""
+    sizes = []
+
+    def counting_forward(config, feats, view):
+        sizes.append(len(feats))
+        return forward_batch(config, feats, view)
+
+    monkeypatch.setattr(cvloc.world, "forward_batch", counting_forward)
+    return sizes
+
+
+# non-square, more than one block of rows (10 rows of 97 cells at 24 x 16
+# features), and a height that is not a multiple of it
 ODD_GRID = GridMap((40.0, -105.0), 2.5, 97, 131)
+# wider than one feature chunk and not a multiple of it
+WIDE_GRID = GridMap((40.0, -105.0), 1.5, 2 * FEATURE_CHUNK_COLUMNS + 37, 9)
 
 WORLD_KINDS = {
     "default": {},
@@ -223,9 +246,19 @@ class TestLatticeFeatures:
         got = satellite_cell_features(w, 7)
         assert got.shape == (ODD_GRID.num_cells, w.n_features, w.feature_dim)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        step = MAP_BLOCK_CELLS // ODD_GRID.width
+        step = block_rows(w)
+        assert 1 < step < ODD_GRID.height
         blocks = [satellite_cell_features(w, 7, slice(r, r + step)) for r in range(0, ODD_GRID.height, step)]
         np.testing.assert_array_equal(np.concatenate(blocks), got)
+
+    @pytest.mark.parametrize("kind", ["default", "corridor+alias"])
+    def test_column_chunks_match_one_chunk_bit_for_bit(self, kind, monkeypatch):
+        # the same elementwise formula per chunk: the same bits as a whole row at once
+        w = SyntheticWorld(grid=WIDE_GRID, seed=7, **WORLD_KINDS[kind])
+        got = satellite_cell_features(w, 7)
+        np.testing.assert_allclose(got, _features_at(w, WIDE_GRID.locations(), 7, SATELLITE), rtol=0, atol=1e-12)
+        monkeypatch.setattr(cvloc.world, "FEATURE_CHUNK_COLUMNS", WIDE_GRID.width)
+        np.testing.assert_array_equal(satellite_cell_features(w, 7), got)
 
     def test_aliased_cells_take_the_direct_path_exactly(self):
         w = SyntheticWorld(grid=ODD_GRID, seed=7, **WORLD_KINDS["corridor+alias"])
@@ -237,32 +270,85 @@ class TestLatticeFeatures:
 
 
 # sha256 of the 2 m map's float32 descriptor bytes at the default scenario
-# config: 48,841 cells built in 6 blocks (the 5 m map behind the build-db
-# hash is one block). Recorded on the former last-axis soft-assignment path.
+# config: 48,841 cells in many blocks. Recorded on the former last-axis
+# soft-assignment path, in blocks of up to 8,192 cells.
 MAP_2M_SHA256 = {
     "dual": "6bf4150076677671e2c738b53806fa9dde0cf2bb6d81eafeb8163cefb24e9437",
     "shared": "674a1e9d88b08e9c5223adb8d5acfe1704386cc52463e22b7ccf79456144ecf7",
 }
+# sha256 of the 1 m map (194,481 cells, the benchmark's fine map) at the
+# default scenario config, recorded on the build with a prefix-sum array,
+# 8,192-cell blocks and whole-row lattice features.
+MAP_1M_SHA256 = {
+    "dual": "b4c4e3586192f525b49feccb33c66a8fd5f22bc930d1f54dea237ea3b8a71436",
+    "shared": "5eb4cd92c7734dd1ab35e18b32ccc958383d065acf841ec4d5f282a563bf8330",
+}
+
+
+def default_map(cell_interval, variant="dual"):
+    cfg = ScenarioConfig(cell_interval=cell_interval, pipeline_variant=variant, out_dir="")
+    return build_world(cfg), build_pipeline(cfg), cfg.world_seed
 
 
 class TestBlockedMapBuild:
     @pytest.mark.parametrize("variant", sorted(MAP_2M_SHA256))
-    def test_multi_block_2m_map_bytes_unchanged(self, variant):
-        cfg = ScenarioConfig(cell_interval=2.0, pipeline_variant=variant, out_dir="")
-        world, pipeline = build_world(cfg), build_pipeline(cfg)
-        assert -(-world.grid.height // (MAP_BLOCK_CELLS // world.grid.width)) == 6
-        descriptors = build_descriptor_map(world, pipeline, cfg.world_seed).descriptors
+    def test_multi_block_2m_map_bytes_unchanged(self, variant, monkeypatch):
+        world, pipeline, seed = default_map(2.0, variant)
+        blocks = forward_block_sizes(monkeypatch)
+        descriptors = build_descriptor_map(world, pipeline, seed).descriptors
+        assert len(blocks) == -(-world.grid.height // block_rows(world)) > 1
         assert descriptors.shape == (48841, 32)
         assert hashlib.sha256(descriptors.tobytes()).hexdigest() == MAP_2M_SHA256[variant]
 
+    @pytest.mark.parametrize("variant", sorted(MAP_1M_SHA256))
+    def test_fine_1m_map_bytes_unchanged(self, variant):
+        world, pipeline, seed = default_map(1.0, variant)
+        descriptors = build_descriptor_map(world, pipeline, seed).descriptors
+        assert descriptors.shape == (194481, 32)
+        assert hashlib.sha256(descriptors.tobytes()).hexdigest() == MAP_1M_SHA256[variant]
+
+    def test_row_over_the_budget_builds_one_row_per_block(self, monkeypatch):
+        grid = GridMap((40.0, -105.0), 1.0, MAP_BLOCK_BYTES // (24 * 16 * 8) + 7, 3)
+        world = SyntheticWorld(grid=grid, seed=7)
+        assert grid.width * 24 * 16 * 8 > MAP_BLOCK_BYTES
+        blocks = forward_block_sizes(monkeypatch)
+        build_descriptor_map(world, random_dual_pipeline(11, tie_views=True), 7)
+        assert blocks == [grid.width] * grid.height
+
+    def test_larger_feature_sets_take_proportionally_fewer_rows(self, monkeypatch):
+        grid = GridMap((40.0, -105.0), 2.0, 64, 40)
+        pipeline = random_dual_pipeline(11, tie_views=True)
+        rows = {}
+        for n in (24, 48, 96):
+            blocks = forward_block_sizes(monkeypatch)
+            build_descriptor_map(SyntheticWorld(grid=grid, seed=7, n_features=n), pipeline, 7)
+            assert sum(blocks) == grid.num_cells
+            rows[n] = blocks[0] // grid.width
+        # 64 cells x N x 16 float64 features: 16, 8 and 4 rows fit 3 MiB
+        assert rows == {24: 16, 48: 8, 96: 4}
+
+    def test_traced_peak_stays_within_twice_the_budget(self):
+        # The per-map lattice factors (one row of cos and sin, cached) are
+        # computed first; the traced peak is then the float32 output plus one
+        # block's features, assignments and temporaries. The build with
+        # 8,192-cell blocks and a prefix-sum array peaked ~58 MB over the output.
+        world, pipeline, seed = default_map(2.0)
+        satellite_cell_features(world, seed, slice(0, 1))
+        tracemalloc.start()
+        try:
+            descriptors = build_descriptor_map(world, pipeline, seed).descriptors
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - descriptors.nbytes <= 2 * MAP_BLOCK_BYTES
+
     def test_default_5m_map_equals_oneshot_build_exactly(self, monkeypatch):
-        cfg = ScenarioConfig(out_dir="")
-        world, pipeline = build_world(cfg), build_pipeline(cfg)
-        want = oneshot_descriptor_map(world, pipeline, cfg.world_seed)
-        np.testing.assert_array_equal(build_descriptor_map(world, pipeline, cfg.world_seed).descriptors, want)
-        # the same map in many small blocks
-        monkeypatch.setattr(cvloc.world, "MAP_BLOCK_CELLS", 1000)
-        np.testing.assert_array_equal(build_descriptor_map(world, pipeline, cfg.world_seed).descriptors, want)
+        world, pipeline, seed = default_map(5.0)
+        want = oneshot_descriptor_map(world, pipeline, seed)
+        np.testing.assert_array_equal(build_descriptor_map(world, pipeline, seed).descriptors, want)
+        # the same map one row per block
+        monkeypatch.setattr(cvloc.world, "MAP_BLOCK_BYTES", 1)
+        np.testing.assert_array_equal(build_descriptor_map(world, pipeline, seed).descriptors, want)
 
     @pytest.mark.parametrize("kind", ["default", "corridor+alias"])
     def test_within_one_float32_ulp_of_oneshot_build(self, kind):
@@ -273,19 +359,13 @@ class TestBlockedMapBuild:
         np.testing.assert_array_max_ulp(got, oneshot_descriptor_map(w, pipeline, 7), maxulp=1)
 
     def test_forward_pass_sees_bounded_blocks(self, monkeypatch):
-        cfg = ScenarioConfig(cell_interval=2.0, out_dir="")
-        world, pipeline = build_world(cfg), build_pipeline(cfg)
-        rows = []
-
-        def counting_forward(config, feats, view):
-            rows.append(len(feats))
-            return forward_batch(config, feats, view)
-
-        monkeypatch.setattr(cvloc.world, "forward_batch", counting_forward)
-        db = build_descriptor_map(world, pipeline, cfg.world_seed)
-        assert len(rows) > 1
-        assert max(rows) <= MAP_BLOCK_CELLS
-        assert sum(rows) == db.num_cells == world.grid.num_cells
+        world, pipeline, seed = default_map(2.0)
+        blocks = forward_block_sizes(monkeypatch)
+        db = build_descriptor_map(world, pipeline, seed)
+        assert len(blocks) > 1
+        assert all(b % world.grid.width == 0 for b in blocks)  # whole grid rows
+        assert max(blocks) * world.n_features * world.feature_dim * 8 <= MAP_BLOCK_BYTES
+        assert sum(blocks) == db.num_cells == world.grid.num_cells
 
     def test_overflowing_field_rejected(self):
         # wavelengths this short overflow the wavenumbers to inf: NaN features
