@@ -3,7 +3,8 @@
 Subcommands: build-db, query, localize, simulate, eval. Every scenario key
 can be overridden with ``--set key=value``; see config.py for the schema.
 Exit codes: 0 success, 2 configuration/input errors, 1 unexpected failure. A
-command that fails removes the output files it created.
+command that fails removes the output files, and the then empty directories,
+that it created.
 """
 
 from __future__ import annotations
@@ -193,8 +194,11 @@ def main(argv: list[str] | None = None) -> int:
         message, code = f"error[input]: {e}", 2
     except Exception as e:  # pragma: no cover - last-resort reporting
         message, code = f"error[internal]: {e}", 1
-    for path in filter(os.path.isfile, CREATED_OUTPUTS):  # a failed command leaves no output file
-        os.remove(path)
+    for path in reversed(CREATED_OUTPUTS):  # a failed command leaves nothing it created
+        if os.path.isfile(path):
+            os.remove(path)
+        elif os.path.isdir(path) and not os.listdir(path):
+            os.rmdir(path)
     print(message, file=sys.stderr)
     return code
 

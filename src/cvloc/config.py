@@ -19,7 +19,9 @@ class ConfigError(ValueError):
     """Invalid scenario configuration (bad key, value, or combination)."""
 
 
-CREATED_OUTPUTS: list[str] = []  # cleared and, when a command fails, removed by cli.main
+# Files and directories a command created, in creation order; cleared and,
+# when the command fails, removed by cli.main.
+CREATED_OUTPUTS: list[str] = []
 
 
 def open_output(path: str, mode: str = "w"):
@@ -28,6 +30,19 @@ def open_output(path: str, mode: str = "w"):
     if not os.path.lexists(path):
         CREATED_OUTPUTS.append(path)
     return open(path, mode, encoding=None if "b" in mode else "utf-8")
+
+
+def make_output_dir(path: str) -> None:
+    """``os.makedirs(path, exist_ok=True)`` that records in CREATED_OUTPUTS
+    each directory it creates, outermost first."""
+    missing, head = [], os.path.normpath(path)
+    while head and not os.path.lexists(head):
+        missing.append(head)
+        head = os.path.dirname(head)
+    for directory in reversed(missing):
+        os.mkdir(directory)
+        CREATED_OUTPUTS.append(directory)
+    os.makedirs(path, exist_ok=True)  # raises as it would when ``path`` is not a directory
 
 
 def _parse_bool(s: str) -> bool:

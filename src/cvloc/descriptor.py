@@ -107,7 +107,9 @@ class AffineMap:
         return self.weight.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.weight.astype(np.float64).T + self.bias.astype(np.float64)
+        out = x @ self.weight.astype(np.float64).T
+        out += self.bias  # cast to float64 by the add, exactly; in place saves a block-sized copy
+        return out
 
 
 @dataclass(frozen=True)

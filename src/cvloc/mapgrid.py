@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -22,9 +21,10 @@ EARTH_RADIUS_M = 6371008.8  # WGS-84 mean radius
 _COUNT_EPS = 1e-9
 
 # Most cells :func:`tessellate` lays out (a 2,048 x 2,048 lattice). Memory
-# grows with the cell count: the float32 map holds R floats a cell, and a
-# built field adds a float64 copy of it, so this many cells at R = 32 need
-# about 1.6 GB. The 1 m cells of the default map are 194,481.
+# grows with the cell count: the float32 map holds R floats a cell, about
+# 537 MB at R = 32 for this many cells, and a built field adds 8 bytes a cell
+# (34 MB). Both are computed, not measured. The 1 m cells of the default map
+# are 194,481.
 MAX_CELLS = 2048 * 2048
 
 
@@ -82,18 +82,6 @@ class GridMap:
     @property
     def num_cells(self) -> int:
         return self.width * self.height
-
-    @cached_property
-    def descriptor_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """Float64 copy of the descriptors and their squared row norms, built
-        on first use and kept for the map's lifetime (descriptor arrays are
-        never written in place), so each field query reuses them."""
-        if self.descriptors is None:
-            raise ValueError("map has no stored descriptors")
-        d = self.descriptors.astype(np.float64)
-        norms = np.einsum("ij,ij->i", d, d)
-        d.flags.writeable = norms.flags.writeable = False  # shared by every query
-        return d, norms
 
     def __len__(self) -> int:
         return self.num_cells

@@ -31,15 +31,11 @@ import numpy as np
 from .config import open_output
 from .descriptor import GlobalDescriptor
 from .mapgrid import GridMap, corner_cells
+from .retrieval import distances
 
 MODES = ("corner-sum", "bilinear")
 
 DEFAULT_FLOOR = 1e-12
-
-# Expanded squared distances at or below this share of max ||x||^2 + ||q||^2
-# may have cancelled and are recomputed by direct difference. The largest row
-# norm keeps the test one scalar compare and only widens the recomputed set.
-_CANCEL_RATIO = 1e-4
 
 
 def _checked(p: np.ndarray) -> np.ndarray:
@@ -111,27 +107,12 @@ def location_probabilities(
 
 
 def _softmax_field(db_map: GridMap, values: np.ndarray) -> np.ndarray:
-    """Softmax of negated descriptor distances over all cells.
-
-    Squared distances are taken in expansion form, ||x||^2 - 2 x.q + ||q||^2,
-    over the map's float64 descriptor basis (built once per map), so a query
-    costs one matrix-vector product. Rows where the expansion may cancel, at
-    or below ``_CANCEL_RATIO`` (max ||x||^2 + ||q||^2), are recomputed by
-    direct difference. The softmax uses max-subtraction, so the normalisation
-    is stable for any distance scale; smaller distance always means strictly
-    larger probability.
+    """Softmax of negated descriptor distances (:func:`distances`) over all
+    cells. The softmax uses max-subtraction, so the normalisation is stable
+    for any distance scale; smaller distance always means strictly larger
+    probability.
     """
-    basis, sq_norms = db_map.descriptor_basis
-    qq = float(values @ values)
-    d = basis @ values
-    d *= -2.0
-    d += sq_norms
-    d += qq
-    near = np.flatnonzero(d <= _CANCEL_RATIO * (float(sq_norms.max()) + qq))
-    if near.size:
-        diff = basis[near] - values
-        d[near] = np.einsum("ij,ij->i", diff, diff)
-    np.sqrt(d, out=d)
+    d = distances(db_map.descriptors, values)
     np.subtract(d.min(), d, out=d)
     np.exp(d, out=d)
     d /= d.sum()
@@ -140,10 +121,10 @@ def _softmax_field(db_map: GridMap, values: np.ndarray) -> np.ndarray:
 
 def _corner_scores(field: ProbabilityField, sw: np.ndarray) -> tuple[np.ndarray, float]:
     """Scores over the cells, exp(m - d), set only at the four corner cells
-    of each SW corner in ``sw``; d is the query distance of a cell (by
-    direct difference) and m the least d among those cells. Each distinct
-    cell is scored once: the SW corners are marked first, and the other
-    three corners of each distinct one after."""
+    of each SW corner in ``sw``; d is the query distance of a cell, the same
+    bits as in the full field, and m the least d among those cells. Each
+    distinct cell is scored once: the SW corners are marked first, and the
+    other three corners of each distinct one after."""
     grid = field.grid
     mark = np.zeros(grid.num_cells, dtype=bool)
     mark[sw] = True
@@ -151,9 +132,7 @@ def _corner_scores(field: ProbabilityField, sw: np.ndarray) -> tuple[np.ndarray,
     for offset in (1, grid.width, grid.width + 1):
         mark[distinct + offset] = True
     cells = np.flatnonzero(mark)
-    diff = grid.descriptors[cells].astype(np.float64)
-    diff -= field.query
-    d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    d = distances(grid.descriptors[cells], field.query)
     m = float(d.min())
     scores = np.empty(grid.num_cells)
     scores[cells] = np.exp(m - d)

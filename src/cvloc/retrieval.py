@@ -22,7 +22,7 @@ from .mapgrid import geo_distance_m
 
 _MAGIC = b"CVLOCDB1"
 _VERSION = 1
-_BLOCK_FLOATS = 1 << 15  # float64 difference scratch per query row block: 256 KB
+_BLOCK_FLOATS = 1 << 15  # float64 difference scratch per row block of distances(): 256 KB
 
 
 @dataclass(frozen=True)
@@ -79,13 +79,28 @@ def build_db(items: Iterable[tuple[int, tuple[float, float], np.ndarray]]) -> De
     )
 
 
-def query(db: DescriptorDatabase, q: np.ndarray, k: int) -> RetrievalResult:
-    """Exact k nearest entries by Euclidean distance, ties broken by id.
+def distances(stored: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Float64 Euclidean distances from ``q`` to each row of ``stored``, the
+    one distance kernel of retrieval and the measurement field. Rows are
+    differenced in blocks of about ``_BLOCK_FLOATS`` floats, two rows at
+    least (einsum sums a lone row longer than 8,192 in chunks), so
+    ``distances(stored[cells], q)`` equals ``distances(stored, q)[cells]``
+    bit for bit unless ``cells`` is one row longer than 8,192."""
+    n = len(stored)
+    step = max(2, _BLOCK_FLOATS // max(1, stored.shape[1]))
+    dists = np.empty(n)
+    for start in range(0, n, step):
+        block = slice(max(0, min(start, n - 2)), start + step)
+        diff = stored[block] - q
+        dists[block] = np.einsum("ij,ij->i", diff, diff)
+    np.sqrt(dists, out=dists)
+    return dists
 
-    Distances are taken over row blocks of the float32 descriptors, of two
-    rows at least: einsum sums a lone row longer than 8,192 in chunks. Only
-    the rows at or inside the k-th distance are sorted; keeping every row
-    tied with it leaves the id tie-break exact.
+
+def query(db: DescriptorDatabase, q: np.ndarray, k: int) -> RetrievalResult:
+    """Exact k nearest entries by Euclidean distance (:func:`distances`),
+    ties broken by id. Only the rows at or inside the k-th distance are
+    sorted; keeping every row tied with it leaves the id tie-break exact.
     """
     if len(db) == 0:
         raise ValueError("cannot query an empty database")
@@ -96,13 +111,7 @@ def query(db: DescriptorDatabase, q: np.ndarray, k: int) -> RetrievalResult:
         raise ValueError(f"query dimension {q.shape} != database dimension {db.dimension}")
     if not np.all(np.isfinite(q)):
         raise ValueError("query descriptor must be finite")
-    step = max(2, _BLOCK_FLOATS // max(1, db.dimension))
-    dists = np.empty(len(db))
-    for start in range(0, len(db), step):
-        block = slice(max(0, min(start, len(db) - 2)), start + step)
-        diff = db.descriptors[block] - q
-        dists[block] = np.einsum("ij,ij->i", diff, diff)
-    np.sqrt(dists, out=dists)
+    dists = distances(db.descriptors, q)
     rows = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
     order = rows[np.lexsort((db.ids[rows], dists[rows]))[:k]]
     return RetrievalResult(db.ids[order], dists[order])

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, open_output
+from .config import ConfigError, ScenarioConfig, make_output_dir, open_output
 from .descriptor import (
     GROUND,
     PipelineConfig,
@@ -266,10 +266,10 @@ def run_simulation(cfg: ScenarioConfig, out_dir: str | None = None) -> tuple[Run
     target = out_dir if out_dir is not None else (cfg.out_dir or None)
     heat_dir = None
     if target:
-        os.makedirs(target, exist_ok=True)
+        make_output_dir(target)
         if cfg.heatmap_every > 0:
             heat_dir = os.path.join(target, "heatmaps")
-            os.makedirs(heat_dir, exist_ok=True)
+            make_output_dir(heat_dir)
 
     ess_gate = cfg.ess_threshold if cfg.ess_threshold > 0 else None
     records: list[StepRecord] = []
@@ -398,7 +398,7 @@ def eval_retrieval(cfg: ScenarioConfig, out_dir: str | None = None) -> dict:
     }
     target = out_dir if out_dir is not None else (cfg.out_dir or None)
     if target:
-        os.makedirs(target, exist_ok=True)
+        make_output_dir(target)
         outputs = {
             "recall_topk.csv": ["k,recall"] + [f"{k},{_fmt(r)}" for k, r in topk_curve],
             "recall_threshold.csv": ["threshold_m,recall"] + [f"{_fmt(t)},{_fmt(r)}" for t, r in threshold_curve],

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cvloc.mapgrid
 import cvloc.retrieval
 import cvloc.simulate
 import cvloc.world
@@ -146,17 +147,26 @@ class TestUnusablePaths:
 
 
 class TestNoPartialOutput:
-    """A failed command removes the output files it created, so an input error
-    found after some outputs were written still leaves none behind."""
+    """A failed command removes the output files and directories it created,
+    so an input error found after some outputs were written still leaves none
+    behind."""
 
     POSE = ["--pose", "60,60,0"]
 
     def test_eval_with_an_unusable_loss_surface_leaves_no_out_dir_files(self, tmp_path, capsys):
-        out = tmp_path / "out"
+        out = tmp_path / "a" / "out"  # both directories are the command's
         code, printed, err = run_cli(["eval", *SMALL, "--set", "eval_queries=5", "--out-dir", str(out),
                                       "--loss-surface", str(tmp_path)], capsys)
         assert code == 2 and printed == "" and err.startswith("error[input]"), err
-        assert list(out.iterdir()) == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_keeps_an_out_dir_that_existed(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        code, _, _ = run_cli(["eval", *SMALL, "--set", "eval_queries=5", "--out-dir", str(out),
+                              "--loss-surface", str(tmp_path)], capsys)
+        assert code == 2
+        assert out.is_dir() and list(out.iterdir()) == []
 
     def test_localize_with_an_unusable_pgm_leaves_no_csv(self, tmp_path, capsys):
         csv = tmp_path / "h.csv"
@@ -170,7 +180,7 @@ class TestNoPartialOutput:
         code, printed, err = run_cli(["simulate", *SMALL, "--heatmap-every", "10", "--out-dir", str(tmp_path)],
                                      capsys)
         assert code == 2 and printed == "" and err.startswith("error[input]"), err
-        assert list((tmp_path / "heatmaps").iterdir()) == []
+        assert not (tmp_path / "heatmaps").exists()
 
     def test_keeps_files_it_did_not_create(self, tmp_path, capsys):
         before, kept = tmp_path / "before.csv", tmp_path / "kept.csv"
@@ -561,6 +571,112 @@ class TestHostileTrajectory:
                                   "--set", f"trajectory_file={path}"], capsys)
         assert code == 2 and out == ""
         assert ("pose 0" in err) if x == "-50" else ("non-finite" in err)
+
+
+# map and world keys take non-finite and extreme finite text; counts take
+# only small values, and a map is held to CELL_BUDGET cells, so no accepted
+# run grows
+EXTREME_TEXT = NON_FINITE_TEXT | st.sampled_from(
+    ["0", "-0", "1e308", "-1e308", "5e-324", "-5e-324", "1e-300", "90", "-90", "180", "-180"]
+) | st.floats().map(repr)
+SMALL_COUNT_TEXT = st.sampled_from(["-1", "0", "1", "2", "", "x", "1.5"])
+MAP_WORLD_MUTATION = st.one_of(
+    st.tuples(st.sampled_from(["lat_min", "lat_max", "lon_min", "lon_max", "cell_interval",
+                               "world_length_scale", "world_view_noise", "corridor_width",
+                               "corridor_gain"]), EXTREME_TEXT),
+    st.tuples(st.sampled_from(["world_features", "world_feature_dim"]), SMALL_COUNT_TEXT),
+    st.tuples(st.just("world_seed"), st.sampled_from(["-1", "0", str(2**64), str(2**128)])),
+    st.tuples(st.just("world_kind"), st.sampled_from(["flat", "smooth", "", "x"])),
+    st.tuples(st.just("corridor"), st.sampled_from(["true", "false", "x"])),
+    st.tuples(st.just("alias_regions"), LIST_TEXT),
+)
+EVAL_MUTATION = MAP_WORLD_MUTATION | st.one_of(
+    st.tuples(st.just("eval_queries"), SMALL_COUNT_TEXT),
+    st.tuples(st.just("eval_top_k"), SMALL_COUNT_TEXT | st.just("999999")),
+    st.tuples(st.sampled_from(["eval_percent", "loss_alpha"]), EXTREME_TEXT),
+    st.tuples(st.just("eval_thresholds"), LIST_TEXT),
+)
+CELL_BUDGET = 4096
+ON_MAP_TEXT = st.floats(0, 150).map(repr)
+POSE_TEXT = st.one_of(
+    st.tuples(ON_MAP_TEXT, ON_MAP_TEXT, st.floats(-10, 10).map(repr)).map(",".join),
+    st.tuples(*[ON_MAP_TEXT | NUMBER_TEXT] * 3).map(",".join),
+    st.lists(NUMBER_TEXT, max_size=5).map(",".join),  # any arity
+)
+# None (no such output), a fresh file, or a path that cannot be written
+OUTPUT_PATH = st.sampled_from([None, "fresh", "a directory", "under a missing directory", "under a file"])
+
+
+def output_option(option, tmp, kind, name):
+    """``[option, path]`` for an OUTPUT_PATH kind, or no arguments."""
+    paths = {"fresh": tmp / name, "a directory": tmp, "under a missing directory": tmp / "missing" / name,
+             "under a file": tmp / "file" / name}
+    return [] if kind is None else [option, str(paths[kind])]
+
+
+def run_hostile(tmp, argv):
+    """Run ``argv`` with the map held to CELL_BUDGET cells; on a failure, check
+    that nothing it created is left in ``tmp``."""
+    (tmp / "file").write_text("")
+    before = sorted(tmp.rglob("*"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cvloc.mapgrid, "MAX_CELLS", CELL_BUDGET)
+        code, out, err = run_quietly(argv)
+    assert code in (0, 2), err
+    if code == 2:
+        assert out == "" and sorted(tmp.rglob("*")) == before, err
+    return code, out
+
+
+def finite_json(out):
+    return json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in {out}"))
+
+
+class TestHostileLocalize:
+    """localize builds the full field: exit 0 with a finite report, or exit 2."""
+
+    @settings(max_examples=200, deadline=None)
+    @example(mutations=[], pose="60,60,0", csv="fresh", pgm="fresh")
+    @example(mutations=[("cell_interval", "1e-300")], pose="60,60,0", csv=None, pgm=None)
+    @example(mutations=[("world_view_noise", "1e308")], pose="60,60,0", csv=None, pgm=None)
+    @example(mutations=[], pose="60,60,inf", csv=None, pgm=None)
+    @example(mutations=[], pose="150,150,1e308", csv=None, pgm=None)
+    @example(mutations=[], pose="60,60,0", csv="fresh", pgm="under a missing directory")
+    @given(mutations=st.lists(MAP_WORLD_MUTATION, max_size=3), pose=POSE_TEXT,
+           csv=OUTPUT_PATH, pgm=OUTPUT_PATH)
+    def test_localize_never_exits_1(self, tmp_path_factory, mutations, pose, csv, pgm):
+        tmp = tmp_path_factory.mktemp("localize")
+        overrides = [arg for key, value in mutations for arg in ("--set", f"{key}={value}")]
+        code, out = run_hostile(tmp, ["localize", *SMALL, *overrides, f"--pose={pose}",
+                                      *output_option("--heatmap-csv", tmp, csv, "h.csv"),
+                                      *output_option("--heatmap-pgm", tmp, pgm, "h.pgm")])
+        if code == 0:
+            report = finite_json(out)
+            best = report["best_cell"]
+            for p in (best["probability"], report["measurement_probability_at_query"]):
+                assert 0 <= p <= 1
+
+
+class TestHostileEval:
+    """eval: exit 0 with finite recalls in [0, 1], or exit 2."""
+
+    @settings(max_examples=200, deadline=None)
+    @example(mutations=[], out_dir="fresh", surface="fresh")
+    @example(mutations=[], out_dir="under a missing directory", surface="a directory")
+    @example(mutations=[("eval_percent", "5e-324")], out_dir=None, surface=None)
+    @example(mutations=[("loss_alpha", "1e308")], out_dir=None, surface="fresh")
+    @given(mutations=st.lists(EVAL_MUTATION, max_size=3), out_dir=OUTPUT_PATH, surface=OUTPUT_PATH)
+    def test_eval_never_exits_1(self, tmp_path_factory, mutations, out_dir, surface):
+        tmp = tmp_path_factory.mktemp("eval")
+        overrides = [arg for key, value in [("eval_queries", "5"), *mutations]
+                     for arg in ("--set", f"{key}={value}")]
+        code, out = run_hostile(tmp, ["eval", *SMALL, *overrides,
+                                      *output_option("--out-dir", tmp, out_dir, "out"),
+                                      *output_option("--loss-surface", tmp, surface, "loss.csv")])
+        if code == 0:
+            report = finite_json(out)
+            recalls = [report["recall_top_1"], report["recall_top_percent"]["recall"]]
+            assert all(0 <= r <= 1 for r in recalls), report
 
 
 class TestLocalizeCommand:

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import math
 import struct
 
@@ -17,6 +18,7 @@ from cvloc.retrieval import (
     RetrievalResult,
     add_distractors,
     build_db,
+    distances,
     load_db,
     query,
     rank_table,
@@ -145,6 +147,39 @@ class TestQueryRowBlocks:
                     assert got.ids.dtype == want.ids.dtype and got.distances.dtype == want.distances.dtype
                     np.testing.assert_array_equal(got.ids, want.ids)
                     np.testing.assert_array_equal(got.distances, want.distances)
+
+
+class TestDistanceKernel:
+    """:func:`distances` gives a row the same bits whichever rows it is taken
+    with, so kNN, the full field and the corner cells of the lazy field all
+    score a row from one distance."""
+
+    def test_gathered_rows_equal_the_same_rows_of_the_whole(self):
+        # 1,024 rows per block: 5 blocks, the last part-filled
+        rng = np.random.default_rng(0)
+        stored = rng.normal(size=(5000, 32)).astype(np.float32)
+        q = rng.normal(size=32)
+        whole = distances(stored, q)
+        assert whole.dtype == np.float64 and whole.shape == (5000,)
+        for size in (1, 2, 150, 5000):
+            for _ in range(3):
+                cells = np.sort(rng.choice(5000, size, replace=False))
+                np.testing.assert_array_equal(distances(stored[cells], q), whole[cells])
+        # a stored row at the query is at distance 0 exactly
+        assert distances(stored, stored[4].astype(np.float64))[4] == 0.0
+
+    # 3 and 2 rows per block; 7 rows leave a last block of one row, which a
+    # lone-row einsum would sum differently
+    @pytest.mark.parametrize("dim", [10_000, 40_000])
+    def test_long_rows_in_every_pair_and_triple(self, dim):
+        rng = np.random.default_rng(dim)
+        stored = rng.normal(size=(7, dim)).astype(np.float32)
+        q = rng.normal(size=dim)
+        whole = distances(stored, q)
+        for size in (2, 3):
+            for cells in itertools.combinations(range(7), size):
+                cells = list(cells)
+                np.testing.assert_array_equal(distances(stored[cells], q), whole[cells])
 
 
 class TestRankTableAgainstOracle:
