@@ -19,9 +19,10 @@ initialised from a seed; there is no training here.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -319,63 +320,39 @@ def random_shared_pipeline(
     return SharedPipeline(TransformParams(sat, grd, shared), vlad, red, normalize_output)
 
 
-def _write_array(fh, a: np.ndarray) -> None:
-    fh.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
+def _layout(variant: int, k: int, d: int, r: int, h1: int, h2: int) -> list[tuple[str, type, tuple[int, int]]]:
+    """The container body in file order, one (attribute path, class, (rows, cols))
+    per component, sized from the header dimensions. A component is stored as its
+    array fields in order: (rows, cols) matrices, then a (rows,) vector."""
+    if variant == 1:
+        return [("satellite.vlad", VladParams, (k, d)), ("ground.vlad", VladParams, (k, d)),
+                ("satellite.reduction", AffineMap, (r, k * d)), ("ground.reduction", AffineMap, (r, k * d))]
+    if variant == 2:
+        return [("vlad", VladParams, (k, h2)), ("transform.satellite", AffineMap, (h1, d)),
+                ("transform.ground", AffineMap, (h1, d)), ("transform.shared", AffineMap, (h2, h1)),
+                ("reduction", AffineMap, (r, k * h2))]
+    raise ValueError(f"unknown pipeline variant {variant}")
 
 
-def _read_array(fh, *shape: int) -> np.ndarray:
-    # checked before reading: fh.read(size) allocates ``size`` bytes up front
-    size = 4 * math.prod(shape)
-    if size > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise ValueError("parameter file truncated")
-    return np.frombuffer(fh.read(size), dtype="<f4").reshape(shape).copy()
-
-
-def _write_vlad(fh, p: VladParams) -> None:
-    _write_array(fh, p.centroids)
-    _write_array(fh, p.assign_weights)
-    _write_array(fh, p.assign_bias)
-
-
-def _read_vlad(fh, k: int, d: int) -> VladParams:
-    return VladParams(_read_array(fh, k, d), _read_array(fh, k, d), _read_array(fh, k))
-
-
-def _write_affine(fh, m: AffineMap) -> None:
-    _write_array(fh, m.weight)
-    _write_array(fh, m.bias)
-
-
-def _read_affine(fh, out_dim: int, in_dim: int) -> AffineMap:
-    return AffineMap(_read_array(fh, out_dim, in_dim), _read_array(fh, out_dim))
+def _field_shapes(cls: type, rows: int, cols: int) -> list[tuple[int, ...]]:
+    return [(rows, cols)] * (len(fields(cls)) - 1) + [(rows,)]
 
 
 def save_pipeline(config: PipelineConfig, path: str) -> None:
     """Write the parameter container; see README for the exact byte layout."""
-    variant = 1 if isinstance(config, DualPipeline) else 2
+    if isinstance(config, DualPipeline):
+        variant, vlad = 1, config.satellite.vlad
+        dims = (vlad.clusters, vlad.dim, config.satellite.reduction.out_dim, 0, 0)
+    else:
+        variant, t = 2, config.transform
+        dims = (config.vlad.clusters, t.satellite.in_dim, config.reduction.out_dim,
+                t.satellite.out_dim, t.shared.out_dim)
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, variant))
-        if isinstance(config, DualPipeline):
-            k, d = config.satellite.vlad.clusters, config.satellite.vlad.dim
-            r = config.satellite.reduction.out_dim
-            fh.write(struct.pack("<IIIIII", k, d, r, 0, 0, int(config.normalize_output)))
-            for branch in (config.satellite, config.ground):
-                _write_vlad(fh, branch.vlad)
-            for branch in (config.satellite, config.ground):
-                _write_affine(fh, branch.reduction)
-        else:
-            k = config.vlad.clusters
-            d = config.transform.satellite.in_dim
-            r = config.reduction.out_dim
-            h1 = config.transform.satellite.out_dim
-            h2 = config.transform.shared.out_dim
-            fh.write(struct.pack("<IIIIII", k, d, r, h1, h2, int(config.normalize_output)))
-            _write_vlad(fh, config.vlad)
-            _write_affine(fh, config.transform.satellite)
-            _write_affine(fh, config.transform.ground)
-            _write_affine(fh, config.transform.shared)
-            _write_affine(fh, config.reduction)
+        fh.write(_MAGIC + struct.pack("<II6I", _VERSION, variant, *dims, int(config.normalize_output)))
+        for name, cls, _ in _layout(variant, *dims):
+            component = operator.attrgetter(name)(config)
+            for f in fields(cls):
+                fh.write(np.ascontiguousarray(getattr(component, f.name), dtype="<f4").tobytes())
 
 
 def load_pipeline(path: str) -> PipelineConfig:
@@ -386,18 +363,20 @@ def load_pipeline(path: str) -> PipelineConfig:
         version, variant = struct.unpack("<II", fh.read(8))
         if version != _VERSION:
             raise ValueError(f"unsupported parameter file version {version}")
-        k, d, r, h1, h2, norm = struct.unpack("<IIIIII", fh.read(24))
-        if variant == 1:
-            sat_vlad = _read_vlad(fh, k, d)
-            grd_vlad = _read_vlad(fh, k, d)
-            sat_red = _read_affine(fh, r, k * d)
-            grd_red = _read_affine(fh, r, k * d)
-            return DualPipeline(BranchParams(sat_vlad, sat_red), BranchParams(grd_vlad, grd_red), bool(norm))
-        if variant == 2:
-            vlad = _read_vlad(fh, k, h2)
-            sat = _read_affine(fh, h1, d)
-            grd = _read_affine(fh, h1, d)
-            shared = _read_affine(fh, h2, h1)
-            red = _read_affine(fh, r, k * h2)
-            return SharedPipeline(TransformParams(sat, grd, shared), vlad, red, bool(norm))
-        raise ValueError(f"unknown pipeline variant {variant}")
+        *dims, norm = struct.unpack("<IIIIII", fh.read(24))
+        layout = _layout(variant, *dims)
+        shapes = [s for _, cls, (rows, cols) in layout for s in _field_shapes(cls, rows, cols)]
+        sizes = [math.prod(s) for s in shapes]
+        # checked before reading, in Python ints: fh.read(body) allocates ``body`` bytes up front
+        body = os.fstat(fh.fileno()).st_size - fh.tell()
+        if 4 * sum(sizes) != body:
+            raise ValueError(f"parameter file truncated or overlong: the header declares "
+                             f"{4 * sum(sizes)} body bytes, but {body} follow")
+        flat = np.frombuffer(fh.read(body), dtype="<f4")
+    arrays = iter([a.reshape(s) for a, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)])
+    part = {name: cls(*(next(arrays) for _ in fields(cls))) for name, cls, _ in layout}
+    if variant == 1:
+        return DualPipeline(BranchParams(part["satellite.vlad"], part["satellite.reduction"]),
+                            BranchParams(part["ground.vlad"], part["ground.reduction"]), bool(norm))
+    transform = TransformParams(part["transform.satellite"], part["transform.ground"], part["transform.shared"])
+    return SharedPipeline(transform, part["vlad"], part["reduction"], bool(norm))

@@ -140,6 +140,12 @@ def pf_step(
     return resample_systematic(out, rng)
 
 
+def _dot(w: np.ndarray, v: np.ndarray) -> float:
+    """``w @ v`` as dots over 8,192-element chunks added in order: OpenBLAS
+    threads a longer dot, and its bits then follow the thread count."""
+    return sum(float(w[i : i + 8192] @ v[i : i + 8192]) for i in range(0, len(w), 8192))
+
+
 def estimate_pose(pset: ParticleSet, fallback_heading: float = 0.0) -> tuple[Pose, bool]:
     """Weighted mean position and circular mean heading.
 
@@ -151,10 +157,10 @@ def estimate_pose(pset: ParticleSet, fallback_heading: float = 0.0) -> tuple[Pos
     if not total > 0:
         raise ValueError("cannot estimate a pose from all-zero weights")
     w = pset.weights / total
-    x = float(w @ pset.states[:, 0])
-    y = float(w @ pset.states[:, 1])
-    sin_sum = float(w @ np.sin(pset.states[:, 2]))
-    cos_sum = float(w @ np.cos(pset.states[:, 2]))
+    x = _dot(w, pset.states[:, 0])
+    y = _dot(w, pset.states[:, 1])
+    sin_sum = _dot(w, np.sin(pset.states[:, 2]))
+    cos_sum = _dot(w, np.cos(pset.states[:, 2]))
     if math.hypot(sin_sum, cos_sum) < 1e-12:
         return Pose(x, y, fallback_heading), False
     return Pose(x, y, math.atan2(sin_sum, cos_sum)), True

@@ -82,11 +82,14 @@ def build_db(items: Iterable[tuple[int, tuple[float, float], np.ndarray]]) -> De
 def distances(stored: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Float64 Euclidean distances from ``q`` to each row of ``stored``, the
     one distance kernel of retrieval and the measurement field. Rows are
-    differenced in blocks of about ``_BLOCK_FLOATS`` floats, two rows at
-    least (einsum sums a lone row longer than 8,192 in chunks), so
+    differenced in blocks of about ``_BLOCK_FLOATS`` floats and never alone
+    (einsum sums a lone row longer than 8,192 in chunks): a block holds two
+    rows at least, and a one-row input is summed as a pair. So
     ``distances(stored[cells], q)`` equals ``distances(stored, q)[cells]``
-    bit for bit unless ``cells`` is one row longer than 8,192."""
+    bit for bit."""
     n = len(stored)
+    if n == 1:
+        return distances(np.concatenate([stored, stored]), q)[:1]
     step = max(2, _BLOCK_FLOATS // max(1, stored.shape[1]))
     dists = np.empty(n)
     for start in range(0, n, step):

@@ -129,24 +129,11 @@ def build_pipeline(cfg: ScenarioConfig) -> PipelineConfig:
         return load_pipeline(cfg.params_file)
     # Both views share one parameter set, standing in for a trained,
     # aligned pair of branches.
+    common = dict(dim=cfg.world_feature_dim, clusters=cfg.clusters, reduced_dim=cfg.reduced_dim,
+                  normalize_output=cfg.normalize_descriptors, tie_views=True)
     if cfg.pipeline_variant == "dual":
-        return random_dual_pipeline(
-            cfg.params_seed,
-            dim=cfg.world_feature_dim,
-            clusters=cfg.clusters,
-            reduced_dim=cfg.reduced_dim,
-            normalize_output=cfg.normalize_descriptors,
-            tie_views=True,
-        )
-    return random_shared_pipeline(
-        cfg.params_seed,
-        dim=cfg.world_feature_dim,
-        clusters=cfg.clusters,
-        reduced_dim=cfg.reduced_dim,
-        hidden_dim=cfg.hidden_dim,
-        normalize_output=cfg.normalize_descriptors,
-        tie_views=True,
-    )
+        return random_dual_pipeline(cfg.params_seed, **common)
+    return random_shared_pipeline(cfg.params_seed, hidden_dim=cfg.hidden_dim, **common)
 
 
 def filter_noise(cfg: ScenarioConfig) -> MotionNoise:

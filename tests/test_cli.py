@@ -276,6 +276,22 @@ class TestTruncatedInputs:
         assert code == 2
         assert "truncated" in err
 
+    @pytest.mark.parametrize("damage", ["trailing byte", "one float short", "variant-2 header"])
+    def test_params_body_not_matching_header_exits_2(self, damage, params_file, tmp_path, capsys):
+        data = bytearray(params_file.read_bytes())
+        if damage == "trailing byte":
+            data += b"\x00"
+        elif damage == "one float short":
+            data = data[:-4]
+        else:
+            struct.pack_into("<I", data, PARAMS_HEADER["variant"], 2)
+        params, out = tmp_path / "damaged.params", tmp_path / "map.db"
+        params.write_bytes(bytes(data))
+        code, _, err = run_cli(["build-db", *SMALL, "--set", f"params_file={params}", "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error[input]")
+        assert not out.exists()
+
 
 # offset and struct format of each database header field after the magic
 DB_HEADER = {"version": (8, "<I"), "count": (12, "<Q"), "dim": (20, "<I")}

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 import cvloc.retrieval
 from cvloc.cli import main
+from cvloc.config import ScenarioConfig
+from cvloc.descriptor import save_pipeline
 from cvloc.mapgrid import geo_distance_m
 from cvloc.retrieval import (
     DescriptorDatabase,
@@ -29,6 +31,7 @@ from cvloc.retrieval import (
     save_db,
     threshold_recall,
 )
+from cvloc.simulate import build_pipeline
 
 
 def random_db(n, dim, seed=0, geo_jitter=0.001):
@@ -54,7 +57,10 @@ def oracle_query(db, q, k):
     """Full-sort reference for :func:`query`: every distance, one lexsort."""
     q = np.asarray(q, dtype=np.float64)
     diff = db.descriptors.astype(np.float64) - q[None, :]
-    dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    # the lone row of a one-entry database summed as a pair, as every row of a
+    # larger one is: einsum sums a lone row longer than 8,192 in chunks
+    rows = np.concatenate([diff, diff]) if len(db) == 1 else diff
+    dists = np.sqrt(np.einsum("ij,ij->i", rows, rows))[: len(db)]
     order = np.lexsort((db.ids, dists))[:k]
     return RetrievalResult(db.ids[order].copy(), dists[order].copy())
 
@@ -128,7 +134,7 @@ class TestQueryRowBlocks:
     one shot. Exact ties straddle each block boundary, with ids falling along
     the rows so the id tie-break reorders rows across blocks."""
 
-    # 1,024, 10, 3 and 2 rows per block; past 8,192 a lone row would sum differently
+    # 1,024, 10, 3 and 2 rows per block; past 8,192 a lone-row einsum would sum differently
     @pytest.mark.parametrize("dim", [32, 3000, 10_000, 40_000])
     def test_block_edges_equal_full_sort(self, dim):
         block = max(2, cvloc.retrieval._BLOCK_FLOATS // dim)
@@ -168,15 +174,16 @@ class TestDistanceKernel:
         # a stored row at the query is at distance 0 exactly
         assert distances(stored, stored[4].astype(np.float64))[4] == 0.0
 
-    # 3 and 2 rows per block; 7 rows leave a last block of one row, which a
-    # lone-row einsum would sum differently
+    # 3 and 2 rows per block; 7 rows leave a last block of one row, and a
+    # gather of one row is a database of one row, either of which a lone-row
+    # einsum would sum differently
     @pytest.mark.parametrize("dim", [10_000, 40_000])
     def test_long_rows_in_every_pair_and_triple(self, dim):
         rng = np.random.default_rng(dim)
         stored = rng.normal(size=(7, dim)).astype(np.float32)
         q = rng.normal(size=dim)
         whole = distances(stored, q)
-        for size in (2, 3):
+        for size in (1, 2, 3):
             for cells in itertools.combinations(range(7), size):
                 cells = list(cells)
                 np.testing.assert_array_equal(distances(stored[cells], q), whole[cells])
@@ -546,6 +553,13 @@ class TestPersistence:
     def test_build_db_default_bytes_unchanged(self, tmp_path, capsys):
         path = tmp_path / "map.db"
         assert main(["build-db", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == BUILD_DB_DEFAULT_SHA256
+
+    def test_build_db_from_saved_default_params_bytes_unchanged(self, tmp_path, capsys):
+        params, path = tmp_path / "default.params", tmp_path / "map.db"
+        save_pipeline(build_pipeline(ScenarioConfig(out_dir="")), str(params))
+        assert main(["build-db", "--set", f"params_file={params}", "--out", str(path)]) == 0
         capsys.readouterr()
         assert hashlib.sha256(path.read_bytes()).hexdigest() == BUILD_DB_DEFAULT_SHA256
 

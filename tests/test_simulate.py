@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -176,6 +177,38 @@ class TestRunSimulation:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["steps"] == 40
 
+
+
+# sha256 of `steps.csv` at the default scenario config per measurement mode
+# and master seed, recorded before the pose estimate summed in fixed chunks
+# (one chunk at 1,000 particles, so these bits did not move)
+STEP_LOG_SHA256 = {
+    ("corner-sum", 1): "a96a4ac825c61df4857a081b30fffe4f6196ff16017a2fef9260d47bd686b155",
+    ("corner-sum", 2): "990bc5c5f963f18a7323b9cfdeb15dcbcaf517e8ebbb4051bb63f36291b73e24",
+    ("corner-sum", 3): "da6b661793e44949ffa24db432215a5d014c661d86936d8ac25bcfa0fbda0371",
+    ("bilinear", 1): "821dca0ad644ea7b830984fb1a98bb9828e04efa5f4bceb8c0f603afba007888",
+    ("bilinear", 2): "6fd6643e1f25e12781d008608b1bb10b8eac3274a0c45c48449f1f59d8ac287d",
+    ("bilinear", 3): "decb088945e5008794f238397db3cecf224dad1062032595b0399ac6a1738072",
+}
+# sha256 of `steps.csv` for 20 steps at 1e5 particles, recorded with the
+# chunked pose estimate; a whole-array BLAS dot gave a different log at one
+# thread than at two or four
+STEP_LOG_1E5_SHA256 = "6e135b1af11e4bd6e0090f1e01405143d7e3d8cb7bba5ee2c5e793400d44bcbb"
+
+
+def step_log_sha256(out_dir, **overrides):
+    run_simulation(ScenarioConfig(out_dir="", **overrides), out_dir=str(out_dir))
+    return hashlib.sha256((out_dir / "steps.csv").read_bytes()).hexdigest()
+
+
+class TestGoldenStepLogs:
+    @pytest.mark.parametrize("mode, seed", sorted(STEP_LOG_SHA256))
+    def test_default_step_log_bytes_unchanged(self, mode, seed, tmp_path):
+        got = step_log_sha256(tmp_path, master_seed=seed, measurement_mode=mode)
+        assert got == STEP_LOG_SHA256[mode, seed]
+
+    def test_1e5_particle_step_log_bytes_unchanged(self, tmp_path):
+        assert step_log_sha256(tmp_path, particles=100_000, traj_steps=20) == STEP_LOG_1E5_SHA256
 
 class TestEvalRetrieval:
     def test_metrics_shapes_and_monotonicity(self, tmp_path):

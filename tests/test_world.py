@@ -15,6 +15,7 @@ from cvloc.descriptor import (
     forward,
     forward_batch,
     random_dual_pipeline,
+    save_pipeline,
 )
 from cvloc.mapgrid import GridMap, OutOfMapError
 from cvloc.motion import Pose
@@ -298,6 +299,15 @@ class TestBlockedMapBuild:
         descriptors = build_descriptor_map(world, pipeline, seed).descriptors
         assert len(blocks) == -(-world.grid.height // block_rows(world)) > 1
         assert descriptors.shape == (48841, 32)
+        assert hashlib.sha256(descriptors.tobytes()).hexdigest() == MAP_2M_SHA256[variant]
+
+    @pytest.mark.parametrize("variant", sorted(MAP_2M_SHA256))
+    def test_2m_map_from_saved_params_bytes_unchanged(self, variant, tmp_path):
+        cfg = ScenarioConfig(cell_interval=2.0, pipeline_variant=variant, out_dir="")
+        params = tmp_path / "default.params"
+        save_pipeline(build_pipeline(cfg), str(params))
+        cfg.params_file = str(params)
+        descriptors = build_descriptor_map(build_world(cfg), build_pipeline(cfg), cfg.world_seed).descriptors
         assert hashlib.sha256(descriptors.tobytes()).hexdigest() == MAP_2M_SHA256[variant]
 
     @pytest.mark.parametrize("variant", sorted(MAP_1M_SHA256))
