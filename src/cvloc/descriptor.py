@@ -139,15 +139,19 @@ class BranchParams:
 
 @dataclass(frozen=True)
 class DualPipeline:
-    """Independent aggregator and reduction per view; cluster counts must match."""
+    """Independent aggregator and reduction per view, of the same shapes."""
 
     satellite: BranchParams
     ground: BranchParams
     normalize_output: bool = True
 
     def __post_init__(self):
-        if self.satellite.vlad.clusters != self.ground.vlad.clusters:
-            raise ValueError("both aggregators must use the same cluster count")
+        # the parameter container's header holds one set of dimensions for both
+        sat, grd = self.satellite, self.ground
+        if (sat.vlad.centroids.shape, sat.reduction.weight.shape) != (grd.vlad.centroids.shape,
+                                                                       grd.reduction.weight.shape):
+            raise ValueError("both branches must have the same cluster count, feature dimension "
+                             "and reduction shape")
 
     def branch(self, view: str) -> BranchParams:
         return self.satellite if view == SATELLITE else self.ground
@@ -227,8 +231,16 @@ def _vlad_batch(params: VladParams, feats: np.ndarray) -> np.ndarray:
     """(B, N, D) feature batches -> (B, K*D) aggregated residuals."""
     b, n, d = feats.shape
     a = _assign_batch(params, feats.reshape(-1, d)).reshape(-1, b, n)  # (K, B, N)
-    # adds over N one by one, as the former middle-axis sum: an outer-axis sum of an N-leading copy
-    totals = np.ascontiguousarray(a.transpose(2, 1, 0)).sum(axis=0)  # (B, K)
+    # adds over N one by one, as the former middle-axis sum did. A block takes N − 1
+    # adds of (K, B) slices, skipping a block-sized strided copy; a single set, where
+    # those calls would cost ~35 µs, sums an N-leading copy of its few values.
+    if b == 1:
+        totals = np.ascontiguousarray(a.transpose(2, 1, 0)).sum(axis=0)  # (B, K)
+    else:
+        t = a[:, :, 0].copy()  # (K, B)
+        for i in range(1, n):
+            t += a[:, :, i]
+        totals = t.T
     weighted = np.matmul(a.transpose(1, 0, 2), feats)  # (B, K, D)
     del a  # freed before the (B, K, D) product below
     weighted -= totals[:, :, None] * params.centroids

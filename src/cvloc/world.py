@@ -11,8 +11,12 @@ cross-view matching realistic rather than exact.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,9 +29,10 @@ from .motion import Pose
 TWO_PI = 2.0 * math.pi
 
 # A map-build block is whole grid rows (at least one) whose float64 features fit
-# MAP_BLOCK_BYTES, ~1,024 cells at 24 × 16; lattice features go in chunks of
+# MAP_BLOCK_BYTES, ~512 cells at 24 × 16; lattice features go in chunks of
 # FEATURE_CHUNK_COLUMNS columns. Blocks, chunks and their temporaries stay in cache.
-MAP_BLOCK_BYTES = 3 << 20
+# Fixed, not derived from the worker count, so the map's bits never depend on the machine.
+MAP_BLOCK_BYTES = 3 << 19
 FEATURE_CHUNK_COLUMNS = 128
 
 
@@ -193,27 +198,63 @@ def satellite_cell_features(world: SyntheticWorld, rng_seed: int, rows: slice = 
     return feats
 
 
+@contextmanager
+def _blas_on_one_thread():
+    """Pin numpy's bundled OpenBLAS to one thread and restore the former count
+    after; yields False, pinning nothing, where it has no such functions."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # resolves the OpenBLAS numpy links
+    get, set_ = (getattr(lib, f"scipy_openblas_{op}_num_threads64_", None) for op in ("get", "set"))
+    if get is None or set_ is None:
+        yield False
+        return
+    get.argtypes, get.restype, set_.argtypes, set_.restype = [], ctypes.c_int, [ctypes.c_int], None
+    former = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(former)
+
+
 def build_descriptor_map(world: SyntheticWorld, pipeline: PipelineConfig, rng_seed: int) -> GridMap:
     """Run every cell's satellite features through the pipeline and store
     the descriptors on the grid (float32, matching the database format).
 
     The map is built in blocks of whole grid rows whose float64 features fit
     ``MAP_BLOCK_BYTES`` (one row if larger), so a block stays in cache and peak
-    memory does not grow with the map beyond the float32 output itself.
+    memory does not grow with the map beyond the float32 output itself. Block
+    i goes to worker i mod workers, one per CPU and the calling thread first,
+    with OpenBLAS on one thread; each block writes only its own rows.
     """
     grid = world.grid
-    out = None
     step = max(1, MAP_BLOCK_BYTES // (grid.width * world.n_features * world.feature_dim * 8))
-    for r0 in range(0, grid.height, step):
-        rows = slice(r0, min(r0 + step, grid.height))
-        descs = forward_batch(pipeline, satellite_cell_features(world, rng_seed, rows), SATELLITE)
-        if out is None:
-            out = np.empty((grid.num_cells, descs.shape[1]), dtype=np.float32)
-        block = out[rows.start * grid.width : rows.stop * grid.width]
-        block[:] = descs
-        # checked as stored: a finite float64 value can still overflow float32
-        if not np.all(np.isfinite(block)):
-            raise ValueError(f"non-finite map descriptors in grid rows {rows.start}..{rows.stop - 1}")
+    blocks = [slice(r0, min(r0 + step, grid.height)) for r0 in range(0, grid.height, step)]
+    out, bad = None, []
+
+    def build(share: list[slice]) -> None:
+        nonlocal out
+        for rows in share:
+            descs = forward_batch(pipeline, satellite_cell_features(world, rng_seed, rows), SATELLITE)
+            if out is None:  # filled here: map pages first touched by a worker slowed later reads
+                out = np.full((grid.num_cells, descs.shape[1]), np.nan, dtype=np.float32)
+            block = out[rows.start * grid.width : rows.stop * grid.width]
+            block[:] = descs
+            # checked as stored: a finite float64 value can still overflow float32
+            if not np.all(np.isfinite(block)):
+                bad.append(rows)
+
+    with _blas_on_one_thread() as pinned:
+        workers = min(len(os.sched_getaffinity(0)), len(blocks)) if pinned else 1
+        shares = [blocks[i::workers] for i in range(workers)]
+        build(shares[0][:1])  # alone: sizes the output and caches the lattice factors
+        with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # threads start on submit only
+            futures = [pool.submit(build, share) for share in shares[1:]]
+            build(shares[0][1:])
+            for f in futures:
+                f.result()
+    if bad:
+        rows = min(bad, key=lambda r: r.start)
+        raise ValueError(f"non-finite map descriptors in grid rows {rows.start}..{rows.stop - 1}")
     return grid.with_descriptors(out)
 
 

@@ -311,6 +311,22 @@ class TestParameterFile:
         save_pipeline(load_pipeline(str(a)), str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("ground", [{"clusters": 4}, {"dim": 12}, {"reduced_dim": 16}])
+    def test_mismatched_ground_branch_rejected_when_built(self, ground):
+        # saving one would write a file that load_pipeline rejects
+        with pytest.raises(ValueError, match="both branches"):
+            DualPipeline(random_dual_pipeline(1).satellite, random_dual_pipeline(2, **ground).ground)
+
+    @pytest.mark.parametrize("tie_views", [False, True])
+    @pytest.mark.parametrize("maker", [random_dual_pipeline, random_shared_pipeline])
+    @pytest.mark.parametrize("dims", [{}, {"clusters": 1}, {"dim": 12},
+                                      {"clusters": 3, "dim": 5, "reduced_dim": 7}])
+    def test_every_valid_pipeline_loads_and_saves_the_same_bytes(self, maker, dims, tie_views, tmp_path):
+        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_pipeline(maker(5, tie_views=tie_views, **dims), str(a))
+        save_pipeline(load_pipeline(str(a)), str(b))
+        assert a.read_bytes() == b.read_bytes()
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.bin"
         p.write_bytes(b"NOTAPRM0" + b"\x00" * 64)

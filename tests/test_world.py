@@ -1,11 +1,14 @@
+import ctypes
 import hashlib
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import cvloc.world
+from cvloc.cli import main
 from cvloc.config import ScenarioConfig
 from cvloc.descriptor import (
     SATELLITE,
@@ -222,7 +225,40 @@ def forward_block_sizes(monkeypatch):
     return sizes
 
 
-# non-square, more than one block of rows (10 rows of 97 cells at 24 x 16
+def with_workers(monkeypatch, workers):
+    """Give the map build ``workers`` CPUs; returns the set of threads its
+    forward passes run on."""
+    monkeypatch.setattr(cvloc.world.os, "sched_getaffinity", lambda pid: set(range(workers)))
+    threads = set()
+
+    def recording_forward(config, feats, view):
+        threads.add(threading.get_ident())
+        return forward_batch(config, feats, view)
+
+    monkeypatch.setattr(cvloc.world, "forward_batch", recording_forward)
+    return threads
+
+
+def ran_pooled(threads, workers):
+    """Whether a build given ``workers`` CPUs ran on the calling thread alone
+    (one worker) or on it and pool threads. A pool thread that finishes its
+    share before the next is submitted may be handed that one too, so more
+    than one thread, not ``workers`` threads, is what a pooled build ensures."""
+    return len(threads) == 1 if workers == 1 else 1 < len(threads) <= workers
+
+
+# numpy's bundled OpenBLAS; the map build pins it to one thread and runs on
+# one worker where it lacks these thread-count functions
+OPENBLAS = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+POOLED = hasattr(OPENBLAS, "scipy_openblas_get_num_threads64_")
+if POOLED:
+    OPENBLAS.scipy_openblas_get_num_threads64_.argtypes = []
+    OPENBLAS.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+    OPENBLAS.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+    OPENBLAS.scipy_openblas_set_num_threads64_.restype = None
+
+
+# non-square, more than one block of rows (5 rows of 97 cells at 24 x 16
 # features), and a height that is not a multiple of it
 ODD_GRID = GridMap((40.0, -105.0), 2.5, 97, 131)
 # wider than one feature chunk and not a multiple of it
@@ -334,25 +370,28 @@ class TestBlockedMapBuild:
             build_descriptor_map(SyntheticWorld(grid=grid, seed=7, n_features=n), pipeline, 7)
             assert sum(blocks) == grid.num_cells
             rows[n] = blocks[0] // grid.width
-        # 64 cells x N x 16 float64 features: 16, 8 and 4 rows fit 3 MiB
-        assert rows == {24: 16, 48: 8, 96: 4}
+        # 64 cells x N x 16 float64 features: at 1.5 MiB, 8, 4 and 2 rows fit
+        assert rows == {n: MAP_BLOCK_BYTES // (64 * n * 16 * 8) for n in rows}
+        assert rows[24] == 2 * rows[48] == 4 * rows[96] > 1
 
     # the shared pipeline also holds two layer outputs of a block
     @pytest.mark.parametrize("variant, budgets", [("dual", 2), ("shared", 3)])
-    def test_traced_peak_stays_within_the_block_budgets(self, variant, budgets):
+    def test_traced_peak_stays_within_the_block_budgets(self, variant, budgets, monkeypatch):
         # The per-map lattice factors (one row of cos and sin, cached) are
-        # computed first; the traced peak is then the float32 output plus one
-        # block's features, assignments and temporaries. The build with
-        # 8,192-cell blocks and a prefix-sum array peaked ~58 MB over the output.
+        # computed first; the traced peak is then the float32 output plus, per
+        # worker, one block's features, assignments and temporaries. The build
+        # with 8,192-cell blocks and a prefix-sum array peaked ~58 MB over the output.
         world, pipeline, seed = default_map(2.0, variant)
         satellite_cell_features(world, seed, slice(0, 1))
-        tracemalloc.start()
-        try:
-            descriptors = build_descriptor_map(world, pipeline, seed).descriptors
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - descriptors.nbytes <= budgets * MAP_BLOCK_BYTES
+        for workers in (1, 2):
+            with_workers(monkeypatch, workers)
+            tracemalloc.start()
+            try:
+                descriptors = build_descriptor_map(world, pipeline, seed).descriptors
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - descriptors.nbytes <= workers * budgets * MAP_BLOCK_BYTES, workers
 
     def test_default_5m_map_equals_oneshot_build_exactly(self, monkeypatch):
         world, pipeline, seed = default_map(5.0)
@@ -392,3 +431,84 @@ class TestBlockedMapBuild:
         branch = BranchParams(p.satellite.vlad, big)
         with pytest.raises(ValueError, match="non-finite"):
             build_descriptor_map(make_world(cells=11), DualPipeline(branch, branch, False), 7)
+
+
+@pytest.mark.skipif(not POOLED, reason="numpy's OpenBLAS has no thread-count functions: one worker")
+class TestPooledMapBuild:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("variant", sorted(MAP_2M_SHA256))
+    def test_2m_map_bytes_unchanged_at_any_worker_count(self, variant, workers, monkeypatch):
+        world, pipeline, seed = default_map(2.0, variant)
+        threads = with_workers(monkeypatch, workers)
+        descriptors = build_descriptor_map(world, pipeline, seed).descriptors
+        assert ran_pooled(threads, workers)
+        assert hashlib.sha256(descriptors.tobytes()).hexdigest() == MAP_2M_SHA256[variant]
+
+    def test_odd_grid_identical_at_any_worker_count(self, monkeypatch):
+        w = SyntheticWorld(grid=ODD_GRID, seed=7, **WORLD_KINDS["corridor+alias"])
+        pipeline = random_dual_pipeline(11, tie_views=True)
+        maps = []
+        for workers in (1, 2, 4):
+            threads = with_workers(monkeypatch, workers)
+            maps.append(build_descriptor_map(w, pipeline, 7).descriptors)
+            assert ran_pooled(threads, workers)
+        assert maps[0].tobytes() == maps[1].tobytes() == maps[2].tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_non_finite_block_in_row_order_is_named(self, workers, monkeypatch):
+        w = SyntheticWorld(grid=ODD_GRID, seed=7)
+        step = block_rows(w)
+        bad = (3 * step, 4 * step)  # blocks 3 and 4: one in each worker's share at two workers
+        with_workers(monkeypatch, workers)
+
+        def poisoned(world, seed, rows):
+            feats = satellite_cell_features(world, seed, rows)
+            if rows.start in bad:
+                feats[:] = np.nan
+            return feats
+
+        monkeypatch.setattr(cvloc.world, "satellite_cell_features", poisoned)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError) as err:
+            build_descriptor_map(w, random_dual_pipeline(11, tie_views=True), 7)
+        assert str(err.value).endswith(f"grid rows {bad[0]}..{bad[0] + step - 1}")
+
+    def test_worker_exception_exits_2(self, tmp_path, monkeypatch, capsys):
+        with_workers(monkeypatch, 2)
+
+        def failing_in_a_worker(config, feats, view):
+            if threading.current_thread() is not threading.main_thread():
+                raise ValueError("block failed in a worker")
+            return forward_batch(config, feats, view)
+
+        monkeypatch.setattr(cvloc.world, "forward_batch", failing_in_a_worker)
+        out = tmp_path / "map.db"
+        assert main(["build-db", "--out", str(out)]) == 2
+        assert "block failed in a worker" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_blas_thread_count_restored_after_the_build(self, monkeypatch):
+        get, set_ = OPENBLAS.scipy_openblas_get_num_threads64_, OPENBLAS.scipy_openblas_set_num_threads64_
+        with_workers(monkeypatch, 2)
+        world, pipeline, seed = default_map(5.0)
+        seen, threads, fail = [], set(), []
+
+        def forward_on_one_blas_thread(config, feats, view):
+            seen.append(get())
+            threads.add(threading.get_ident())
+            if fail and threading.current_thread() is not threading.main_thread():
+                raise ValueError("block failed in a worker")
+            return forward_batch(config, feats, view)
+
+        monkeypatch.setattr(cvloc.world, "forward_batch", forward_on_one_blas_thread)
+        former = get()
+        try:
+            set_(3)
+            build_descriptor_map(world, pipeline, seed)
+            assert get() == 3 and len(threads) == 2
+            fail.append(True)
+            with pytest.raises(ValueError, match="in a worker"):
+                build_descriptor_map(world, pipeline, seed)
+            assert get() == 3
+        finally:
+            set_(former)
+        assert set(seen) == {1}
