@@ -10,6 +10,7 @@ that it created.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import struct
@@ -41,7 +42,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--set",
         dest="overrides",
         action="append",
-        default=[],
+        default=None,  # a list default would be one object shared by every parse
         metavar="KEY=VALUE",
         help="override a scenario key (repeatable)",
     )
@@ -50,7 +51,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _scenario(args) -> ScenarioConfig:
     overrides = {}
-    for item in args.overrides:
+    for item in args.overrides or ():
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
@@ -146,7 +147,12 @@ def cmd_eval(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: it depends on no
+    input, so callers that run :func:`main` many times in one process do
+    not rebuild its six parsers on every command. Parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(prog="cvloc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

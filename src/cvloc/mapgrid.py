@@ -155,13 +155,14 @@ def geo_distance_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 
 def corner_cells(
     grid: GridMap, xs: np.ndarray, ys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The lattice cell under each point: ``(inside, sw, tx, ty)``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The lattice cell under each point: ``(inside, i, j, tx, ty)``.
 
     ``inside`` masks points within the hull (non-finite ones are outside).
-    For the inside points, in order, ``sw`` is the cell's SW corner index
-    and ``tx``, ``ty`` the offsets within it. The column is ``int(x / s)``;
-    far east/north edge points belong to the last interior cell.
+    For the inside points, in order, ``i``, ``j`` are the column and row of
+    the cell's SW corner (index ``j * width + i``) and ``tx``, ``ty`` the
+    offsets within it. The column is ``int(x / s)``; far east/north edge
+    points belong to the last interior cell.
     """
     ex, ey = grid.extent
     inside = (xs >= 0) & (xs <= ex) & (ys >= 0) & (ys <= ey)
@@ -171,7 +172,7 @@ def corner_cells(
     gy = ys / grid.cell_interval
     i = np.minimum(gx.astype(np.int64), grid.width - 2)
     j = np.minimum(gy.astype(np.int64), grid.height - 2)
-    return inside, j * grid.width + i, gx - i, gy - j
+    return inside, i, j, gx - i, gy - j
 
 
 def surrounding_corners(grid: GridMap, p: LocalPoint) -> tuple[int, int, int, int]:
@@ -182,10 +183,10 @@ def surrounding_corners(grid: GridMap, p: LocalPoint) -> tuple[int, int, int, in
     """
     if not (math.isfinite(p.x) and math.isfinite(p.y)):
         raise ValueError(f"non-finite local point {p}")
-    inside, sw, _, _ = corner_cells(grid, np.array([p.x]), np.array([p.y]))
+    inside, i, j, _, _ = corner_cells(grid, np.array([p.x]), np.array([p.y]))
     if not inside[0]:
         raise OutOfMapError(f"point {p} outside grid hull {grid.extent}")
-    sw = int(sw[0])
+    sw = int(j[0] * grid.width + i[0])
     return (sw, sw + 1, sw + grid.width, sw + grid.width + 1)
 
 

@@ -119,24 +119,45 @@ def _softmax_field(db_map: GridMap, values: np.ndarray) -> np.ndarray:
     return d
 
 
-def _corner_scores(field: ProbabilityField, sw: np.ndarray) -> tuple[np.ndarray, float]:
-    """Scores over the cells, exp(m - d), set only at the four corner cells
-    of each SW corner in ``sw``; d is the query distance of a cell, the same
-    bits as in the full field, and m the least d among those cells. Each
-    distinct cell is scored once: the SW corners are marked first, and the
-    other three corners of each distinct one after."""
+def _corner_scores(
+    field: ProbabilityField, i: np.ndarray, j: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Scores exp(m - d) at the four corner cells of each SW corner (i, j),
+    over the window of rows and columns the SW corners span plus one of each;
+    d is the query distance of a cell, the same bits as in the full field,
+    and m the least d among those cells. Each distinct cell is scored once,
+    in ascending map order: the SW corners are marked first, and the other
+    three corners of each distinct one after. Returns the window's scores
+    (flat, row-major), each SW corner's index in them, the window width and
+    m; the window, not the map, sets the cost."""
     grid = field.grid
-    mark = np.zeros(grid.num_cells, dtype=bool)
+    i0, j0 = int(i.min()), int(j.min())
+    w = int(i.max()) - i0 + 2
+    sw = j * w
+    sw += i
+    sw -= j0 * w + i0
+    mark = np.zeros((int(j.max()) - j0 + 2) * w, dtype=bool)
     mark[sw] = True
     distinct = np.flatnonzero(mark)
-    for offset in (1, grid.width, grid.width + 1):
+    for offset in (1, w, w + 1):
         mark[distinct + offset] = True
-    cells = np.flatnonzero(mark)
-    d = distances(grid.descriptors[cells], field.query)
+    rows, cols = np.nonzero(mark.reshape(-1, w))
+    d = distances(grid.descriptors[(rows + j0) * grid.width + (cols + i0)], field.query)
     m = float(d.min())
-    scores = np.empty(grid.num_cells)
-    scores[cells] = np.exp(m - d)
-    return scores, m
+    scores = np.empty(mark.size)
+    scores[rows * w + cols] = np.exp(m - d)
+    return scores, sw, w, m
+
+
+def _corner_values(table: np.ndarray, sw: np.ndarray, width: int) -> np.ndarray:
+    """(SW, SE, NW, NE) values, (4, M), at SW corners ``sw`` of a row-major
+    ``table`` ``width`` wide. Gathered one corner at a time, so no (4, M)
+    index array is made. Every index is in the table by construction, so
+    ``clip`` changes none and spares ``take`` its buffered bounds check."""
+    values = np.empty((4, len(sw)))
+    for row, offset in zip(values, (0, 1, width, width + 1)):
+        np.take(table, sw + offset, out=row, mode="clip")
+    return values
 
 
 def _combine(corners: np.ndarray, tx: np.ndarray, ty: np.ndarray, mode: str) -> np.ndarray:
@@ -178,17 +199,17 @@ def measurement_probabilities(
         raise ValueError(f"unknown measurement mode {mode!r}; expected one of {MODES}")
     states = np.asarray(states, dtype=np.float64)
     grid = field.grid
-    inside, sw, tx, ty = corner_cells(grid, states[:, 0], states[:, 1])
-    corners = sw + np.array([[0], [1], [grid.width], [grid.width + 1]])
+    inside, i, j, tx, ty = corner_cells(grid, states[:, 0], states[:, 1])
     if field.lazy and inside.size and inside.all():
-        scores, m = _corner_scores(field, sw)
-        meas = _combine(scores[corners], tx, ty, mode)
+        scores, sw, w, m = _corner_scores(field, i, j)
+        meas = _combine(_corner_values(scores, sw, w), tx, ty, mode)
         top = float(meas.max())
         if top > 0 and math.log(top) > math.log(field.floor) + math.log(grid.num_cells) + m:
             return meas, False
     out = np.full(inside.shape, field.floor)
     if inside.any():
-        out[inside] = _combine(field.probabilities[corners], tx, ty, mode)
+        corners = _corner_values(field.probabilities, j * grid.width + i, grid.width)
+        out[inside] = _combine(corners, tx, ty, mode)
     return out, not bool(np.any(out > field.floor))
 
 

@@ -14,7 +14,7 @@ import cvloc.mapgrid
 import cvloc.retrieval
 import cvloc.simulate
 import cvloc.world
-from cvloc.cli import main
+from cvloc.cli import build_parser, main
 from cvloc.config import ScenarioConfig
 from cvloc.descriptor import random_dual_pipeline, save_pipeline
 from cvloc.retrieval import load_db
@@ -775,3 +775,42 @@ class TestEvalCommand:
         assert float(mid[0]) == pytest.approx(0.0)
         assert float(mid[1]) == pytest.approx(1.0)
         assert float(mid[2]) == pytest.approx(np.log(2))
+
+
+class TestReentrantMain:
+    """``main`` parses with one parser per process; no call may leave state
+    in it for the next."""
+
+    def query(self, db, capsys, *extra):
+        return run_cli(["query", *SMALL, "--db", str(db), "--pose", "60,60,0", "-k", "5", *extra], capsys)
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_set_does_not_reach_the_next_call(self, small_db, capsys):
+        code, before, _ = self.query(small_db, capsys)
+        assert code == 0 and len(before.splitlines()) == 6
+        code, other, _ = self.query(small_db, capsys, "--set", "world_seed=99")
+        assert code == 0 and other != before  # the override took effect
+        assert self.query(small_db, capsys) == (0, before, "")
+
+    def test_same_rows_after_a_usage_error_and_a_config_error(self, small_db, capsys):
+        code, before, _ = self.query(small_db, capsys)
+        assert code == 0
+        with pytest.raises(SystemExit) as usage:
+            main(["query", "--db", str(small_db), "--pose", "60,60,0", "-k", "five"])
+        assert usage.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+        assert self.query(small_db, capsys) == (0, before, "")
+        code, printed, err = self.query(small_db, capsys, "--set", "nope=1")
+        assert code == 2 and printed == "" and "nope" in err
+        assert self.query(small_db, capsys) == (0, before, "")
+
+    def test_mutating_a_namespace_does_not_reach_a_later_parse(self):
+        parser = build_parser()
+        for extra in (["--set", "a=1"], []):
+            args = parser.parse_args(["query", "--pose", "1,1,0", *extra])
+            if args.overrides is not None:
+                args.overrides.append("leak=1")
+        assert not parser.parse_args(["query", "--pose", "1,1,0"]).overrides
+        assert parser.parse_args(["query", "--pose", "1,1,0", "--set", "c=3"]).overrides == ["c=3"]

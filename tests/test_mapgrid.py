@@ -147,7 +147,7 @@ def masked_corner_cells(grid, xs, ys):
     gy = ys[inside] / grid.cell_interval
     i = np.minimum(gx.astype(np.int64), grid.width - 2)
     j = np.minimum(gy.astype(np.int64), grid.height - 2)
-    return inside, j * grid.width + i, gx - i, gy - j
+    return inside, i, j, gx - i, gy - j
 
 
 # on the map, on its far edges, off it, and not finite
@@ -170,8 +170,8 @@ class TestCornerCells:
     def test_all_on_map_outputs_are_fresh_arrays(self):
         g = make_grid(width=5, height=5)
         states = np.random.default_rng(0).uniform(0, 40, (50, 3))
-        inside, sw, tx, ty = corner_cells(g, states[:, 0], states[:, 1])
-        assert inside.all() and len(sw) == 50
+        inside, i, j, tx, ty = corner_cells(g, states[:, 0], states[:, 1])
+        assert inside.all() and len(i) == len(j) == 50
         assert not (np.shares_memory(tx, states) or np.shares_memory(ty, states))
 
 

@@ -8,10 +8,13 @@ from mpmath import mp
 
 from cvloc.config import ScenarioConfig
 from cvloc.descriptor import GROUND, forward
-from cvloc.mapgrid import GridMap, LocalPoint, surrounding_corners
+from cvloc.mapgrid import GridMap, LocalPoint, corner_cells, surrounding_corners
 from cvloc.measurement import (
     MODES,
     ProbabilityField,
+    _combine,
+    _corner_scores,
+    _corner_values,
     emit_heatmap,
     location_probabilities,
     measurement_probabilities,
@@ -21,6 +24,7 @@ from cvloc.measurement import (
 )
 from cvloc.motion import MotionNoise, Pose, make_rng
 from cvloc.pfilter import init_particles, localize_step
+from cvloc.retrieval import distances
 from cvloc.simulate import build_pipeline, build_world, filter_noise, scenario_trajectory
 from cvloc.world import build_descriptor_map, synth_features
 
@@ -278,6 +282,78 @@ class TestSparseWeighting:
         field = location_probabilities(db_map, q)
         q[:] = 0.0
         assert int(np.argmax(field.probabilities)) == 0
+
+
+def whole_grid_corner_scores(field, states):
+    """Oracle of the windowed corner scores: a mark array and a score table
+    over every cell of the map. Returns the (4, M) corner scores of the
+    states, in (SW, SE, NW, NE) order, and m."""
+    grid = field.grid
+    _, i, j, _, _ = corner_cells(grid, states[:, 0], states[:, 1])
+    sw = j * grid.width + i
+    mark = np.zeros(grid.num_cells, dtype=bool)
+    mark[sw] = True
+    distinct = np.flatnonzero(mark)
+    for offset in (1, grid.width, grid.width + 1):
+        mark[distinct + offset] = True
+    cells = np.flatnonzero(mark)
+    d = distances(grid.descriptors[cells], field.query)
+    m = float(d.min())
+    scores = np.empty(grid.num_cells)
+    scores[cells] = np.exp(m - d)
+    return scores[sw + np.array([[0], [1], [grid.width], [grid.width + 1]])], m
+
+
+def corner_cloud(db_map, kind, seed, m=200):
+    """States on the map: a tight cluster, a cluster against the east and
+    north edges (with points exactly on them), one state, or a cloud over
+    the whole map that reaches both of its far corners."""
+    rng = np.random.default_rng(seed)
+    ex, ey = db_map.extent
+    if kind == "cluster":
+        centre = rng.uniform(3, [ex - 3, ey - 3])
+        return np.clip(centre + rng.normal(scale=1.5, size=(m, 2)), 0, [ex, ey])
+    if kind == "east-north-edges":
+        states = np.column_stack([rng.uniform(ex - 4, ex, m), rng.uniform(ey - 4, ey, m)])
+        states[: m // 4, 0] = ex
+        states[m // 4 : m // 2, 1] = ey
+        return states
+    if kind == "one-state":
+        return rng.uniform(0, [ex, ey], (1, 2))
+    states = states_on_map(db_map, seed, m)
+    states[0], states[1] = (0.0, 0.0), (ex, ey)
+    return states
+
+
+class TestWindowedCornerScores:
+    """The weighting's corner scores over the SW corners' window against the
+    whole-grid oracle: the same cells in the same order, so the same bits."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("kind", ["cluster", "east-north-edges", "one-state", "whole-map"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_whole_grid_oracle(self, seed, kind, mode):
+        db_map = unit_descriptor_map(seed, 1.0)
+        states = corner_cloud(db_map, kind, seed)
+        inside, i, j, tx, ty = corner_cells(db_map, states[:, 0], states[:, 1])
+        assert inside.all()
+        for name, q in oracle_queries(db_map, seed)[:3]:
+            field = location_probabilities(db_map, q)
+            want, want_m = whole_grid_corner_scores(field, states)
+            scores, sw, w, m = _corner_scores(field, i, j)
+            assert m == want_m, name
+            np.testing.assert_array_equal(_corner_values(scores, sw, w), want, err_msg=name)
+            got, degenerate = measurement_probabilities(field, states, mode)
+            assert field.lazy and not degenerate, name
+            np.testing.assert_array_equal(got, _combine(want, tx, ty, mode), err_msg=name)
+
+    def test_window_spans_the_corners_plus_one_row_and_column(self):
+        db_map = unit_descriptor_map(0, 1.0)
+        field = location_probabilities(db_map, db_map.descriptors[0])
+        i, j = np.array([7, 3, 5]), np.array([2, 9, 4])
+        scores, sw, w, _ = _corner_scores(field, i, j)
+        assert w == 7 - 3 + 2 and scores.size == w * (9 - 2 + 2)
+        np.testing.assert_array_equal(sw, (j - 2) * w + (i - 3))
 
 
 class TestMeasurementProbability:
