@@ -18,22 +18,12 @@ import sys
 
 import numpy as np
 
-from .config import CREATED_OUTPUTS, ConfigError, ScenarioConfig, apply_overrides, load_config
-from .descriptor import GROUND, forward
+from .config import CREATED_OUTPUTS, ConfigError, ScenarioConfig, load_config
 from .mapgrid import OutOfMapError, local_to_geo
 from .measurement import emit_heatmap, location_probabilities, measurement_probability
 from .motion import Pose
 from .retrieval import load_db, query as db_query, save_db
-from .simulate import (
-    build_descriptor_map,
-    build_pipeline,
-    build_world,
-    database_from_map,
-    dump_loss_surface,
-    eval_retrieval,
-    run_simulation,
-)
-from .world import synth_features
+from .simulate import build_scenario, database_from_map, dump_loss_surface, eval_retrieval, run_simulation
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -58,11 +48,7 @@ def _scenario(args) -> ScenarioConfig:
         overrides[key.strip()] = value.strip()
     if args.out_dir:
         overrides["out_dir"] = args.out_dir
-    if args.config:
-        return load_config(args.config, overrides)
-    cfg = apply_overrides(ScenarioConfig(), overrides)
-    cfg.validate()
-    return cfg
+    return load_config(args.config or None, overrides)
 
 
 def _parse_pose(text: str) -> Pose:
@@ -73,27 +59,16 @@ def _parse_pose(text: str) -> Pose:
 
 
 def cmd_build_db(args) -> int:
-    cfg = _scenario(args)
-    world = build_world(cfg)
-    pipeline = build_pipeline(cfg)
-    db_map = build_descriptor_map(world, pipeline, cfg.world_seed)
-    db = database_from_map(db_map)
+    db = database_from_map(build_scenario(_scenario(args)).db_map)
     save_db(db, args.out)
     print(f"wrote {len(db)} descriptors of dimension {db.dimension} to {args.out}")
     return 0
 
 
 def cmd_query(args) -> int:
-    cfg = _scenario(args)
-    world = build_world(cfg)
-    pipeline = build_pipeline(cfg)
-    if args.db:
-        db = load_db(args.db)
-    else:
-        db = database_from_map(build_descriptor_map(world, pipeline, cfg.world_seed))
-    pose = _parse_pose(args.pose)
-    desc = forward(pipeline, synth_features(world, pose, cfg.world_seed, view=GROUND))
-    result = db_query(db, desc.values, args.k)
+    scenario = build_scenario(_scenario(args))
+    db = load_db(args.db) if args.db else database_from_map(scenario.db_map)
+    result = db_query(db, scenario.ground_view(_parse_pose(args.pose)).values, args.k)
     print("rank,id,distance,lat,lon")
     for rank, (id_, dist) in enumerate(zip(result.ids, result.distances), start=1):
         (lat, lon), _ = db.entry(int(id_))
@@ -103,12 +78,10 @@ def cmd_query(args) -> int:
 
 def cmd_localize(args) -> int:
     cfg = _scenario(args)
-    world = build_world(cfg)
-    pipeline = build_pipeline(cfg)
-    db_map = build_descriptor_map(world, pipeline, cfg.world_seed)
+    scenario = build_scenario(cfg)
+    db_map = scenario.db_map
     pose = _parse_pose(args.pose)
-    desc = forward(pipeline, synth_features(world, pose, cfg.world_seed, view=GROUND))
-    field = location_probabilities(db_map, desc, floor=cfg.probability_floor)
+    field = location_probabilities(db_map, scenario.ground_view(pose), floor=cfg.probability_floor)
     if args.heatmap_csv or args.heatmap_pgm:
         emit_heatmap(field, cfg.heatmap_contrast, csv_path=args.heatmap_csv, pgm_path=args.heatmap_pgm)
     best = int(np.argmax(field.probabilities))

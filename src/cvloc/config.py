@@ -225,26 +225,23 @@ def apply_overrides(cfg: ScenarioConfig, overrides: dict[str, str]) -> ScenarioC
     return cfg
 
 
-def load_config(path: str, overrides: dict[str, str] | None = None) -> ScenarioConfig:
+def load_config(path: str | None, overrides: dict[str, str] | None = None) -> ScenarioConfig:
+    """The validated config: the defaults, then the file at ``path`` (none
+    when ``path`` is None), then ``overrides``."""
     cfg = ScenarioConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
-            key, raw = (part.strip() for part in text.split("=", 1))
-            if key not in _FIELDS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            setattr(cfg, key, _convert(key, raw))
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.split("#", 1)[0].strip()
+                if not text:
+                    continue
+                if "=" not in text:
+                    raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
+                key, raw = (part.strip() for part in text.split("=", 1))
+                if key not in _FIELDS:
+                    raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+                setattr(cfg, key, _convert(key, raw))
     if overrides:
         apply_overrides(cfg, overrides)
     cfg.validate()
     return cfg
-
-
-def write_config(cfg: ScenarioConfig, path: str) -> None:
-    with open_output(path) as fh:
-        for f in fields(ScenarioConfig):
-            fh.write(f"{f.name} = {getattr(cfg, f.name)}\n")

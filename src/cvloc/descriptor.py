@@ -174,14 +174,6 @@ class SharedPipeline:
 PipelineConfig = DualPipeline | SharedPipeline
 
 
-def soft_assign(params: VladParams, u: np.ndarray) -> np.ndarray:
-    """Soft cluster assignment of one feature: softmax over w_k . u + b_k."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (params.dim,):
-        raise ValueError(f"feature dim {u.shape} does not match clusters of dim {params.dim}")
-    return _assign_batch(params, u[None, :])[:, 0]
-
-
 def _assign_batch(params: VladParams, feats: np.ndarray) -> np.ndarray:
     """(M, D) features -> (K, M) softmax columns, cluster-leading so that
     every step runs over K contiguous rows rather than M rows of length K."""
@@ -212,19 +204,6 @@ def _cluster_sum(x: np.ndarray) -> np.ndarray:
     for i in range(m, n):  # the tail, one by one
         total += x[i]
     return total
-
-
-def vlad_aggregate(params: VladParams, feats: LocalFeatureSet) -> GlobalDescriptor:
-    """Sum of soft-assigned residuals to each centroid, concatenated per cluster.
-
-    Block k of the output is sum_j a_k(u_j) * (u_j - c_k), so the result has
-    dimension K*D and does not depend on the order of the features.
-    """
-    u = feats.features.astype(np.float64)
-    if u.shape[1] != params.dim:
-        raise ValueError(f"feature dim {u.shape[1]} != aggregator dim {params.dim}")
-    v = _vlad_batch(params, u[None, :, :])[0]
-    return GlobalDescriptor(v, feats.view)
 
 
 def _vlad_batch(params: VladParams, feats: np.ndarray) -> np.ndarray:

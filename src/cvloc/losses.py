@@ -130,20 +130,6 @@ def enumerate_triplets(batch_size_m: int) -> list[TripletIndex]:
     return out
 
 
-def hard_negative(anchor_desc: np.ndarray, negatives: list[np.ndarray] | np.ndarray) -> int:
-    """Index of the smallest squared-distance negative; ties go to the lowest index."""
-    negs = np.asarray(negatives, dtype=np.float64)
-    if negs.ndim != 2 or negs.shape[0] < 1:
-        raise ValueError("negatives must be a non-empty list of vectors")
-    d = _sq_dists(np.asarray(anchor_desc, dtype=np.float64), negs)
-    return int(np.argmin(d))
-
-
-def _sq_dists(anchor: np.ndarray, others: np.ndarray) -> np.ndarray:
-    diff = others - anchor[None, :]
-    return np.einsum("ij,ij->i", diff, diff)
-
-
 def batch_loss(
     ground: np.ndarray,
     satellite: np.ndarray,

@@ -175,21 +175,6 @@ def corner_cells(
     return inside, i, j, gx - i, gy - j
 
 
-def surrounding_corners(grid: GridMap, p: LocalPoint) -> tuple[int, int, int, int]:
-    """Indices of the four lattice corners of the cell containing ``p``.
-
-    Returned in (SW, SE, NW, NE) order, by :func:`corner_cells`. Raises
-    OutOfMapError outside the hull.
-    """
-    if not (math.isfinite(p.x) and math.isfinite(p.y)):
-        raise ValueError(f"non-finite local point {p}")
-    inside, i, j, _, _ = corner_cells(grid, np.array([p.x]), np.array([p.y]))
-    if not inside[0]:
-        raise OutOfMapError(f"point {p} outside grid hull {grid.extent}")
-    sw = int(j[0] * grid.width + i[0])
-    return (sw, sw + 1, sw + grid.width, sw + grid.width + 1)
-
-
 def tessellate(bounds: GeoRect, interval: float) -> GridMap:
     """Lay a lattice of cells over ``bounds`` at ``interval`` metres.
 

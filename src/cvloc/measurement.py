@@ -79,11 +79,6 @@ class ProbabilityField:
         return self.query is not None and "probabilities" not in vars(self)
 
 
-def uniform_field(grid: GridMap, floor: float = DEFAULT_FLOOR) -> ProbabilityField:
-    p = np.full(grid.num_cells, 1.0 / grid.num_cells)
-    return ProbabilityField(grid.with_probabilities(p), floor)
-
-
 def location_probabilities(
     db_map: GridMap, q: GlobalDescriptor | np.ndarray, floor: float = DEFAULT_FLOOR
 ) -> ProbabilityField:
@@ -161,11 +156,17 @@ def _corner_values(table: np.ndarray, sw: np.ndarray, width: int) -> np.ndarray:
 
 
 def _combine(corners: np.ndarray, tx: np.ndarray, ty: np.ndarray, mode: str) -> np.ndarray:
-    """Per-state value from the (SW, SE, NW, NE) corner values, (4, M)."""
+    """Per-state value from the (SW, SE, NW, NE) corner values, (4, M).
+    The bilinear terms are added one corner at a time, in corner order, so
+    no (4, M) weight or product array is made."""
     if mode == "corner-sum":
         return corners.sum(axis=0)
-    w = np.stack([(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty])
-    return (w * corners).sum(axis=0)
+    sx, sy = 1 - tx, 1 - ty
+    out = sx * sy * corners[0]
+    out += tx * sy * corners[1]
+    out += sx * ty * corners[2]
+    out += tx * ty * corners[3]
+    return out
 
 
 def measurement_probability(field: ProbabilityField, state, mode: str = "corner-sum") -> float:
@@ -251,22 +252,3 @@ def emit_heatmap(
             fh.write(f"P5\n{g.width} {g.height}\n65535\n".encode("ascii"))
             fh.write(samples.tobytes())
     return grid
-
-
-def read_heatmap_csv(path: str) -> np.ndarray:
-    """Parse a heatmap CSV back into its (height, width) value grid."""
-    xs, ys, ps = [], [], []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "x,y,p":
-            raise ValueError(f"unexpected heatmap header {header!r}")
-        for line in fh:
-            a, b, c = line.strip().split(",")
-            xs.append(float(a))
-            ys.append(float(b))
-            ps.append(float(c))
-    width = len(set(xs))
-    height = len(set(ys))
-    if width * height != len(ps):
-        raise ValueError("heatmap CSV is not a full grid")
-    return np.array(ps).reshape(height, width)

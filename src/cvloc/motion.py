@@ -82,11 +82,6 @@ class MotionNoise:
 ZERO_NOISE = MotionNoise(0.0, 0.0, 0.0, 0.0)
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator; identical seeds yield identical streams."""
-    return np.random.Generator(np.random.Philox(seed))
-
-
 def sample_motion_batch(
     states: np.ndarray, u: ControlAction, noise: MotionNoise, rng: np.random.Generator
 ) -> np.ndarray:

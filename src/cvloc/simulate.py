@@ -14,12 +14,14 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig, make_output_dir, open_output
 from .descriptor import (
     GROUND,
+    GlobalDescriptor,
     PipelineConfig,
     forward,
     load_pipeline,
@@ -136,6 +138,30 @@ def build_pipeline(cfg: ScenarioConfig) -> PipelineConfig:
     return random_shared_pipeline(cfg.params_seed, hidden_dim=cfg.hidden_dim, **common)
 
 
+@dataclass(frozen=True)
+class Scenario:
+    """A config's world and descriptor pipeline: the inputs shared by the
+    satellite descriptor map and every ground view matched against it."""
+
+    cfg: ScenarioConfig
+    world: SyntheticWorld
+    pipeline: PipelineConfig
+
+    @cached_property
+    def db_map(self) -> GridMap:
+        """The satellite descriptor map, built on first use."""
+        return build_descriptor_map(self.world, self.pipeline, self.cfg.world_seed)
+
+    def ground_view(self, pose: Pose) -> GlobalDescriptor:
+        """The ground-view descriptor at ``pose``."""
+        return forward(self.pipeline, synth_features(self.world, pose, self.cfg.world_seed, view=GROUND))
+
+
+def build_scenario(cfg: ScenarioConfig) -> Scenario:
+    cfg.validate()
+    return Scenario(cfg, build_world(cfg), build_pipeline(cfg))
+
+
 def filter_noise(cfg: ScenarioConfig) -> MotionNoise:
     return MotionNoise(
         cfg.sigma_trans, math.radians(cfg.sigma_rot_deg), cfg.sigma_trans_rate, cfg.sigma_rot_rate
@@ -198,13 +224,6 @@ def load_trajectory(path: str) -> list[Pose]:
     return poses
 
 
-def save_trajectory(poses: list[Pose], path: str) -> None:
-    with open_output(path) as fh:
-        fh.write("t,x,y,theta\n")
-        for t, p in enumerate(poses):
-            fh.write(f"{t},{_fmt(p.x)},{_fmt(p.y)},{_fmt(p.theta)}\n")
-
-
 def scenario_trajectory(cfg: ScenarioConfig, grid: GridMap) -> list[Pose]:
     """The loaded or generated ground truth; every pose must lie on the map."""
     if cfg.trajectory_file:
@@ -233,11 +252,9 @@ def run_simulation(cfg: ScenarioConfig, out_dir: str | None = None) -> tuple[Run
     cfg.out_dir) is set, writes the step log, the summary JSON, and any
     requested heatmaps there.
     """
-    cfg.validate()
-    world = build_world(cfg)
-    pipeline = build_pipeline(cfg)
-    db_map = build_descriptor_map(world, pipeline, cfg.world_seed)
-    poses = scenario_trajectory(cfg, world.grid)
+    scenario = build_scenario(cfg)
+    poses = scenario_trajectory(cfg, scenario.world.grid)
+    db_map = scenario.db_map  # built before the clock starts, so wall_time_s is the loop alone
 
     master = np.random.SeedSequence(cfg.master_seed)
     filter_ss, sensor_ss = master.spawn(2)
@@ -263,9 +280,7 @@ def run_simulation(cfg: ScenarioConfig, out_dir: str | None = None) -> tuple[Run
     t0 = time.perf_counter()
     for t in range(1, len(poses)):
         gt_prev, gt = poses[t - 1], poses[t]
-        ground = synth_features(world, gt, cfg.world_seed, view=GROUND)
-        desc = forward(pipeline, ground)
-        field = location_probabilities(db_map, desc, floor=cfg.probability_floor)
+        field = location_probabilities(db_map, scenario.ground_view(gt), floor=cfg.probability_floor)
 
         est, pset = localize_step(
             field, gt_prev, gt, pset, noise, filter_rng,
@@ -342,33 +357,30 @@ def _nearest_cell(grid: GridMap, x: float, y: float) -> int:
     return row * grid.width + col
 
 
-def eval_retrieval(cfg: ScenarioConfig, out_dir: str | None = None) -> dict:
+def eval_retrieval(cfg: ScenarioConfig) -> dict:
     """Retrieval metrics on the scenario world.
 
     Queries are ground-view descriptors at seeded random in-map poses; the
     true match is the nearest cell. Emits the recall@K curve, the
     distance-threshold recall curve, and recall at the configured top
-    percent, as plot-ready CSVs when an output directory is given.
+    percent, as plot-ready CSVs in cfg.out_dir when it is set.
     """
-    cfg.validate()
-    world = build_world(cfg)
-    pipeline = build_pipeline(cfg)
-    db_map = build_descriptor_map(world, pipeline, cfg.world_seed)
-    db = database_from_map(db_map)
+    scenario = build_scenario(cfg)
+    grid = scenario.world.grid
+    db = database_from_map(scenario.db_map)
     if cfg.eval_top_k > len(db):
         raise ConfigError(f"eval_top_k={cfg.eval_top_k} exceeds the database size {len(db)}")
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.master_seed, spawn_key=(99,))))
-    ex, ey = world.grid.extent
+    ex, ey = grid.extent
     descs, true_ids, true_geos = [], [], []
     for _ in range(cfg.eval_queries):
         x = rng.uniform(0.0, ex)
         y = rng.uniform(0.0, ey)
         theta = rng.uniform(-math.pi, math.pi)
-        desc = forward(pipeline, synth_features(world, Pose(x, y, theta), cfg.world_seed, view=GROUND))
-        descs.append(desc.values)
-        true_ids.append(_nearest_cell(world.grid, x, y))
-        true_geos.append(local_to_geo(world.grid, LocalPoint(x, y)))
+        descs.append(scenario.ground_view(Pose(x, y, theta)).values)
+        true_ids.append(_nearest_cell(grid, x, y))
+        true_geos.append(local_to_geo(grid, LocalPoint(x, y)))
 
     percent_k = top_percent_k(len(db), cfg.eval_percent)
     table = rank_table(db, descs, max(cfg.eval_top_k, percent_k))
@@ -383,9 +395,8 @@ def eval_retrieval(cfg: ScenarioConfig, out_dir: str | None = None) -> dict:
         "recall_top_percent": {"percent": cfg.eval_percent, "recall": top_percent},
         "recall_vs_distance": threshold_curve,
     }
-    target = out_dir if out_dir is not None else (cfg.out_dir or None)
-    if target:
-        make_output_dir(target)
+    if cfg.out_dir:
+        make_output_dir(cfg.out_dir)
         outputs = {
             "recall_topk.csv": ["k,recall"] + [f"{k},{_fmt(r)}" for k, r in topk_curve],
             "recall_threshold.csv": ["threshold_m,recall"] + [f"{_fmt(t)},{_fmt(r)}" for t, r in threshold_curve],
@@ -393,7 +404,7 @@ def eval_retrieval(cfg: ScenarioConfig, out_dir: str | None = None) -> dict:
             "retrieval_summary.json": [json.dumps(result, indent=2)],
         }
         for name, lines in outputs.items():
-            with open_output(os.path.join(target, name)) as fh:
+            with open_output(os.path.join(cfg.out_dir, name)) as fh:
                 fh.write("".join(line + "\n" for line in lines))
     return result
 

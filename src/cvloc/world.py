@@ -12,7 +12,6 @@ cross-view matching realistic rather than exact.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -133,7 +132,9 @@ def _apply_corridor(world: SyntheticWorld, feats: np.ndarray, positions: np.ndar
     if c is None:
         return
     r = np.hypot(positions[:, 0] - c.center_x, positions[:, 1] - c.center_y)
-    bias = c.gain * np.exp(-((r - c.radius) ** 2) / (2.0 * c.width**2))
+    with np.errstate(over="ignore"):  # a width past ~1e154 squares to inf: the full gain everywhere
+        w2 = np.float64(c.width) ** 2
+    bias = c.gain * np.exp(-((r - c.radius) ** 2) / (2.0 * w2))
     feats[:, :, 0] += bias[:, None]
 
 
@@ -256,18 +257,3 @@ def build_descriptor_map(world: SyntheticWorld, pipeline: PipelineConfig, rng_se
         rows = min(bad, key=lambda r: r.start)
         raise ValueError(f"non-finite map descriptors in grid rows {rows.start}..{rows.stop - 1}")
     return grid.with_descriptors(out)
-
-
-def world_fingerprint(world: SyntheticWorld, rng_seed: int) -> str:
-    """Hash of the realised field parameters and grid geometry, for
-    asserting reproducibility across processes."""
-    wave, phase = _field_params(
-        rng_seed, world.n_features, world.feature_dim, world.length_scale, 0
-    )
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(wave).tobytes())
-    h.update(np.ascontiguousarray(phase).tobytes())
-    h.update(
-        f"{world.grid.origin}|{world.grid.cell_interval}|{world.grid.width}x{world.grid.height}|{world.flat}".encode()
-    )
-    return h.hexdigest()

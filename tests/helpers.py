@@ -1,0 +1,46 @@
+"""Small helpers shared by several test files: a seeded generator, a uniform
+field, the corner indices of one point, and a trajectory writer."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from cvloc.mapgrid import GridMap, LocalPoint, OutOfMapError, corner_cells
+from cvloc.measurement import DEFAULT_FLOOR, ProbabilityField
+from cvloc.motion import Pose
+
+
+def make_rng(seed: int) -> np.random.Generator:
+    """Counter-based generator; identical seeds yield identical streams."""
+    return np.random.Generator(np.random.Philox(seed))
+
+
+def uniform_field(grid: GridMap, floor: float = DEFAULT_FLOOR) -> ProbabilityField:
+    p = np.full(grid.num_cells, 1.0 / grid.num_cells)
+    return ProbabilityField(grid.with_probabilities(p), floor)
+
+
+def surrounding_corners(grid: GridMap, p: LocalPoint) -> tuple[int, int, int, int]:
+    """Indices of the four lattice corners of the cell containing ``p``.
+
+    Returned in (SW, SE, NW, NE) order, by :func:`corner_cells`. Raises
+    OutOfMapError outside the hull.
+    """
+    if not (math.isfinite(p.x) and math.isfinite(p.y)):
+        raise ValueError(f"non-finite local point {p}")
+    inside, i, j, _, _ = corner_cells(grid, np.array([p.x]), np.array([p.y]))
+    if not inside[0]:
+        raise OutOfMapError(f"point {p} outside grid hull {grid.extent}")
+    sw = int(j[0] * grid.width + i[0])
+    return (sw, sw + 1, sw + grid.width, sw + grid.width + 1)
+
+
+def save_trajectory(poses: list[Pose], path: str) -> None:
+    """Write ``poses`` in the trajectory CSV format that
+    :func:`cvloc.simulate.load_trajectory` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t,x,y,theta\n")
+        for t, p in enumerate(poses):
+            fh.write(f"{t},{p.x:.17g},{p.y:.17g},{p.theta:.17g}\n")

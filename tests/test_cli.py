@@ -3,12 +3,15 @@ import io
 import json
 import math
 import struct
+import time
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from helpers import save_trajectory
 
 import cvloc.mapgrid
 import cvloc.retrieval
@@ -208,6 +211,21 @@ class TestSimulateCommand:
         assert summary["steps"] == 30
         assert summary["mean_position_error"] >= 0
 
+    def test_wall_time_excludes_the_map_build(self, tmp_path, monkeypatch, capsys):
+        build = cvloc.simulate.build_descriptor_map
+
+        def slow_build(*args, **kwargs):
+            time.sleep(0.3)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cvloc.simulate, "build_descriptor_map", slow_build)
+        t0 = time.perf_counter()
+        code, out, _ = run_cli(["simulate", *SMALL, "--set", "traj_steps=20",
+                                "--out-dir", str(tmp_path / "o")], capsys)
+        assert code == 0 and time.perf_counter() - t0 >= 0.3
+        summary = json.loads(out)
+        assert summary["steps"] == 20 and summary["wall_time_s"] < 0.3
+
 
 class TestDatabaseCommands:
     def test_build_then_query(self, tmp_path, capsys):
@@ -229,10 +247,29 @@ class TestDatabaseCommands:
         col, row = top_id % 30, top_id // 30
         assert abs(col - 15) <= 2 and abs(row - 15) <= 2
 
-    def test_query_without_db_builds_on_the_fly(self, capsys):
-        code, out, _ = run_cli(["query", *SMALL, "--pose", "60,60,0", "-k", "1"], capsys)
+    def test_query_without_db_builds_on_the_fly(self, tmp_path, capsys):
+        # the same bytes as query --db on the file build-db wrote
+        db_path = tmp_path / "map.db"
+        assert run_cli(["build-db", *SMALL, "--out", str(db_path)], capsys)[0] == 0
+        query = ["query", *SMALL, "--pose", "60,60,0", "-k", "5"]
+        code, from_file, _ = run_cli([*query, "--db", str(db_path)], capsys)
+        assert code == 0 and len(from_file.splitlines()) == 6
+        code, on_the_fly, _ = run_cli(query, capsys)
         assert code == 0
-        assert len(out.strip().splitlines()) == 2
+        assert on_the_fly == from_file
+
+    def test_query_db_builds_no_descriptor_map(self, tmp_path, monkeypatch, capsys):
+        db_path = tmp_path / "map.db"
+        assert run_cli(["build-db", *SMALL, "--out", str(db_path)], capsys)[0] == 0
+
+        def no_map(*args, **kwargs):
+            raise AssertionError("the descriptor map was built")
+
+        monkeypatch.setattr(cvloc.world, "satellite_cell_features", no_map)
+        query = ["query", *SMALL, "--pose", "60,60,0", "-k", "5"]
+        code, out, err = run_cli([*query, "--db", str(db_path)], capsys)
+        assert (code, err) == (0, "") and len(out.splitlines()) == 6
+        assert run_cli(query, capsys)[0] == 1  # without --db the map is built, and the patch bites
 
 
 class TestTruncatedInputs:
@@ -547,7 +584,7 @@ def trajectory_rows(tmp_path_factory):
         setattr(cfg, key, type(getattr(cfg, key))(value))
     poses = cvloc.simulate.generate_trajectory(cfg, cvloc.simulate.build_grid(cfg))
     path = tmp_path_factory.mktemp("traj") / "loop.csv"
-    cvloc.simulate.save_trajectory(poses, str(path))
+    save_trajectory(poses, str(path))
     return path.read_text().splitlines()
 
 
@@ -655,6 +692,8 @@ class TestHostileLocalize:
     @example(mutations=[], pose="60,60,0", csv="fresh", pgm="fresh")
     @example(mutations=[("cell_interval", "1e-300")], pose="60,60,0", csv=None, pgm=None)
     @example(mutations=[("world_view_noise", "1e308")], pose="60,60,0", csv=None, pgm=None)
+    @example(mutations=[("corridor", "true"), ("corridor_width", "1.3407807929942597e+154")],
+             pose="60,60,0", csv=None, pgm=None)
     @example(mutations=[], pose="60,60,inf", csv=None, pgm=None)
     @example(mutations=[], pose="150,150,1e308", csv=None, pgm=None)
     @example(mutations=[], pose="60,60,0", csv="fresh", pgm="under a missing directory")

@@ -1,6 +1,14 @@
+from dataclasses import fields
+
 import pytest
 
-from cvloc.config import ConfigError, ScenarioConfig, apply_overrides, load_config, write_config
+from cvloc.config import ConfigError, ScenarioConfig, apply_overrides, load_config
+
+
+def write_config(cfg: ScenarioConfig, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for f in fields(ScenarioConfig):
+            fh.write(f"{f.name} = {getattr(cfg, f.name)}\n")
 
 
 class TestDefaults:

@@ -8,6 +8,7 @@ from cvloc.descriptor import (
     AffineMap,
     BranchParams,
     DualPipeline,
+    GlobalDescriptor,
     LocalFeatureSet,
     SharedPipeline,
     TransformParams,
@@ -21,11 +22,29 @@ from cvloc.descriptor import (
     random_dual_pipeline,
     random_shared_pipeline,
     save_pipeline,
-    soft_assign,
-    vlad_aggregate,
 )
 
 mp.dps = 50
+
+
+def soft_assign(params: VladParams, u: np.ndarray) -> np.ndarray:
+    """Soft cluster assignment of one feature: softmax over w_k . u + b_k."""
+    u = np.asarray(u, dtype=np.float64)
+    if u.shape != (params.dim,):
+        raise ValueError(f"feature dim {u.shape} does not match clusters of dim {params.dim}")
+    return _assign_batch(params, u[None, :])[:, 0]
+
+
+def vlad_aggregate(params: VladParams, feats: LocalFeatureSet) -> GlobalDescriptor:
+    """Sum of soft-assigned residuals to each centroid, concatenated per cluster.
+
+    Block k of the output is sum_j a_k(u_j) * (u_j - c_k), so the result has
+    dimension K*D and does not depend on the order of the features.
+    """
+    u = feats.features.astype(np.float64)
+    if u.shape[1] != params.dim:
+        raise ValueError(f"feature dim {u.shape[1]} != aggregator dim {params.dim}")
+    return GlobalDescriptor(_vlad_batch(params, u[None, :, :])[0], feats.view)
 
 
 def identity_reduction(dim: int) -> AffineMap:

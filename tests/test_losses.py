@@ -12,7 +12,6 @@ from cvloc.losses import (
     TripletDistances,
     batch_loss,
     enumerate_triplets,
-    hard_negative,
     max_margin_quadruplet,
     max_margin_triplet,
     weighted_quadruplet,
@@ -20,6 +19,15 @@ from cvloc.losses import (
 )
 
 mp.dps = 50
+
+
+def hard_negative(anchor_desc: np.ndarray, negatives: list[np.ndarray] | np.ndarray) -> int:
+    """Index of the smallest squared-distance negative; ties go to the lowest index."""
+    negs = np.asarray(negatives, dtype=np.float64)
+    if negs.ndim != 2 or negs.shape[0] < 1:
+        raise ValueError("negatives must be a non-empty list of vectors")
+    diff = negs - np.asarray(anchor_desc, dtype=np.float64)[None, :]
+    return int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
 
 
 def softplus_oracle(x: float) -> float:

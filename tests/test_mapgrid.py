@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import surrounding_corners
+
 from cvloc.mapgrid import (
     EARTH_RADIUS_M,
     GeoRect,
@@ -14,7 +16,6 @@ from cvloc.mapgrid import (
     corner_cells,
     geo_to_local,
     local_to_geo,
-    surrounding_corners,
     tessellate,
 )
 

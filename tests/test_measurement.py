@@ -6,9 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from helpers import make_rng, surrounding_corners, uniform_field
+
 from cvloc.config import ScenarioConfig
-from cvloc.descriptor import GROUND, forward
-from cvloc.mapgrid import GridMap, LocalPoint, corner_cells, surrounding_corners
+from cvloc.mapgrid import GridMap, LocalPoint, corner_cells
 from cvloc.measurement import (
     MODES,
     ProbabilityField,
@@ -19,14 +20,11 @@ from cvloc.measurement import (
     location_probabilities,
     measurement_probabilities,
     measurement_probability,
-    read_heatmap_csv,
-    uniform_field,
 )
-from cvloc.motion import MotionNoise, Pose, make_rng
+from cvloc.motion import MotionNoise, Pose
 from cvloc.pfilter import init_particles, localize_step
 from cvloc.retrieval import distances
-from cvloc.simulate import build_pipeline, build_world, filter_noise, scenario_trajectory
-from cvloc.world import build_descriptor_map, synth_features
+from cvloc.simulate import build_scenario, filter_noise, scenario_trajectory
 
 mp.dps = 50
 
@@ -163,16 +161,14 @@ class TestFieldAgainstOracle:
         assert set(vars(db_map)) == before
 
     def test_c7_scenario_weights_match_oracle(self):
-        cfg = ScenarioConfig()
-        world = build_world(cfg)
-        pipeline = build_pipeline(cfg)
-        db_map = build_descriptor_map(world, pipeline, cfg.world_seed)
-        poses = scenario_trajectory(cfg, world.grid)
+        scenario = build_scenario(ScenarioConfig())
+        cfg, db_map = scenario.cfg, scenario.db_map
+        poses = scenario_trajectory(cfg, scenario.world.grid)
         rng = make_rng(cfg.master_seed)
         spread = MotionNoise(cfg.init_spread_xy, math.radians(cfg.init_spread_theta_deg), 0.0, 0.0)
         pset = init_particles(poses[0], spread, cfg.particles, rng)
         for t in range(1, 21):
-            desc = forward(pipeline, synth_features(world, poses[t], cfg.world_seed, view=GROUND))
+            desc = scenario.ground_view(poses[t])
             field = location_probabilities(db_map, desc, cfg.probability_floor)
             oracle = oracle_location_probabilities(db_map, desc.values, cfg.probability_floor)
             _, pset = localize_step(field, poses[t - 1], poses[t], pset, filter_noise(cfg), rng)
@@ -304,6 +300,15 @@ def whole_grid_corner_scores(field, states):
     return scores[sw + np.array([[0], [1], [grid.width], [grid.width + 1]])], m
 
 
+def stacked_combine(corners, tx, ty, mode):
+    """The per-state value with the weights stacked into a (4, M) array: the
+    oracle of the corner-at-a-time accumulation in :func:`_combine`."""
+    if mode == "corner-sum":
+        return corners.sum(axis=0)
+    w = np.stack([(1 - tx) * (1 - ty), tx * (1 - ty), (1 - tx) * ty, tx * ty])
+    return (w * corners).sum(axis=0)
+
+
 def corner_cloud(db_map, kind, seed, m=200):
     """States on the map: a tight cluster, a cluster against the east and
     north edges (with points exactly on them), one state, or a cloud over
@@ -345,7 +350,7 @@ class TestWindowedCornerScores:
             np.testing.assert_array_equal(_corner_values(scores, sw, w), want, err_msg=name)
             got, degenerate = measurement_probabilities(field, states, mode)
             assert field.lazy and not degenerate, name
-            np.testing.assert_array_equal(got, _combine(want, tx, ty, mode), err_msg=name)
+            np.testing.assert_array_equal(got, stacked_combine(want, tx, ty, mode), err_msg=name)
 
     def test_window_spans_the_corners_plus_one_row_and_column(self):
         db_map = unit_descriptor_map(0, 1.0)
@@ -354,6 +359,18 @@ class TestWindowedCornerScores:
         scores, sw, w, _ = _corner_scores(field, i, j)
         assert w == 7 - 3 + 2 and scores.size == w * (9 - 2 + 2)
         np.testing.assert_array_equal(sw, (j - 2) * w + (i - 3))
+
+
+class TestCombine:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("m", [1, 7, 1_000, 100_000])
+    def test_matches_stacked_oracle_bit_for_bit(self, m, mode):
+        rng = np.random.default_rng(m)
+        corners = rng.random((4, m)) * rng.choice([1e-300, 1e-8, 1.0, 1e8], (4, m))
+        tx, ty = rng.random(m), rng.random(m)
+        tx[::5], ty[::3] = 0.0, 1.0  # states on cell edges
+        np.testing.assert_array_equal(_combine(corners, tx, ty, mode),
+                                      stacked_combine(corners, tx, ty, mode))
 
 
 class TestMeasurementProbability:
@@ -445,6 +462,25 @@ class TestProbabilityField:
     def test_uniform_field_helper(self):
         f = uniform_field(GridMap((40.0, -105.0), 1.0, 3, 3))
         assert f.probabilities == pytest.approx([1.0 / 9] * 9)
+
+
+def read_heatmap_csv(path: str) -> np.ndarray:
+    """Parse a heatmap CSV back into its (height, width) value grid."""
+    xs, ys, ps = [], [], []
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline().strip()
+        if header != "x,y,p":
+            raise ValueError(f"unexpected heatmap header {header!r}")
+        for line in fh:
+            a, b, c = line.strip().split(",")
+            xs.append(float(a))
+            ys.append(float(b))
+            ps.append(float(c))
+    width = len(set(xs))
+    height = len(set(ys))
+    if width * height != len(ps):
+        raise ValueError("heatmap CSV is not a full grid")
+    return np.array(ps).reshape(height, width)
 
 
 class TestHeatmap:

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import make_rng
+
 from cvloc.motion import (
     ControlAction,
     MotionNoise,
     Pose,
     ZERO_NOISE,
-    make_rng,
     perturb_control,
     sample_motion_batch,
     simulate_odometry,

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from gridworld import run_comparison
+from helpers import make_rng, uniform_field
 
 from cvloc.config import ScenarioConfig
-from cvloc.descriptor import GROUND, forward
 from cvloc.mapgrid import GridMap
-from cvloc.measurement import MODES, ProbabilityField, location_probabilities, uniform_field
-from cvloc.motion import ControlAction, MotionNoise, Pose, ZERO_NOISE, make_rng, simulate_odometry
+from cvloc.measurement import MODES, ProbabilityField, location_probabilities
+from cvloc.motion import ControlAction, MotionNoise, Pose, ZERO_NOISE, simulate_odometry
 from cvloc.pfilter import (
     ParticleSet,
     effective_sample_size,
@@ -19,8 +19,7 @@ from cvloc.pfilter import (
     resample_systematic,
     systematic_indices,
 )
-from cvloc.simulate import build_pipeline, build_world, filter_noise, scenario_trajectory
-from cvloc.world import build_descriptor_map, synth_features
+from cvloc.simulate import build_scenario, filter_noise, scenario_trajectory
 
 
 def particle_set(states, weights, step=0):
@@ -195,14 +194,10 @@ class TestPfStep:
 
 @pytest.fixture(scope="module")
 def c7_scenario():
-    cfg = ScenarioConfig()
-    world = build_world(cfg)
-    pipeline = build_pipeline(cfg)
-    db_map = build_descriptor_map(world, pipeline, cfg.world_seed)
-    poses = scenario_trajectory(cfg, world.grid)
-    descs = [forward(pipeline, synth_features(world, poses[t], cfg.world_seed, view=GROUND))
-             for t in range(21)]
-    return cfg, db_map, poses, descs
+    scenario = build_scenario(ScenarioConfig())
+    poses = scenario_trajectory(scenario.cfg, scenario.world.grid)
+    descs = [scenario.ground_view(poses[t]) for t in range(21)]
+    return scenario.cfg, scenario.db_map, poses, descs
 
 
 def built_field(db_map, desc, floor):
@@ -293,7 +288,6 @@ class TestLocalizeStep:
         assert math.hypot(est.x - truth.x, est.y - truth.y) < db_map.cell_interval
 
     def test_uniform_field_follows_dead_reckoning(self):
-        from cvloc.measurement import uniform_field
         from cvloc.pfilter import localize_step
 
         grid = GridMap((40.0, -105.0), 2.0, 5, 5)

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from helpers import save_trajectory
+
 from cvloc.config import ScenarioConfig
 from cvloc.motion import Pose
 from cvloc.simulate import (
@@ -15,7 +17,6 @@ from cvloc.simulate import (
     load_trajectory,
     position_error,
     run_simulation,
-    save_trajectory,
     scenario_trajectory,
 )
 
@@ -212,8 +213,8 @@ class TestGoldenStepLogs:
 
 class TestEvalRetrieval:
     def test_metrics_shapes_and_monotonicity(self, tmp_path):
-        cfg = small_cfg(eval_queries=40, eval_top_k=10)
-        result = eval_retrieval(cfg, out_dir=str(tmp_path))
+        cfg = small_cfg(eval_queries=40, eval_top_k=10, out_dir=str(tmp_path))
+        result = eval_retrieval(cfg)
         curve = [r for _, r in result["recall_top_k"]]
         assert len(curve) == 10
         assert curve == sorted(curve)  # monotone in K

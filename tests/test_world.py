@@ -30,11 +30,23 @@ from cvloc.world import (
     Corridor,
     SyntheticWorld,
     _features_at,
+    _field_params,
     build_descriptor_map,
     satellite_cell_features,
     synth_features,
-    world_fingerprint,
 )
+
+
+def world_fingerprint(world: SyntheticWorld, rng_seed: int) -> str:
+    """Hash of the realised field parameters and grid geometry, for
+    asserting reproducibility across processes."""
+    wave, phase = _field_params(rng_seed, world.n_features, world.feature_dim, world.length_scale, 0)
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(wave).tobytes())
+    h.update(np.ascontiguousarray(phase).tobytes())
+    g = world.grid
+    h.update(f"{g.origin}|{g.cell_interval}|{g.width}x{g.height}|{world.flat}".encode())
+    return h.hexdigest()
 
 
 def make_world(seed=7, interval=5.0, cells=41, **kw):
@@ -147,22 +159,18 @@ class TestAliasing:
 
 class TestCorridor:
     def test_ring_cells_score_higher_for_on_ring_queries(self):
-        from cvloc.config import ScenarioConfig
-        from cvloc.descriptor import forward
         from cvloc.measurement import location_probabilities
-        from cvloc.simulate import _loop_radius, build_pipeline, build_world
+        from cvloc.simulate import _loop_radius, build_scenario
 
         cfg = ScenarioConfig(corridor=True, corridor_gain=1.0, corridor_width=10.0, out_dir="")
-        world = build_world(cfg)
-        pipeline = build_pipeline(cfg)
-        db = build_descriptor_map(world, pipeline, cfg.world_seed)
+        scenario = build_scenario(cfg)
+        grid = scenario.world.grid
         r = _loop_radius(cfg)
-        ex, ey = world.grid.extent
+        ex, ey = grid.extent
         cx, cy = ex / 2, ey / 2
         pose = Pose(cx + r, cy, math.pi / 2)
-        desc = forward(pipeline, synth_features(world, pose, cfg.world_seed))
-        p = location_probabilities(db, desc).probabilities
-        locs = world.grid.locations()
+        p = location_probabilities(scenario.db_map, scenario.ground_view(pose)).probabilities
+        locs = grid.locations()
         ring_dist = np.abs(np.hypot(locs[:, 0] - cx, locs[:, 1] - cy) - r)
         on_ring = p[ring_dist < 10.0].mean()
         off_ring = p[ring_dist > 40.0].mean()
