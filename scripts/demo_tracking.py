@@ -30,7 +30,6 @@ def main():
         heatmap_every=args.heatmap_every,
         out_dir=args.out,
     )
-    cfg.validate()
     summary, records = run_simulation(cfg)
     degenerate_steps = sum(r.degenerate_flag for r in records)
     print(summary.to_json())

@@ -48,6 +48,8 @@ def _scenario(args) -> ScenarioConfig:
         overrides[key.strip()] = value.strip()
     if args.out_dir:
         overrides["out_dir"] = args.out_dir
+    if getattr(args, "heatmap_every", None) is not None:  # simulate's flag
+        overrides["heatmap_every"] = str(args.heatmap_every)
     return load_config(args.config or None, overrides)
 
 
@@ -99,10 +101,7 @@ def cmd_localize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _scenario(args)
-    if args.heatmap_every is not None:
-        cfg.heatmap_every = args.heatmap_every
-    summary, _ = run_simulation(cfg)
+    summary, _ = run_simulation(_scenario(args))
     print(summary.to_json())
     return 0
 

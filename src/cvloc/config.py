@@ -226,8 +226,9 @@ def apply_overrides(cfg: ScenarioConfig, overrides: dict[str, str]) -> ScenarioC
 
 
 def load_config(path: str | None, overrides: dict[str, str] | None = None) -> ScenarioConfig:
-    """The validated config: the defaults, then the file at ``path`` (none
-    when ``path`` is None), then ``overrides``."""
+    """The config of the defaults, then the file at ``path`` (none when
+    ``path`` is None), then ``overrides``; ``simulate.build_scenario``
+    validates it."""
     cfg = ScenarioConfig()
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -243,5 +244,4 @@ def load_config(path: str | None, overrides: dict[str, str] | None = None) -> Sc
                 setattr(cfg, key, _convert(key, raw))
     if overrides:
         apply_overrides(cfg, overrides)
-    cfg.validate()
     return cfg

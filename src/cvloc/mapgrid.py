@@ -89,15 +89,14 @@ class GridMap:
     def cell_location(self, index: int) -> LocalPoint:
         if not 0 <= index < self.num_cells:
             raise IndexError(f"cell index {index} out of range")
-        col = index % self.width
-        row = index // self.width
-        return LocalPoint(col * self.cell_interval, row * self.cell_interval)
+        row, col = divmod(index, self.width)
+        return LocalPoint(*self.locations(slice(row, row + 1))[col].tolist())
 
-    def locations(self) -> np.ndarray:
-        """All cell locations as an (num_cells, 2) array, row-major order."""
-        cols = np.arange(self.num_cells) % self.width
-        rows = np.arange(self.num_cells) // self.width
-        return np.stack([cols, rows], axis=1) * self.cell_interval
+    def locations(self, rows: slice = slice(None)) -> np.ndarray:
+        """Locations of the cells in grid rows ``rows`` (default: every row)
+        as a (cells, 2) array of (x, y) = (col, row) · cell_interval, row-major."""
+        cols, row_ids = np.meshgrid(np.arange(self.width), np.arange(self.height)[rows])
+        return np.stack([cols, row_ids], axis=-1).reshape(-1, 2) * self.cell_interval
 
     @property
     def extent(self) -> tuple[float, float]:

@@ -241,8 +241,7 @@ def emit_heatmap(
     grid = _contrast_grid(field, contrast)
     g = field.grid
     if csv_path is not None:
-        xs, ys = np.meshgrid(np.arange(g.width) * g.cell_interval, np.arange(g.height) * g.cell_interval)
-        cells = zip(xs.ravel().tolist(), ys.ravel().tolist(), grid.ravel().tolist())
+        cells = zip(*g.locations().T.tolist(), grid.ravel().tolist())
         with open_output(csv_path) as fh:
             fh.write("x,y,p\n")
             fh.writelines(f"{x:.9g},{y:.9g},{p:.9g}\n" for x, y, p in cells)

@@ -181,12 +181,12 @@ def localize_step(
 ) -> tuple[Pose, ParticleSet]:
     """One full localization frame against the current measurement field:
     odometry from the two frame poses (optionally corrupted by sensor noise,
-    drawn from ``sensor_rng`` when supplied so odometry streams stay
-    comparable across scenarios), then the particle filter step and the
-    averaged pose."""
+    drawn from ``sensor_rng``, which it then requires, so odometry streams
+    stay comparable across scenarios), then the particle filter step and
+    the averaged pose."""
     u = simulate_odometry(frame_prev, frame_curr)
     if sensor_noise is not None:
-        u = perturb_control(u, sensor_noise, sensor_rng if sensor_rng is not None else rng)
+        u = perturb_control(u, sensor_noise, sensor_rng)
     new_set = pf_step(prev_set, u, field, noise, rng, mode=mode, ess_threshold=ess_threshold)
     pose, _ = estimate_pose(new_set, fallback_heading=prev_heading)
     return pose, new_set

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -66,15 +66,11 @@ class StepRecord:
     ess: float
     degenerate_flag: int
 
-    _COLUMNS = ("t", "est_x", "est_y", "est_theta", "gt_x", "gt_y", "gt_theta",
-                "err_pos", "err_theta", "ess", "degenerate_flag")
-
     def csv_row(self) -> str:
-        vals = [getattr(self, c) for c in self._COLUMNS]
-        return ",".join(_fmt(v) for v in vals)
+        return ",".join(_fmt(getattr(self, f.name)) for f in fields(self))
 
     def json_line(self) -> str:
-        return json.dumps({c: getattr(self, c) for c in self._COLUMNS}, sort_keys=False)
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)})
 
 
 def _fmt(v) -> str:
@@ -297,7 +293,7 @@ def run_simulation(cfg: ScenarioConfig, out_dir: str | None = None) -> tuple[Run
                 gt_x=gt.x, gt_y=gt.y, gt_theta=gt.theta,
                 err_pos=position_error(est, gt),
                 err_theta=heading_error(est.theta, gt.theta),
-                ess=pset.ess if pset.ess is not None else float(len(pset)),
+                ess=pset.ess,
                 degenerate_flag=int(pset.degenerate),
             )
         )
@@ -328,7 +324,7 @@ def run_simulation(cfg: ScenarioConfig, out_dir: str | None = None) -> tuple[Run
 def write_step_log(records: list[StepRecord], path: str, log_format: str = "csv") -> None:
     with open_output(path) as fh:
         if log_format == "csv":
-            fh.write(",".join(StepRecord._COLUMNS) + "\n")
+            fh.write(",".join(f.name for f in fields(StepRecord)) + "\n")
             for r in records:
                 fh.write(r.csv_row() + "\n")
         else:

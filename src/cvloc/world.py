@@ -81,8 +81,10 @@ class SyntheticWorld:
 
 
 @lru_cache(maxsize=32)
-def _field_params(seed: int, n: int, d: int, scale: float, spawn: int):
-    """Sinusoid bank parameters: wavevectors, phases. Cached per seed."""
+def _field_params(seed: int, n: int, d: int, scale: float, spawn: int, flat: bool):
+    """Sinusoid bank parameters: wavevectors, phases. Cached per seed. A flat
+    world draws the same numbers and zeroes the wavevectors: every place then
+    has the features cos φ."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(spawn,))
     rng = np.random.Generator(np.random.Philox(ss))
     angles = rng.uniform(0.0, TWO_PI, (n, d))
@@ -90,15 +92,15 @@ def _field_params(seed: int, n: int, d: int, scale: float, spawn: int):
     mag = TWO_PI / wavelength
     wave = np.stack([mag * np.cos(angles), mag * np.sin(angles)], axis=-1)  # (n, d, 2)
     phase = rng.uniform(0.0, TWO_PI, (n, d))
-    return wave, phase
+    return np.zeros_like(wave) if flat else wave, phase
 
 
 @lru_cache(maxsize=2)
-def _column_factors(seed: int, n: int, d: int, scale: float, width: int, interval: float):
+def _column_factors(seed: int, n: int, d: int, scale: float, flat: bool, width: int, interval: float):
     """cos a and sin a of a = kx·x + φ at every lattice column x = col·interval:
     the row-independent half of the map's separable field, (W, n, d) each.
     Cached so that the blocks of one map build share them."""
-    wave, phase = _field_params(seed, n, d, scale, 0)
+    wave, phase = _field_params(seed, n, d, scale, 0, flat)
     a = (np.arange(width) * interval)[:, None, None] * wave[..., 0] + phase
     cos_a, sin_a = np.cos(a), np.sin(a)
     cos_a.flags.writeable = sin_a.flags.writeable = False  # shared by every block
@@ -107,9 +109,7 @@ def _column_factors(seed: int, n: int, d: int, scale: float, width: int, interva
 
 def _eval_field(world: SyntheticWorld, positions: np.ndarray, seed: int, spawn: int) -> np.ndarray:
     """(P, 2) positions -> (P, n_features, feature_dim) sinusoid features."""
-    wave, phase = _field_params(seed, world.n_features, world.feature_dim, world.length_scale, spawn)
-    if world.flat:
-        return np.broadcast_to(np.cos(phase), (positions.shape[0],) + phase.shape).copy()
+    wave, phase = _field_params(seed, world.n_features, world.feature_dim, world.length_scale, spawn, world.flat)
     arg = np.einsum("pc,ndc->pnd", positions, wave) + phase
     return np.cos(arg)
 
@@ -171,20 +171,18 @@ def satellite_cell_features(world: SyntheticWorld, rng_seed: int, rows: slice = 
     Cells sit on a lattice, x = col·s and y = row·s, so each sinusoid splits
     as cos(a + b) = cos a·cos b − sin a·sin b with a = kx·x + φ per column and
     b = ky·y per row: (W + H)·N·D trig calls instead of W·H·N·D. Cells that
-    an alias region remaps off the lattice take the direct path, as does a
-    flat world; the corridor is additive and applied per cell either way.
+    an alias region remaps off the lattice take the direct path; the corridor
+    is additive and applied per cell either way. A flat world's zero
+    wavevectors give cos φ on this path too.
     """
     grid = world.grid
-    row_ids = np.arange(grid.height)[rows]
-    positions = np.stack(np.meshgrid(np.arange(grid.width), row_ids), axis=-1).reshape(-1, 2) * grid.cell_interval
-    if world.flat:
-        return _features_at(world, positions, rng_seed, SATELLITE)
-    wave, _ = _field_params(rng_seed, world.n_features, world.feature_dim, world.length_scale, 0)
+    positions = grid.locations(rows)
+    wave, _ = _field_params(rng_seed, world.n_features, world.feature_dim, world.length_scale, 0, world.flat)
     cos_a, sin_a = _column_factors(rng_seed, world.n_features, world.feature_dim, world.length_scale,
-                                   grid.width, grid.cell_interval)
-    b = (row_ids * grid.cell_interval)[:, None, None] * wave[..., 1]  # (rows, N, D)
+                                   world.flat, grid.width, grid.cell_interval)
+    b = positions[:: grid.width, 1, None, None] * wave[..., 1]  # (rows, N, D)
     tmp = np.empty_like(cos_a[:FEATURE_CHUNK_COLUMNS])
-    feats = np.empty((len(row_ids),) + cos_a.shape)
+    feats = np.empty((len(b),) + cos_a.shape)
     for c in range(0, grid.width, FEATURE_CHUNK_COLUMNS):
         cols = slice(c, c + FEATURE_CHUNK_COLUMNS)
         for out, cos_b, sin_b in zip(feats[:, cols], np.cos(b), np.sin(b)):

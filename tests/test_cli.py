@@ -227,6 +227,45 @@ class TestSimulateCommand:
         assert summary["steps"] == 20 and summary["wall_time_s"] < 0.3
 
 
+    def test_negative_heatmap_every_exits_2_and_leaves_no_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "neg"
+        code, printed, err = run_cli(["simulate", *SMALL, "--heatmap-every", "-1", "--out-dir", str(out)], capsys)
+        assert code == 2 and printed == "" and "heatmap_every" in err, err
+        assert not out.exists()
+
+    def test_heatmap_every_flag_beats_set(self, tmp_path, capsys):
+        code, _, _ = run_cli(["simulate", *SMALL, "--set", "traj_steps=9", "--heatmap-every", "3",
+                              "--set", "heatmap_every=5", "--out-dir", str(tmp_path)], capsys)
+        assert code == 0
+        names = sorted(p.name for p in (tmp_path / "heatmaps").iterdir())
+        assert names == [f"field_{t:05d}.{ext}" for t in (3, 6, 9) for ext in ("csv", "pgm")]
+
+
+class TestValidatedOnce:
+    """Every command validates its config once, in ``build_scenario``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["build-db", "--out", "{tmp}/map.db"],
+        ["query", "--pose", "60,60,0"],
+        ["localize", "--pose", "60,60,0"],
+        ["simulate", "--set", "traj_steps=3"],
+        ["eval", "--set", "eval_queries=5"],
+    ], ids=lambda argv: argv[0])
+    def test_one_validate_call_per_command(self, argv, tmp_path, monkeypatch, capsys):
+        calls = []
+        validate = ScenarioConfig.validate
+
+        def counting_validate(cfg):
+            calls.append(cfg)
+            validate(cfg)
+
+        monkeypatch.setattr(ScenarioConfig, "validate", counting_validate)
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        code, _, err = run_cli([*argv, *SMALL, "--out-dir", str(tmp_path / "out")], capsys)
+        assert code == 0, err
+        assert len(calls) == 1
+
+
 class TestDatabaseCommands:
     def test_build_then_query(self, tmp_path, capsys):
         db_path = tmp_path / "map.db"

@@ -219,6 +219,21 @@ class TestGridMap:
         g = make_grid(width=4, height=6)
         assert len(g.locations()) == g.width * g.height == len(g)
 
+    @pytest.mark.parametrize("rows", [slice(0, 1), slice(2, 4), slice(3, None), slice(4, 9), slice(None)])
+    def test_row_locations_are_the_matching_rows_of_all(self, rows):
+        g = make_grid(width=7, height=5, interval=2.5)
+        every = g.locations().reshape(g.height, g.width, 2)
+        np.testing.assert_array_equal(g.locations(rows), every[rows].reshape(-1, 2))
+
+    def test_locations_match_the_index_arithmetic_and_cell_location(self):
+        g = make_grid(width=7, height=5, interval=2.5)
+        index = np.arange(g.num_cells)
+        want = np.stack([index % g.width, index // g.width], axis=1) * g.cell_interval
+        np.testing.assert_array_equal(g.locations(), want)
+        for index, loc in enumerate(g.locations().tolist()):
+            got = g.cell_location(index)
+            assert got == tuple(loc) and all(type(v) is float for v in got)
+
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             GridMap((40.0, -105.0), 5.0, 1, 3)

@@ -22,7 +22,7 @@ from cvloc.descriptor import (
 )
 from cvloc.mapgrid import GridMap, OutOfMapError
 from cvloc.motion import Pose
-from cvloc.simulate import build_pipeline, build_world
+from cvloc.simulate import build_pipeline, build_scenario, build_world
 from cvloc.world import (
     FEATURE_CHUNK_COLUMNS,
     MAP_BLOCK_BYTES,
@@ -40,13 +40,21 @@ from cvloc.world import (
 def world_fingerprint(world: SyntheticWorld, rng_seed: int) -> str:
     """Hash of the realised field parameters and grid geometry, for
     asserting reproducibility across processes."""
-    wave, phase = _field_params(rng_seed, world.n_features, world.feature_dim, world.length_scale, 0)
+    wave, phase = _field_params(rng_seed, world.n_features, world.feature_dim, world.length_scale, 0,
+                                world.flat)
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(wave).tobytes())
     h.update(np.ascontiguousarray(phase).tobytes())
     g = world.grid
     h.update(f"{g.origin}|{g.cell_interval}|{g.width}x{g.height}|{world.flat}".encode())
     return h.hexdigest()
+
+
+def flat_oracle(world: SyntheticWorld, rng_seed: int, cells: int, spawn: int = 0) -> np.ndarray:
+    """A flat world's features, cos φ at every place, in the broadcast form
+    of the former flat-only feature path."""
+    _, phase = _field_params(rng_seed, world.n_features, world.feature_dim, world.length_scale, spawn, False)
+    return np.broadcast_to(np.cos(phase), (cells,) + phase.shape)
 
 
 def make_world(seed=7, interval=5.0, cells=41, **kw):
@@ -193,11 +201,32 @@ class TestConfigWiring:
         assert build_world(ScenarioConfig(world_kind="flat", out_dir="")).flat
 
 
+# non-square, more than one block of rows (5 rows of 97 cells at 24 x 16
+# features), and a height that is not a multiple of it
+ODD_GRID = GridMap((40.0, -105.0), 2.5, 97, 131)
+# wider than one feature chunk and not a multiple of it
+WIDE_GRID = GridMap((40.0, -105.0), 1.5, 2 * FEATURE_CHUNK_COLUMNS + 37, 9)
+
+
 class TestFlatWorld:
     def test_every_cell_identical(self):
         w = make_world(flat=True)
         feats = satellite_cell_features(w, 7)
         assert np.all(feats == feats[0])
+
+    @pytest.mark.parametrize("grid", [ODD_GRID, WIDE_GRID], ids=["odd", "wide"])
+    def test_cell_features_equal_the_broadcast_form_bit_for_bit(self, grid):
+        w = SyntheticWorld(grid=grid, seed=7, flat=True)
+        np.testing.assert_array_equal(satellite_cell_features(w, 7), flat_oracle(w, 7, grid.num_cells))
+
+    def test_pose_features_equal_the_broadcast_form_bit_for_bit(self):
+        w = make_world(flat=True, view_noise=0.05)
+        sat, noise = flat_oracle(w, 7, 1)[0], flat_oracle(w, 7, 1, spawn=1)[0]
+        for x, y in ((30.0, 40.0), (200.0, 10.0)):
+            np.testing.assert_array_equal(synth_features(w, Pose(x, y, 0.0), 7, SATELLITE).features, sat)
+            # heading 0 rolls nothing
+            np.testing.assert_array_equal(synth_features(w, Pose(x, y, 0.0), 7).features,
+                                          sat + w.view_noise * noise)
 
     def test_descriptor_map_shapes(self):
         w = make_world(cells=11)
@@ -266,12 +295,6 @@ if POOLED:
     OPENBLAS.scipy_openblas_set_num_threads64_.restype = None
 
 
-# non-square, more than one block of rows (5 rows of 97 cells at 24 x 16
-# features), and a height that is not a multiple of it
-ODD_GRID = GridMap((40.0, -105.0), 2.5, 97, 131)
-# wider than one feature chunk and not a multiple of it
-WIDE_GRID = GridMap((40.0, -105.0), 1.5, 2 * FEATURE_CHUNK_COLUMNS + 37, 9)
-
 WORLD_KINDS = {
     "default": {},
     "corridor": {"corridor": Corridor(120.0, 160.0, 70.0, 10.0, 1.0)},
@@ -330,6 +353,25 @@ MAP_1M_SHA256 = {
 }
 
 
+# sha256 of the 2 m flat map (world_kind=flat), plain and with a corridor
+# and an alias region (corridor=true, alias_regions=FLAT_ALIAS), recorded on
+# the former flat-only feature path. The plain map is one descriptor repeated.
+FLAT_ALIAS = "50,50,150,150,8"
+FLAT_2M_SHA256 = {
+    ("dual", "plain"): "a5b54b09cced2022d3ac02990263b1e2b593b8e5309ae56433c98486f616943d",
+    ("shared", "plain"): "88ba63d3e4b326b73e11adecb028474c0ba09e8745ae4dc7f63bffadcb704691",
+    ("dual", "corridor+alias"): "c0dfd7cca6a844ef6edde28b128aab2ae33db2bd47bd8805f22f7894fae1042b",
+    ("shared", "corridor+alias"): "435e22bbf63ee6424689c405879fb6f2440ab8b9f1ddf042dc09157be83577e6",
+}
+# sha256 of the 5 m map at world_features=7, clusters=16: the shape at which a
+# bare forward_batch rounds differently at one OpenBLAS thread than at two or
+# four. The map build pins OpenBLAS to one thread, so these bytes do not move.
+OFF_DEFAULT_5M_SHA256 = {
+    "dual": "f27cb3957c70a09a98536e382ab32ce91edd5cc8dfecaab92f5e97979b1c448e",
+    "shared": "20cc0c56a5b052758a5e4d753351fdd8782728859ebe5a738d4ab06e1ab3982e",
+}
+
+
 def default_map(cell_interval, variant="dual"):
     cfg = ScenarioConfig(cell_interval=cell_interval, pipeline_variant=variant, out_dir="")
     return build_world(cfg), build_pipeline(cfg), cfg.world_seed
@@ -360,6 +402,41 @@ class TestBlockedMapBuild:
         descriptors = build_descriptor_map(world, pipeline, seed).descriptors
         assert descriptors.shape == (194481, 32)
         assert hashlib.sha256(descriptors.tobytes()).hexdigest() == MAP_1M_SHA256[variant]
+
+    @pytest.mark.parametrize("variant, kind", sorted(FLAT_2M_SHA256))
+    def test_flat_2m_map_bytes_unchanged(self, variant, kind):
+        extra = {"corridor": True, "alias_regions": FLAT_ALIAS} if kind != "plain" else {}
+        cfg = ScenarioConfig(cell_interval=2.0, world_kind="flat", pipeline_variant=variant, out_dir="", **extra)
+        descriptors = build_scenario(cfg).db_map.descriptors
+        assert descriptors.shape == (48841, 32)
+        assert hashlib.sha256(descriptors.tobytes()).hexdigest() == FLAT_2M_SHA256[variant, kind]
+
+    @pytest.mark.parametrize("variant", sorted(OFF_DEFAULT_5M_SHA256))
+    def test_off_default_5m_map_bytes_unchanged(self, variant):
+        cfg = ScenarioConfig(world_features=7, clusters=16, pipeline_variant=variant, out_dir="")
+        descriptors = build_scenario(cfg).db_map.descriptors
+        assert hashlib.sha256(descriptors.tobytes()).hexdigest() == OFF_DEFAULT_5M_SHA256[variant]
+
+    @pytest.mark.parametrize("order", [("smooth", "flat"), ("flat", "smooth")])
+    def test_smooth_and_flat_maps_in_one_process_share_no_cached_field(self, order):
+        # same seed, grid and feature shape: only the world kind tells the cache keys apart
+        def build(kind):
+            return build_scenario(ScenarioConfig(world_kind=kind, out_dir="")).db_map.descriptors
+
+        def clear_caches():
+            cvloc.world._field_params.cache_clear()
+            cvloc.world._column_factors.cache_clear()
+
+        alone = {}
+        for kind in order:
+            clear_caches()
+            alone[kind] = build(kind)
+        clear_caches()
+        together = {kind: build(kind) for kind in order}
+        for kind in order:
+            np.testing.assert_array_equal(together[kind], alone[kind])
+        assert np.all(together["flat"] == together["flat"][0])
+        assert not np.all(together["smooth"] == together["smooth"][0])
 
     def test_row_over_the_budget_builds_one_row_per_block(self, monkeypatch):
         grid = GridMap((40.0, -105.0), 1.0, MAP_BLOCK_BYTES // (24 * 16 * 8) + 7, 3)
