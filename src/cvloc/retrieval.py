@@ -1,10 +1,15 @@
 """Geo-tagged descriptor database: exact nearest-neighbour search and the
 retrieval metrics (top-K / top-percent recall, distance-threshold recall).
 
-Search is a brute-force linear scan over plain Euclidean distances, which
-keeps results exact and oracle-comparable at the database sizes this
-package targets (<= 1e5 entries). The metrics rank each query once, to
-the largest K they need, and read every recall from that rank table.
+Search is exact and runs in two stages. A float32 pre-filter scores every
+entry by the expansion form of its squared distance, from squared norms
+summed once per database and one GEMV, and keeps each entry that a proven
+bound on that form's rounding cannot rule out of the top k (every entry
+when the bound or the form is not finite). Only those entries go through
+:func:`distances`, the float64 kernel, and the (distance, id) sort, so a
+result is the full sort's, bit for bit, at any BLAS thread count. The
+metrics rank each query once, to the largest K they need, and read every
+recall from that rank table.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,6 +29,8 @@ from .mapgrid import geo_distance_m
 _MAGIC = b"CVLOCDB1"
 _VERSION = 1
 _BLOCK_FLOATS = 1 << 15  # float64 difference scratch per row block of distances(): 256 KB
+_U32, _U64 = 2.0**-24, 2.0**-53  # unit roundoff of float32 and of float64
+_TINY32 = 2.0**-149  # smallest float32 subnormal
 
 
 @dataclass(frozen=True)
@@ -47,6 +55,13 @@ class DescriptorDatabase:
 
     def __len__(self) -> int:
         return self.ids.shape[0]
+
+    @cached_property
+    def _sq_norms(self) -> tuple[np.ndarray, float]:
+        """Float32 squared norm of each descriptor, the pre-filter's ‖s‖²
+        term, and the largest of them; summed once per database."""
+        sq = np.einsum("ij,ij->i", self.descriptors, self.descriptors)
+        return sq, float(sq.max(initial=0.0))
 
     def entry(self, id_: int) -> tuple[tuple[float, float], np.ndarray]:
         idx = np.nonzero(self.ids == id_)[0]
@@ -100,10 +115,74 @@ def distances(stored: np.ndarray, q: np.ndarray) -> np.ndarray:
     return dists
 
 
+def _gamma(n: int, u: float) -> float:
+    """γ_n = n·u / (1 − n·u), the relative error bound of n roundings to unit
+    roundoff u in any order; inf once n·u ≥ 1."""
+    return n * u / (1.0 - n * u) if n * u < 1.0 else math.inf
+
+
+def _candidates(db: DescriptorDatabase, q: np.ndarray, k: int) -> np.ndarray:
+    """Ascending rows of ``db`` that may lie at or inside the k-th distance
+    :func:`distances` gives ``q``: a superset of every such row.
+
+    A row s scores a = fl32(ñ − 2·p̃), its squared distance less the ‖q‖²
+    that every row shares, from its float32 squared norm ñ
+    (``_sq_norms``) and p̃, one float32 GEMV with q rounded to float32
+    (q₃₂). Let u = 2⁻²⁴, η = 2⁻¹⁴⁹ (the smallest float32 subnormal), R the
+    dimension, γ_n = n·u/(1 − n·u) and γ⁶⁴_n the same with 2⁻⁵³, S ≥ every
+    ‖s‖ and Q' ≥ both ‖q‖ and ‖q₃₂‖. A sum of R products rounds by at most
+    γ_R times the sum of their magnitudes, in any order and with or without
+    FMA (so at any BLAS thread count), plus η for each underflowing
+    product. Hence
+
+    - |ñ − ‖s‖²| ≤ γ_R·‖s‖² + Rη;
+    - |p̃ − s·q₃₂| ≤ γ_R·‖s‖·Q' + Rη (Cauchy–Schwarz);
+    - |s·q₃₂ − s·q| ≤ u·‖s‖·Q' + √R·η·‖s‖/2, as |q₃₂ⱼ − qⱼ| ≤ u·|qⱼ| + η/2;
+    - the subtraction rounds by at most u·(ñ + 2·|p̃|);
+
+    so |a − (d² − ‖q‖²)| ≤ γ_{R+2}·(S² + 2·S·Q') + √R·η·S + 4Rη for the
+    exact distance d. The kernel's float64 d̂ (difference, square, R − 1
+    sums, sqrt) adds |d̂² − d²| ≤ γ⁶⁴_{R+4}·(S + Q')² + Rη. B is the sum of
+    both bounds, times 1 + 2⁻²⁰, which covers the float64 rounding of S, Q'
+    and B and of τ + 2B below. S² = (max ñ + Rη)·(1 + γ_{2R}) inverts the
+    first bound, and Q' = (1 + 2⁻²⁰)·‖q‖ + √R·η, with ‖q‖ in float64, covers
+    the rounding to q₃₂ and the float64 norm's own, underflow included.
+
+    So |a − (d̂² − ‖q‖²)| ≤ B for every row (a finite a keeps ‖s‖ and every
+    |qⱼ| below 2¹²⁸, so d̂ cannot overflow). Let τ be the k-th smallest a:
+    the k rows with a ≤ τ have d̂² − ‖q‖² ≤ τ + B, so the k-th smallest
+    d̂² − ‖q‖² is at most τ + B, and every row at or inside it has
+    a ≤ τ + 2B. Those rows are kept. If an a or B is not finite (a float32
+    square or product overflowed, a query past the float32 range, or
+    R·u ≥ 1), every row is.
+    """
+    sq_norms, top = db._sq_norms
+    r = db.dimension
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        approx = db.descriptors @ q.astype(np.float32)
+        approx *= -2
+        approx += sq_norms
+        q_norm = math.sqrt(float(q @ q))
+    s = math.sqrt((top + r * _TINY32) * (1.0 + _gamma(2 * r, _U32)))
+    q_top = (1.0 + 2.0**-20) * q_norm + math.sqrt(r) * _TINY32
+    bound = (1.0 + 2.0**-20) * (
+        _gamma(r + 2, _U32) * (s * s + 2.0 * s * q_top)
+        + _gamma(r + 4, _U64) * (s + q_top) * (s + q_top)
+        + math.sqrt(r) * _TINY32 * s
+        + 5 * r * _TINY32
+    )
+    if not (math.isfinite(bound) and np.all(np.isfinite(approx))):
+        return np.arange(len(db))
+    kth = np.float64(np.partition(approx, k - 1)[k - 1])
+    return np.flatnonzero(approx <= kth + 2.0 * bound)
+
+
 def query(db: DescriptorDatabase, q: np.ndarray, k: int) -> RetrievalResult:
     """Exact k nearest entries by Euclidean distance (:func:`distances`),
-    ties broken by id. Only the rows at or inside the k-th distance are
-    sorted; keeping every row tied with it leaves the id tie-break exact.
+    ties broken by id. Only the :func:`_candidates` rows are measured, and
+    :func:`distances` gives a row the same bits whichever rows it is taken
+    with; of those, only the rows at or inside the k-th distance are sorted,
+    and keeping every row tied with it leaves the id tie-break exact.
     """
     if len(db) == 0:
         raise ValueError("cannot query an empty database")
@@ -114,10 +193,12 @@ def query(db: DescriptorDatabase, q: np.ndarray, k: int) -> RetrievalResult:
         raise ValueError(f"query dimension {q.shape} != database dimension {db.dimension}")
     if not np.all(np.isfinite(q)):
         raise ValueError("query descriptor must be finite")
-    dists = distances(db.descriptors, q)
-    rows = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
-    order = rows[np.lexsort((db.ids[rows], dists[rows]))[:k]]
-    return RetrievalResult(db.ids[order], dists[order])
+    rows = _candidates(db, q, k)
+    dists = distances(db.descriptors[rows], q)
+    inside = dists <= np.partition(dists, k - 1)[k - 1]
+    rows, dists = rows[inside], dists[inside]
+    order = np.lexsort((db.ids[rows], dists))[:k]
+    return RetrievalResult(db.ids[rows[order]], dists[order])
 
 
 def top_percent_k(size: int, percent: float) -> int:
@@ -168,16 +249,6 @@ def recall_at_top_percent(
 def recall_at_k(db: DescriptorDatabase, queries: Sequence[tuple[int, np.ndarray]], k: int) -> float:
     table = rank_table(db, [desc for _, desc in queries], k)
     return recall_in_table(table, [true_id for true_id, _ in queries], k)
-
-
-def recall_vs_distance(
-    db: DescriptorDatabase,
-    queries: Sequence[tuple[tuple[float, float], np.ndarray]],
-    thresholds: Sequence[float],
-) -> list[tuple[float, float]]:
-    """:func:`threshold_recall` with each query ranked to its top 1."""
-    table = rank_table(db, [desc for _, desc in queries], 1)
-    return threshold_recall(db, table[:, 0], [geo for geo, _ in queries], thresholds)
 
 
 def add_distractors(

@@ -27,11 +27,11 @@ from cvloc.retrieval import (
     recall_at_k,
     recall_at_top_percent,
     recall_in_table,
-    recall_vs_distance,
     save_db,
     threshold_recall,
 )
-from cvloc.simulate import build_pipeline
+from cvloc.motion import Pose
+from cvloc.simulate import build_pipeline, build_scenario, database_from_map
 
 
 def random_db(n, dim, seed=0, geo_jitter=0.001):
@@ -155,6 +155,110 @@ class TestQueryRowBlocks:
                     np.testing.assert_array_equal(got.distances, want.distances)
 
 
+@st.composite
+def scaled_databases(draw):
+    """(db, q) for the two-stage kNN. N is 1, 2, a few, or past 1,024 rows
+    (two or more :func:`distances` blocks once R ≥ 32). Descriptors and query
+    are drawn at scales from 1e-30 to 1e30 each, so past ~1e19 a float32
+    square overflows; rows may be unnormalised over six decades; some rows
+    are exact copies of others or one float32 ulp from them; ids are
+    unique, far apart and in arbitrary order. The query is a stored row,
+    one ulp from one, between two, random (also past the float32 range) or
+    zero."""
+    n = draw(st.sampled_from([1, 2]) | st.integers(3, 40) | st.integers(1025, 1100))
+    dim = draw(st.integers(1, 96))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    descs = rng.normal(size=(n, dim)) * 10.0 ** draw(st.integers(-30, 30))
+    if draw(st.booleans()):
+        descs *= 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    descs = descs.astype(np.float32)
+    rows = st.integers(0, n - 1)
+    for src, dst, nudge in draw(st.lists(st.tuples(rows, rows, st.booleans()), max_size=4)):
+        descs[dst] = descs[src]
+        if nudge:
+            j = int(rng.integers(dim))
+            descs[dst, j] = np.nextafter(descs[src, j], np.float32(np.inf))
+    ids = rng.permutation(n).astype(np.uint64) * np.uint64(2**40 + 1)
+    db = DescriptorDatabase(ids, np.zeros((n, 2)), descs)
+
+    a, b = descs[draw(rows)].astype(np.float64), descs[draw(rows)].astype(np.float64)
+    kind = draw(st.sampled_from(["row", "ulp", "between", "random", "zero"]))
+    if kind == "row":
+        q = a
+    elif kind == "ulp":
+        q = np.nextafter(a.astype(np.float32), np.float32(np.inf)).astype(np.float64)
+    elif kind == "between":
+        q = (a + b) / 2
+    elif kind == "random":
+        q = rng.normal(size=dim) * 10.0 ** draw(st.integers(-30, 30) | st.sampled_from([39, 154, 200]))
+    else:
+        q = np.zeros(dim)
+    return db, q
+
+
+class TestTwoStageKnn:
+    """:func:`query` measures only the pre-filter's candidates; the full sort
+    (``oracle_query``) is its oracle with zero tolerance: ids equal and
+    distances equal as bits, at any BLAS thread count."""
+
+    @staticmethod
+    def assert_bits_equal(got, want):
+        assert got.ids.dtype == want.ids.dtype and got.distances.dtype == want.distances.dtype
+        assert got.ids.tobytes() == want.ids.tobytes(), (got.ids, want.ids)
+        assert got.distances.tobytes() == want.distances.tobytes(), (got.distances, want.distances)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=scaled_databases())
+    def test_knn_oracle_every_k_at_any_scale(self, case):
+        db, q = case
+        # oracle_query(db, q, k) is the first k of the full sort
+        full = oracle_query(db, q, len(db))
+        for k in range(1, len(db) + 1):
+            want = RetrievalResult(full.ids[:k], full.distances[:k])
+            self.assert_bits_equal(query(db, q, k), want)
+
+    @staticmethod
+    def measured_rows(monkeypatch):
+        """Row count of each :func:`distances` call that :func:`query` makes."""
+        counts, real = [], cvloc.retrieval.distances
+        monkeypatch.setattr(cvloc.retrieval, "distances",
+                            lambda stored, q: counts.append(len(stored)) or real(stored, q))
+        return counts
+
+    def test_knn_oracle_default_map_measures_at_most_2k_rows(self, monkeypatch):
+        scenario = build_scenario(ScenarioConfig())
+        db = database_from_map(scenario.db_map)
+        rng = np.random.default_rng(20)
+        ex, ey = scenario.world.grid.extent
+        views = [scenario.ground_view(Pose(rng.uniform(0, ex), rng.uniform(0, ey), rng.uniform(-math.pi, math.pi)))
+                 for _ in range(200)]
+        counts = self.measured_rows(monkeypatch)
+        for view in views:
+            self.assert_bits_equal(query(db, view.values, 80), oracle_query(db, view.values, 80))
+        assert len(counts) == 200 and max(counts) <= 2 * 80, max(counts)
+
+    def test_knn_oracle_query_norm_at_the_float64_limit(self):
+        # ‖q‖² rounds to the float64 maximum, so the bound overflows to inf: every row
+        db, _ = random_db(50, 4, seed=22)
+        q = np.array([math.sqrt(np.finfo(np.float64).max), 0.0, 0.0, 0.0])
+        self.assert_bits_equal(query(db, q, 3), oracle_query(db, q, 3))
+
+    @pytest.mark.parametrize("db_scale,q_scale", [(1e20, 1.0), (1.0, 1e39), (1e-30, 1.0)])
+    def test_knn_oracle_measures_every_row_at_extreme_scales(self, monkeypatch, db_scale, q_scale):
+        # a float32 square past ~3.4e38 or a query past the float32 range leaves
+        # no finite bound: every row is measured. Descriptors at 1e-30 against a
+        # unit query all round to the same float64 distance, and B's float64
+        # term keeps every such tie.
+        rng = np.random.default_rng(21)
+        descs = (rng.normal(size=(1500, 8)) * db_scale).astype(np.float32)
+        db = DescriptorDatabase(rng.permutation(1500).astype(np.uint64), np.zeros((1500, 2)), descs)
+        q = rng.normal(size=8) * q_scale
+        counts = self.measured_rows(monkeypatch)
+        for k in (1, 80, 1500):
+            self.assert_bits_equal(query(db, q, k), oracle_query(db, q, k))
+        assert counts == [1500] * 3
+
+
 class TestDistanceKernel:
     """:func:`distances` gives a row the same bits whichever rows it is taken
     with, so kNN, the full field and the corner cells of the lazy field all
@@ -217,7 +321,7 @@ class TestRankTableAgainstOracle:
         for p in percents:
             assert recall_at_top_percent(db, id_queries, p) == oracle_recall_at_top_percent(db, id_queries, p)
         want = oracle_recall_vs_distance(db, geo_queries, thresholds)
-        assert recall_vs_distance(db, geo_queries, thresholds) == want
+        assert threshold_recall(db, rank_table(db, descs, 1)[:, 0], true_geos, thresholds) == want
         assert threshold_recall(db, table[:, 0], true_geos, thresholds) == want
 
     def test_one_query_call_per_row(self, monkeypatch):
@@ -399,42 +503,45 @@ class TestRecallTopPercent:
 
 
 class TestRecallVsDistance:
+    """The top-1 distance-threshold curve as ``eval`` computes it: one
+    :func:`rank_table` to k = 1, then :func:`threshold_recall`."""
+
+    @staticmethod
+    def curve(db, geos, descs, thresholds):
+        got = threshold_recall(db, rank_table(db, descs, 1)[:, 0], geos, thresholds)
+        assert got == oracle_recall_vs_distance(db, list(zip(geos, descs)), thresholds)
+        return got
+
     def test_infinite_threshold(self):
         db, items = random_db(10, 3)
-        queries = [((40.0, -105.0), items[0][2])]
-        assert recall_vs_distance(db, queries, [float("inf")]) == [(float("inf"), 1.0)]
+        assert self.curve(db, [(40.0, -105.0)], [items[0][2]], [float("inf")]) == [(float("inf"), 1.0)]
 
     def test_perfect_retrieval_zero_distance(self):
         db, items = random_db(10, 3)
-        queries = [(items[i][1], items[i][2]) for i in range(5)]
-        curve = recall_vs_distance(db, queries, [0.1])
-        assert curve == [(0.1, 1.0)]
+        geos, descs = [it[1] for it in items[:5]], [it[2] for it in items[:5]]
+        assert self.curve(db, geos, descs, [0.1]) == [(0.1, 1.0)]
 
     def test_matches_per_query_recomputation(self):
-        from cvloc.mapgrid import geo_distance_m
-
         db, items = random_db(60, 5, seed=9, geo_jitter=0.0005)
         rng = np.random.default_rng(10)
-        queries = []
-        for i in range(0, 50):
-            queries.append((items[i][1], items[i][2] + rng.normal(0, 0.7, 5)))
+        geos = [items[i][1] for i in range(50)]
+        descs = [items[i][2] + rng.normal(0, 0.7, 5) for i in range(50)]
         thresholds = [10.0, 50.0, 200.0, 1000.0]
-        curve = recall_vs_distance(db, queries, thresholds)
-        for thr, recall in curve:
+        for thr, recall in self.curve(db, geos, descs, thresholds):
             hits = 0
-            for (lat, lon), q in queries:
+            for (lat, lon), q in zip(geos, descs):
                 best_id = brute_force_ranking(items, q)[0][1]
                 g = items[best_id][1]
                 if geo_distance_m(lat, lon, g[0], g[1]) <= thr:
                     hits += 1
-            assert recall == pytest.approx(hits / len(queries))
+            assert recall == pytest.approx(hits / len(descs))
 
     def test_curve_nondecreasing(self):
         db, items = random_db(30, 4, seed=11)
         rng = np.random.default_rng(12)
-        queries = [(items[i][1], items[i][2] + rng.normal(0, 1.0, 4)) for i in range(30)]
-        curve = recall_vs_distance(db, queries, [1, 10, 100, 10000])
-        values = [r for _, r in curve]
+        geos = [items[i][1] for i in range(30)]
+        descs = [items[i][2] + rng.normal(0, 1.0, 4) for i in range(30)]
+        values = [r for _, r in self.curve(db, geos, descs, [1, 10, 100, 10000])]
         assert values == sorted(values)
 
 
