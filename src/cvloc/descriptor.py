@@ -6,11 +6,14 @@ runs over an unordered set, the descriptor is invariant to any reordering
 of the input features, which is what makes ground and overhead views
 comparable after the branches are aligned.
 
-Two pipeline shapes are provided:
+A :class:`Pipeline` holds one :class:`Branch` per view: affine layers
+applied in order, then an aggregator and a reduction. The two published
+shapes differ only in which parts a view owns and which it shares:
 
-* ``DualPipeline``   - one independent aggregator (and reduction) per view.
-* ``SharedPipeline`` - a per-view affine layer, a shared affine layer, then
-  one aggregator shared by both views.
+* dual (CVM-Net-I)   - no layers; each view has its own aggregator and
+  reduction.
+* shared (CVM-Net-II) - each view has its own first layer; both branches
+  hold the same second layer, aggregator and reduction objects.
 
 Parameters are plain arrays loaded from a binary container or randomly
 initialised from a seed; there is no training here.
@@ -19,7 +22,6 @@ initialised from a seed; there is no training here.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import struct
 from dataclasses import dataclass, fields
@@ -114,64 +116,33 @@ class AffineMap:
 
 
 @dataclass(frozen=True)
-class TransformParams:
-    """Per-view first layer plus the shared second layer of the shared pipeline."""
+class Branch:
+    """One view's path: ``layers`` applied in order, then the aggregator and
+    the reduction. Two branches share a part by holding the same object."""
 
-    satellite: AffineMap
-    ground: AffineMap
-    shared: AffineMap
+    layers: tuple[AffineMap, ...]
+    vlad: VladParams
+    reduction: AffineMap  # (R, K*H), H the aggregator's input dimension
 
     def __post_init__(self):
-        if self.satellite.in_dim != self.ground.in_dim:
-            raise ValueError("per-view transforms must share the input dimension")
-        if not (self.satellite.out_dim == self.ground.out_dim == self.shared.in_dim):
-            raise ValueError("transform dimensions must chain")
-
-    def for_view(self, view: str) -> AffineMap:
-        return self.satellite if view == SATELLITE else self.ground
-
-
-@dataclass(frozen=True)
-class BranchParams:
-    vlad: VladParams
-    reduction: AffineMap  # (R, K*D)
+        vlad = self.vlad
+        stages = [(a.in_dim, a.out_dim) for a in self.layers]
+        stages += [(vlad.dim, vlad.clusters * vlad.dim), (self.reduction.in_dim, self.reduction.out_dim)]
+        if any(out != nxt for (_, out), (nxt, _) in zip(stages, stages[1:])):
+            raise ValueError("branch dimensions must chain: each layer's output into the next layer, "
+                             "the last into the aggregator, and its K*D into the reduction")
 
 
 @dataclass(frozen=True)
-class DualPipeline:
-    """Independent aggregator and reduction per view, of the same shapes."""
+class Pipeline:
+    """The satellite and the ground branch of one descriptor pipeline."""
 
-    satellite: BranchParams
-    ground: BranchParams
+    satellite: Branch
+    ground: Branch
     normalize_output: bool = True
 
-    def __post_init__(self):
-        # the parameter container's header holds one set of dimensions for both
-        sat, grd = self.satellite, self.ground
-        if (sat.vlad.centroids.shape, sat.reduction.weight.shape) != (grd.vlad.centroids.shape,
-                                                                       grd.reduction.weight.shape):
-            raise ValueError("both branches must have the same cluster count, feature dimension "
-                             "and reduction shape")
-
-    def branch(self, view: str) -> BranchParams:
+    def branch(self, view: str) -> Branch:
         return self.satellite if view == SATELLITE else self.ground
-
-
-@dataclass(frozen=True)
-class SharedPipeline:
-    """Per-view transform into a common space, then one shared aggregator."""
-
-    transform: TransformParams
-    vlad: VladParams
-    reduction: AffineMap  # (R, K*H2)
-    normalize_output: bool = True
-
-    def __post_init__(self):
-        if self.transform.shared.out_dim != self.vlad.dim:
-            raise ValueError("shared transform output must match aggregator dimension")
-
-
-PipelineConfig = DualPipeline | SharedPipeline
 
 
 def _assign_batch(params: VladParams, feats: np.ndarray) -> np.ndarray:
@@ -236,25 +207,21 @@ def _finish(values: np.ndarray, reduction: AffineMap, normalize: bool) -> np.nda
     return out
 
 
-def forward(config: PipelineConfig, feats: LocalFeatureSet) -> GlobalDescriptor:
+def forward(pipeline: Pipeline, feats: LocalFeatureSet) -> GlobalDescriptor:
     """Full descriptor pipeline for one feature set."""
-    values = forward_batch(config, feats.features.astype(np.float64)[None, :, :], feats.view)[0]
+    values = forward_batch(pipeline, feats.features.astype(np.float64)[None, :, :], feats.view)[0]
     return GlobalDescriptor(values, feats.view)
 
 
-def forward_batch(config: PipelineConfig, feats: np.ndarray, view: str) -> np.ndarray:
+def forward_batch(pipeline: Pipeline, feats: np.ndarray, view: str) -> np.ndarray:
     """Pipeline over a (B, N, D) batch of feature sets, returning (B, R)."""
     if view not in VIEWS:
         raise ValueError(f"unknown view {view!r}")
-    feats = np.asarray(feats, dtype=np.float64)
-    if isinstance(config, DualPipeline):
-        branch = config.branch(view)
-        v = _vlad_batch(branch.vlad, feats)
-        return _finish(v, branch.reduction, config.normalize_output)
-    first = config.transform.for_view(view)
-    transformed = config.transform.shared.apply(first.apply(feats))
-    v = _vlad_batch(config.vlad, transformed)
-    return _finish(v, config.reduction, config.normalize_output)
+    branch = pipeline.branch(view)
+    x = np.asarray(feats, dtype=np.float64)
+    for layer in branch.layers:
+        x = layer.apply(x)
+    return _finish(_vlad_batch(branch.vlad, x), branch.reduction, pipeline.normalize_output)
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +248,15 @@ def random_dual_pipeline(
     reduced_dim: int = DEFAULT_REDUCED_DIM,
     normalize_output: bool = True,
     tie_views: bool = False,
-) -> DualPipeline:
+) -> Pipeline:
     """Seeded random dual pipeline. ``tie_views`` reuses the satellite branch
     for the ground view, emulating a converged, aligned pair of branches."""
     rng = np.random.Generator(np.random.Philox(seed))
-    sat = BranchParams(_random_vlad(rng, clusters, dim), _random_affine(rng, reduced_dim, clusters * dim))
-    grd = sat if tie_views else BranchParams(
-        _random_vlad(rng, clusters, dim), _random_affine(rng, reduced_dim, clusters * dim)
+    sat = Branch((), _random_vlad(rng, clusters, dim), _random_affine(rng, reduced_dim, clusters * dim))
+    grd = sat if tie_views else Branch(
+        (), _random_vlad(rng, clusters, dim), _random_affine(rng, reduced_dim, clusters * dim)
     )
-    return DualPipeline(sat, grd, normalize_output)
+    return Pipeline(sat, grd, normalize_output)
 
 
 def random_shared_pipeline(
@@ -300,7 +267,9 @@ def random_shared_pipeline(
     hidden_dim: int | None = None,
     normalize_output: bool = True,
     tie_views: bool = False,
-) -> SharedPipeline:
+) -> Pipeline:
+    """Seeded random shared pipeline; ``tie_views`` reuses the satellite
+    first layer for the ground view."""
     rng = np.random.Generator(np.random.Philox(seed))
     h = dim if hidden_dim is None else hidden_dim
     sat = _random_affine(rng, h, dim)
@@ -308,7 +277,7 @@ def random_shared_pipeline(
     shared = _random_affine(rng, h, h)
     vlad = _random_vlad(rng, clusters, h)
     red = _random_affine(rng, reduced_dim, clusters * h)
-    return SharedPipeline(TransformParams(sat, grd, shared), vlad, red, normalize_output)
+    return Pipeline(Branch((sat, shared), vlad, red), Branch((grd, shared), vlad, red), normalize_output)
 
 
 def _layout(variant: int, k: int, d: int, r: int, h1: int, h2: int) -> list[tuple[str, type, tuple[int, int]]]:
@@ -318,10 +287,10 @@ def _layout(variant: int, k: int, d: int, r: int, h1: int, h2: int) -> list[tupl
     if variant == 1:
         return [("satellite.vlad", VladParams, (k, d)), ("ground.vlad", VladParams, (k, d)),
                 ("satellite.reduction", AffineMap, (r, k * d)), ("ground.reduction", AffineMap, (r, k * d))]
-    if variant == 2:
-        return [("vlad", VladParams, (k, h2)), ("transform.satellite", AffineMap, (h1, d)),
-                ("transform.ground", AffineMap, (h1, d)), ("transform.shared", AffineMap, (h2, h1)),
-                ("reduction", AffineMap, (r, k * h2))]
+    if variant == 2:  # the second layer, aggregator and reduction are stored once, from the satellite
+        return [("satellite.vlad", VladParams, (k, h2)), ("satellite.layers.0", AffineMap, (h1, d)),
+                ("ground.layers.0", AffineMap, (h1, d)), ("satellite.layers.1", AffineMap, (h2, h1)),
+                ("satellite.reduction", AffineMap, (r, k * h2))]
     raise ValueError(f"unknown pipeline variant {variant}")
 
 
@@ -329,24 +298,50 @@ def _field_shapes(cls: type, rows: int, cols: int) -> list[tuple[int, ...]]:
     return [(rows, cols)] * (len(fields(cls)) - 1) + [(rows,)]
 
 
-def save_pipeline(config: PipelineConfig, path: str) -> None:
-    """Write the parameter container; see README for the exact byte layout."""
-    if isinstance(config, DualPipeline):
-        variant, vlad = 1, config.satellite.vlad
-        dims = (vlad.clusters, vlad.dim, config.satellite.reduction.out_dim, 0, 0)
-    else:
-        variant, t = 2, config.transform
-        dims = (config.vlad.clusters, t.satellite.in_dim, config.reduction.out_dim,
-                t.satellite.out_dim, t.shared.out_dim)
+def _component(pipeline: Pipeline, path: str):
+    """The part at a layout path such as ``satellite.layers.0``."""
+    part = pipeline
+    for name in path.split("."):
+        part = part[int(name)] if name.isdigit() else getattr(part, name)
+    return part
+
+
+def _header(branch: Branch) -> tuple[int, ...]:
+    """(variant, K, D, R, H1, H2) of a branch, which set all its shapes."""
+    k, r = branch.vlad.clusters, branch.reduction.out_dim
+    if not branch.layers:
+        return 1, k, branch.vlad.dim, r, 0, 0
+    if len(branch.layers) != 2:
+        raise ValueError(f"a parameter file holds branches of 0 or 2 layers, not {len(branch.layers)}")
+    first, second = branch.layers
+    return 2, k, first.in_dim, r, first.out_dim, second.out_dim
+
+
+def save_pipeline(pipeline: Pipeline, path: str) -> None:
+    """Write the parameter container; see README for the exact byte layout.
+
+    The container holds what its header can state, checked before the file
+    is opened: both branches have the same shapes, and either no layers
+    (variant 1) or two, the second of which, with the aggregator and the
+    reduction, is one object for both views (variant 2). Any other
+    pipeline is a ValueError."""
+    sat, grd = pipeline.satellite, pipeline.ground
+    variant, *dims = _header(sat)
+    if _header(grd) != (variant, *dims):
+        raise ValueError("both branches must have the same layer, cluster, feature and reduction shapes")
+    if sat.layers and not (sat.layers[1] is grd.layers[1] and sat.vlad is grd.vlad
+                           and sat.reduction is grd.reduction):
+        raise ValueError("a two-layer pipeline must share its second layer, aggregator and reduction "
+                         "between the views")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC + struct.pack("<II6I", _VERSION, variant, *dims, int(config.normalize_output)))
+        fh.write(_MAGIC + struct.pack("<II6I", _VERSION, variant, *dims, int(pipeline.normalize_output)))
         for name, cls, _ in _layout(variant, *dims):
-            component = operator.attrgetter(name)(config)
+            component = _component(pipeline, name)
             for f in fields(cls):
                 fh.write(np.ascontiguousarray(getattr(component, f.name), dtype="<f4").tobytes())
 
 
-def load_pipeline(path: str) -> PipelineConfig:
+def load_pipeline(path: str) -> Pipeline:
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _MAGIC:
@@ -367,7 +362,8 @@ def load_pipeline(path: str) -> PipelineConfig:
     arrays = iter([a.reshape(s) for a, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)])
     part = {name: cls(*(next(arrays) for _ in fields(cls))) for name, cls, _ in layout}
     if variant == 1:
-        return DualPipeline(BranchParams(part["satellite.vlad"], part["satellite.reduction"]),
-                            BranchParams(part["ground.vlad"], part["ground.reduction"]), bool(norm))
-    transform = TransformParams(part["transform.satellite"], part["transform.ground"], part["transform.shared"])
-    return SharedPipeline(transform, part["vlad"], part["reduction"], bool(norm))
+        branches = [Branch((), part[f"{view}.vlad"], part[f"{view}.reduction"]) for view in VIEWS]
+    else:  # both branches hold the one second layer, aggregator and reduction read
+        shared = part["satellite.layers.1"], part["satellite.vlad"], part["satellite.reduction"]
+        branches = [Branch((part[f"{view}.layers.0"], shared[0]), *shared[1:]) for view in VIEWS]
+    return Pipeline(*branches, bool(norm))

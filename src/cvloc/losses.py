@@ -43,23 +43,6 @@ class QuadrupletDistances:
                 raise ValueError("distances must be finite and non-negative")
 
 
-@dataclass(frozen=True)
-class LossConfig:
-    """Scale and margins; alpha defaults to the value used throughout."""
-
-    alpha: float = 10.0
-    margin_m: float = 1.0
-    margin_m1: float = 1.0
-    margin_m2: float = 0.5
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        for m in (self.margin_m, self.margin_m1, self.margin_m2):
-            if m < 0:
-                raise ValueError("margins must be non-negative")
-
-
 def _soft_margin(gap, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise ln(1 + e^{alpha gap}) and its derivative in ``gap``.
 
@@ -133,7 +116,7 @@ def enumerate_triplets(batch_size_m: int) -> list[TripletIndex]:
 def batch_loss(
     ground: np.ndarray,
     satellite: np.ndarray,
-    config: LossConfig,
+    alpha: float = 10.0,
     mode: str = "exhaustive",
     loss: str = "triplet",
 ) -> float:
@@ -145,8 +128,11 @@ def batch_loss(
     For the quadruplet loss the extra example is the anchor's distance to
     the lowest-indexed pair outside the triplet (exhaustive) or the
     second-closest negative (hard mining); both need M >= 3. Non-finite
-    descriptors or cross distances are a ValueError.
+    descriptors or cross distances, and an ``alpha`` that is not positive,
+    are a ValueError.
     """
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
     if mode not in ("exhaustive", "hard_mining"):
         raise ValueError(f"unknown mode {mode!r}")
     if loss not in ("triplet", "quadruplet"):
@@ -178,7 +164,7 @@ def batch_loss(
     else:
         hardest = np.sort(negs, axis=-1)
         first, second = hardest[..., :1], hardest[..., 1:2]
-    value = _soft_margin(d_pos - first, config.alpha)[0]
+    value = _soft_margin(d_pos - first, alpha)[0]
     if loss == "quadruplet":
-        value = value + _soft_margin(d_pos - second, config.alpha)[0]
+        value = value + _soft_margin(d_pos - second, alpha)[0]
     return float(np.mean(value))

@@ -174,6 +174,14 @@ def corner_cells(
     return inside, i, j, gx - i, gy - j
 
 
+def nearest_cells(grid: GridMap, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Index of the lattice point nearest each point, clamped to the grid;
+    halves round to even, as ``round`` does."""
+    col = np.clip(np.rint(np.divide(xs, grid.cell_interval)), 0, grid.width - 1).astype(np.int64)
+    row = np.clip(np.rint(np.divide(ys, grid.cell_interval)), 0, grid.height - 1).astype(np.int64)
+    return row * grid.width + col
+
+
 def tessellate(bounds: GeoRect, interval: float) -> GridMap:
     """Lay a lattice of cells over ``bounds`` at ``interval`` metres.
 

@@ -171,10 +171,12 @@ def _combine(corners: np.ndarray, tx: np.ndarray, ty: np.ndarray, mode: str) -> 
 
 def measurement_probability(field: ProbabilityField, state, mode: str = "corner-sum") -> float:
     """Measurement probability of one state (Pose or LocalPoint), on the
-    normalised scale: the field is built first."""
+    normalised scale: the field is built first. The four corners are
+    distinct cells, so their sum is at most 1 but may round above it (on a
+    2 x 2 map they are every cell); it is capped there."""
     field.probabilities  # builds a lazy field, so the batch path returns probabilities
     meas, _ = measurement_probabilities(field, np.array([[float(state.x), float(state.y)]]), mode)
-    return float(meas[0])
+    return min(float(meas[0]), 1.0)
 
 
 def measurement_probabilities(

@@ -227,13 +227,17 @@ def threshold_recall(
     thresholds: Sequence[float],
 ) -> list[tuple[float, float]]:
     """Recall curve over metric thresholds: a query counts as localized at
-    threshold T when its top-1 entry lies within T metres of the true geo."""
-    errors = []
-    for id_, (lat, lon) in zip(top_ids, true_geos):
-        (glat, glon), _ = db.entry(int(id_))
-        errors.append(geo_distance_m(lat, lon, glat, glon))
-    errors_arr = np.array(errors)
-    return [(float(t), float(np.mean(errors_arr <= t))) for t in thresholds]
+    threshold T when its top-1 entry lies within T metres of the true geo.
+    The top-1 geos are gathered by row, from one sort of the ids."""
+    top_ids = np.asarray(top_ids, dtype=np.uint64)
+    order = np.argsort(db.ids)
+    pos = np.searchsorted(db.ids, top_ids, sorter=order)
+    if np.any(pos == len(order)) or not np.array_equal(db.ids[order[pos]], top_ids):
+        raise KeyError("a top-1 id is not in the database")
+    truth = np.asarray(true_geos, dtype=np.float64).tolist()
+    errors = np.array([geo_distance_m(lat, lon, glat, glon)
+                       for (lat, lon), (glat, glon) in zip(truth, db.geos[order[pos]].tolist())])
+    return [(float(t), float(np.mean(errors <= t))) for t in thresholds]
 
 
 def recall_at_top_percent(

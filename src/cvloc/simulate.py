@@ -22,13 +22,13 @@ from .config import ConfigError, ScenarioConfig, make_output_dir, open_output
 from .descriptor import (
     GROUND,
     GlobalDescriptor,
-    PipelineConfig,
+    Pipeline,
     forward,
     load_pipeline,
     random_dual_pipeline,
     random_shared_pipeline,
 )
-from .mapgrid import GridMap, LocalPoint, local_to_geo, tessellate
+from .mapgrid import GridMap, LocalPoint, local_to_geo, nearest_cells, tessellate
 from .measurement import location_probabilities, emit_heatmap
 from .motion import MotionNoise, Pose
 from .pfilter import init_particles, localize_step
@@ -111,7 +111,6 @@ def build_world(cfg: ScenarioConfig) -> SyntheticWorld:
     aliases = tuple(AliasRegion(*vals) for vals in cfg.parsed_aliases())
     return SyntheticWorld(
         grid=grid,
-        seed=cfg.world_seed,
         n_features=cfg.world_features,
         feature_dim=cfg.world_feature_dim,
         length_scale=cfg.world_length_scale,
@@ -122,7 +121,7 @@ def build_world(cfg: ScenarioConfig) -> SyntheticWorld:
     )
 
 
-def build_pipeline(cfg: ScenarioConfig) -> PipelineConfig:
+def build_pipeline(cfg: ScenarioConfig) -> Pipeline:
     if cfg.params_file:
         return load_pipeline(cfg.params_file)
     # Both views share one parameter set, standing in for a trained,
@@ -141,7 +140,7 @@ class Scenario:
 
     cfg: ScenarioConfig
     world: SyntheticWorld
-    pipeline: PipelineConfig
+    pipeline: Pipeline
 
     @cached_property
     def db_map(self) -> GridMap:
@@ -346,13 +345,6 @@ def database_from_map(db_map: GridMap) -> DescriptorDatabase:
     return build_db(zip(range(db_map.num_cells), zip(lat, lon), db_map.descriptors))
 
 
-def _nearest_cell(grid: GridMap, x: float, y: float) -> int:
-    s = grid.cell_interval
-    col = min(max(int(round(x / s)), 0), grid.width - 1)
-    row = min(max(int(round(y / s)), 0), grid.height - 1)
-    return row * grid.width + col
-
-
 def eval_retrieval(cfg: ScenarioConfig) -> dict:
     """Retrieval metrics on the scenario world.
 
@@ -369,14 +361,10 @@ def eval_retrieval(cfg: ScenarioConfig) -> dict:
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.master_seed, spawn_key=(99,))))
     ex, ey = grid.extent
-    descs, true_ids, true_geos = [], [], []
-    for _ in range(cfg.eval_queries):
-        x = rng.uniform(0.0, ex)
-        y = rng.uniform(0.0, ey)
-        theta = rng.uniform(-math.pi, math.pi)
-        descs.append(scenario.ground_view(Pose(x, y, theta)).values)
-        true_ids.append(_nearest_cell(grid, x, y))
-        true_geos.append(local_to_geo(grid, LocalPoint(x, y)))
+    poses = rng.uniform((0.0, 0.0, -math.pi), (ex, ey, math.pi), (cfg.eval_queries, 3))
+    descs = [scenario.ground_view(Pose(*pose)).values for pose in poses.tolist()]
+    true_ids = nearest_cells(grid, poses[:, 0], poses[:, 1])
+    true_geos = np.column_stack(local_to_geo(grid, LocalPoint(poses[:, 0], poses[:, 1])))
 
     percent_k = top_percent_k(len(db), cfg.eval_percent)
     table = rank_table(db, descs, max(cfg.eval_top_k, percent_k))

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .descriptor import GROUND, SATELLITE, LocalFeatureSet, PipelineConfig, forward_batch
+from .descriptor import GROUND, SATELLITE, LocalFeatureSet, Pipeline, forward_batch
 from .mapgrid import GridMap, LocalPoint, OutOfMapError
 from .motion import Pose
 
@@ -63,8 +63,9 @@ class Corridor:
 
 @dataclass(frozen=True)
 class SyntheticWorld:
+    """A world's grid and field settings; the ``rng_seed`` of each call picks the realisation."""
+
     grid: GridMap
-    seed: int
     n_features: int = 24
     feature_dim: int = 16
     length_scale: float = 25.0
@@ -215,7 +216,7 @@ def _blas_on_one_thread():
         set_(former)
 
 
-def build_descriptor_map(world: SyntheticWorld, pipeline: PipelineConfig, rng_seed: int) -> GridMap:
+def build_descriptor_map(world: SyntheticWorld, pipeline: Pipeline, rng_seed: int) -> GridMap:
     """Run every cell's satellite features through the pipeline and store
     the descriptors on the grid (float32, matching the database format).
 

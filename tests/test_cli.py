@@ -736,6 +736,7 @@ class TestHostileLocalize:
     @example(mutations=[], pose="60,60,inf", csv=None, pgm=None)
     @example(mutations=[], pose="150,150,1e308", csv=None, pgm=None)
     @example(mutations=[], pose="60,60,0", csv="fresh", pgm="under a missing directory")
+    @example(mutations=[("cell_interval", "90")], pose="0,0,0", csv=None, pgm=None)  # 2 x 2: sum of 4 rounds above 1
     @given(mutations=st.lists(MAP_WORLD_MUTATION, max_size=3), pose=POSE_TEXT,
            csv=OUTPUT_PATH, pgm=OUTPUT_PATH)
     def test_localize_never_exits_1(self, tmp_path_factory, mutations, pose, csv, pgm):

@@ -6,12 +6,10 @@ from mpmath import mp
 
 from cvloc.descriptor import (
     AffineMap,
-    BranchParams,
-    DualPipeline,
+    Branch,
     GlobalDescriptor,
     LocalFeatureSet,
-    SharedPipeline,
-    TransformParams,
+    Pipeline,
     VladParams,
     _assign_batch,
     _cluster_sum,
@@ -141,15 +139,18 @@ def oracle_vlad_batch(params: VladParams, feats: np.ndarray) -> np.ndarray:
     return v.reshape(feats.shape[0], -1)
 
 
-def oracle_forward(config, feats: np.ndarray, view: str) -> np.ndarray:
-    """``forward_batch`` on the reference aggregation and ``np.linalg.norm``."""
-    if isinstance(config, DualPipeline):
-        vlad, reduction = config.branch(view).vlad, config.branch(view).reduction
-    else:
-        vlad, reduction = config.vlad, config.reduction
-        feats = config.transform.shared.apply(config.transform.for_view(view).apply(feats))
-    out = reduction.apply(oracle_vlad_batch(vlad, feats))
-    return out / np.linalg.norm(out, axis=-1, keepdims=True) if config.normalize_output else out
+def oracle_affine(layer: AffineMap, x: np.ndarray) -> np.ndarray:
+    return x @ layer.weight.astype(np.float64).T + layer.bias.astype(np.float64)
+
+
+def oracle_forward(pipeline: Pipeline, feats: np.ndarray, view: str) -> np.ndarray:
+    """``forward_batch`` on the reference aggregation, out-of-place affine
+    maps and ``np.linalg.norm``."""
+    branch = pipeline.satellite if view == "satellite" else pipeline.ground
+    for layer in branch.layers:
+        feats = oracle_affine(layer, feats)
+    out = oracle_affine(branch.reduction, oracle_vlad_batch(branch.vlad, feats))
+    return out / np.linalg.norm(out, axis=-1, keepdims=True) if pipeline.normalize_output else out
 
 
 def einsum_vlad_batch(params: VladParams, feats: np.ndarray) -> np.ndarray:
@@ -234,7 +235,7 @@ class TestFormerPathOracle:
             np.testing.assert_array_equal(got, want)
         else:
             np.testing.assert_allclose(got, want, rtol=0, atol=GEMM_ORDER_ATOL)
-        vlad = config.branch(view).vlad if variant == "dual" else config.vlad
+        vlad = config.branch(view).vlad
         u = feats[0, 0]  # the shared aggregator's input dimension is 16 as well
         np.testing.assert_array_equal(soft_assign(vlad, u), oracle_assign_batch(vlad, u[None, :])[0])
 
@@ -255,11 +256,11 @@ class TestFormerPathOracle:
             assert not np.array_equal(_cluster_sum(x), x.sum(axis=0))
 
 
-def dual_with_identity(k=2, d=3, normalize=False) -> DualPipeline:
+def dual_with_identity(k=2, d=3, normalize=False) -> Pipeline:
     rng = np.random.default_rng(11)
     vlad = VladParams(rng.normal(size=(k, d)), rng.normal(size=(k, d)), rng.normal(size=k))
-    branch = BranchParams(vlad, identity_reduction(k * d))
-    return DualPipeline(branch, branch, normalize_output=normalize)
+    branch = Branch((), vlad, identity_reduction(k * d))
+    return Pipeline(branch, branch, normalize_output=normalize)
 
 
 class TestForward:
@@ -280,7 +281,8 @@ class TestForward:
         d = 3
         vlad = VladParams(rng.normal(size=(2, d)), rng.normal(size=(2, d)), rng.normal(size=2))
         eye = AffineMap(np.eye(d, dtype=np.float32), np.zeros(d, dtype=np.float32))
-        cfg = SharedPipeline(TransformParams(eye, eye, eye), vlad, identity_reduction(2 * d), False)
+        branch = Branch((eye, eye), vlad, identity_reduction(2 * d))
+        cfg = Pipeline(branch, branch, False)
         feats = LocalFeatureSet(rng.normal(size=(5, d)), "ground")
         out = forward(cfg, feats)
         ref = vlad_aggregate(vlad, feats)
@@ -318,7 +320,7 @@ class TestParameterFile:
         path = tmp_path / "params.bin"
         save_pipeline(cfg, str(path))
         loaded = load_pipeline(str(path))
-        assert isinstance(loaded, DualPipeline)
+        assert loaded.satellite.layers == loaded.ground.layers == ()
         np.testing.assert_array_equal(loaded.satellite.vlad.centroids, cfg.satellite.vlad.centroids)
         np.testing.assert_array_equal(loaded.ground.reduction.weight, cfg.ground.reduction.weight)
         assert loaded.normalize_output == cfg.normalize_output
@@ -330,11 +332,52 @@ class TestParameterFile:
         save_pipeline(load_pipeline(str(a)), str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_shared_round_trip_shares_one_second_layer_aggregator_and_reduction(self, tmp_path):
+        path = tmp_path / "params.bin"
+        save_pipeline(random_shared_pipeline(99, hidden_dim=12), str(path))
+        loaded = load_pipeline(str(path))
+        sat, grd = loaded.satellite, loaded.ground
+        assert sat.layers[1] is grd.layers[1] and sat.vlad is grd.vlad and sat.reduction is grd.reduction
+        assert sat.layers[0] is not grd.layers[0]
+
+    @pytest.mark.parametrize("maker", [random_dual_pipeline, random_shared_pipeline])
     @pytest.mark.parametrize("ground", [{"clusters": 4}, {"dim": 12}, {"reduced_dim": 16}])
-    def test_mismatched_ground_branch_rejected_when_built(self, ground):
-        # saving one would write a file that load_pipeline rejects
+    def test_mismatched_ground_branch_rejected_when_saved(self, maker, ground, tmp_path):
+        # the header holds one set of dimensions for both branches
+        pipeline = Pipeline(maker(1).satellite, maker(2, **ground).ground)
         with pytest.raises(ValueError, match="both branches"):
-            DualPipeline(random_dual_pipeline(1).satellite, random_dual_pipeline(2, **ground).ground)
+            save_pipeline(pipeline, str(tmp_path / "params.bin"))
+        assert not (tmp_path / "params.bin").exists()
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_layer_count_other_than_0_or_2_rejected_when_saved(self, count, tmp_path):
+        eye = identity_reduction(16)
+        p = random_dual_pipeline(1, tie_views=True)
+        branch = Branch((eye,) * count, p.satellite.vlad, p.satellite.reduction)
+        with pytest.raises(ValueError, match="0 or 2 layers"):
+            save_pipeline(Pipeline(branch, branch), str(tmp_path / "params.bin"))
+        assert not (tmp_path / "params.bin").exists()
+
+    @pytest.mark.parametrize("part", ["second layer", "vlad", "reduction"])
+    def test_unshared_second_layer_aggregator_or_reduction_rejected_when_saved(self, part, tmp_path):
+        pipeline, other = random_shared_pipeline(1), random_shared_pipeline(2).ground
+        a = pipeline.ground
+        ground = Branch((a.layers[0], (other if part == "second layer" else a).layers[1]),
+                        (other if part == "vlad" else a).vlad, (other if part == "reduction" else a).reduction)
+        save_pipeline(Pipeline(pipeline.satellite, a), str(tmp_path / "ok.bin"))
+        with pytest.raises(ValueError, match="share"):
+            save_pipeline(Pipeline(pipeline.satellite, ground), str(tmp_path / "params.bin"))
+        assert not (tmp_path / "params.bin").exists()
+
+    @pytest.mark.parametrize("layers, reduction_in", [((4, 5), 8), ((3,), 8), ((), 7), ((4, 4), 7)])
+    def test_unchained_branch_rejected_when_built(self, layers, reduction_in):
+        # layers of these output sizes from 3 inputs, an aggregator of 2 clusters of dimension 4,
+        # a reduction taking reduction_in values: each case breaks the chain once
+        maps = [AffineMap(np.zeros((o, i), np.float32), np.zeros(o, np.float32))
+                for i, o in zip((3, *layers), layers)]
+        vlad = VladParams(np.zeros((2, 4)), np.zeros((2, 4)), np.zeros(2))
+        with pytest.raises(ValueError, match="chain"):
+            Branch(tuple(maps), vlad, AffineMap(np.zeros((2, reduction_in), np.float32), np.zeros(2, np.float32)))
 
     @pytest.mark.parametrize("tie_views", [False, True])
     @pytest.mark.parametrize("maker", [random_dual_pipeline, random_shared_pipeline])

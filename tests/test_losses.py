@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from cvloc.losses import (
-    LossConfig,
     QuadrupletDistances,
     TripletDistances,
     batch_loss,
@@ -196,7 +195,7 @@ class TestHardNegative:
             hard_negative(np.zeros(2), np.empty((0, 2)))
 
 
-def oracle_batch_loss(g: np.ndarray, s: np.ndarray, config: LossConfig, mode: str, loss: str) -> float:
+def oracle_batch_loss(g: np.ndarray, s: np.ndarray, alpha: float, mode: str, loss: str) -> float:
     """The per-triplet loop :func:`batch_loss` replaced: one distance record
     and one single-item loss call per term, one argsort per anchor."""
     m = g.shape[0]
@@ -214,11 +213,11 @@ def oracle_batch_loss(g: np.ndarray, s: np.ndarray, config: LossConfig, mode: st
         for view, i, j in enumerate_triplets(m):
             t_pos, t_neg = d_pos[i], neg_dist(view, i, j)
             if loss == "triplet":
-                value, _ = weighted_soft_margin(TripletDistances(t_pos, t_neg), config.alpha)
+                value, _ = weighted_soft_margin(TripletDistances(t_pos, t_neg), alpha)
             else:
                 k = extra_negative_index(i, j)
                 q = QuadrupletDistances(t_pos, t_neg, neg_dist(view, i, k))
-                value, _ = weighted_quadruplet(q, config.alpha)
+                value, _ = weighted_quadruplet(q, alpha)
             terms.append(value)
     else:
         for i in range(m):
@@ -227,10 +226,10 @@ def oracle_batch_loss(g: np.ndarray, s: np.ndarray, config: LossConfig, mode: st
                 order = np.argsort(negs, kind="stable")
                 if loss == "triplet":
                     t = TripletDistances(d_pos[i], negs[order[0]])
-                    value, _ = weighted_soft_margin(t, config.alpha)
+                    value, _ = weighted_soft_margin(t, alpha)
                 else:
                     q = QuadrupletDistances(d_pos[i], negs[order[0]], negs[order[1]])
-                    value, _ = weighted_quadruplet(q, config.alpha)
+                    value, _ = weighted_quadruplet(q, alpha)
                 terms.append(value)
     return float(np.mean(terms))
 
@@ -264,9 +263,8 @@ class TestBatchLossOracle:
     @given(loss_batches())
     def test_matches_per_triplet_loop(self, batch):
         mode, loss, g, s, alpha = batch
-        cfg = LossConfig(alpha=alpha)
-        got = batch_loss(g, s, cfg, mode, loss)
-        assert got == pytest.approx(oracle_batch_loss(g, s, cfg, mode, loss), rel=1e-12, abs=0)
+        got = batch_loss(g, s, alpha, mode, loss)
+        assert got == pytest.approx(oracle_batch_loss(g, s, alpha, mode, loss), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("mode, loss", MODES_AND_LOSSES)
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -276,13 +274,13 @@ class TestBatchLossOracle:
         batches = {"ground": rng.normal(size=(5, 3)), "satellite": rng.normal(size=(5, 3))}
         batches[side][3, 1] = bad
         with pytest.raises(ValueError, match="finite"):
-            batch_loss(batches["ground"], batches["satellite"], LossConfig(), mode, loss)
+            batch_loss(batches["ground"], batches["satellite"], mode=mode, loss=loss)
 
     def test_overflowing_cross_distance_rejected(self):
         # finite descriptors whose squared distance overflows to inf
         g = np.array([[0.0], [1e200], [2.0]])
         with pytest.raises(ValueError, match="finite"):
-            batch_loss(g, g.copy(), LossConfig(), "hard_mining")
+            batch_loss(g, g.copy(), mode="hard_mining")
 
 
 class TestBatchLoss:
@@ -290,45 +288,43 @@ class TestBatchLoss:
         # ground == satellite partner, all cross distances 2:
         # every triplet has d_pos = 0, d_neg = 2 -> mean ln(1 + e^(-2a))
         g = np.eye(2)
-        cfg = LossConfig(alpha=1.0)
-        value = batch_loss(g, g.copy(), cfg)
+        value = batch_loss(g, g.copy(), alpha=1.0)
         assert value == pytest.approx(softplus_oracle(-2.0), rel=1e-12)
 
     def test_coincident_pairs_give_ln2(self):
         g = np.zeros((2, 4))
-        value = batch_loss(g, g.copy(), LossConfig(alpha=10.0))
+        value = batch_loss(g, g.copy(), alpha=10.0)
         assert value == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_hard_mining_equals_exhaustive_for_two_pairs(self):
         rng = np.random.default_rng(5)
         g, s = rng.normal(size=(2, 8)), rng.normal(size=(2, 8))
-        cfg = LossConfig(alpha=10.0)
-        assert batch_loss(g, s, cfg, "exhaustive") == pytest.approx(
-            batch_loss(g, s, cfg, "hard_mining"), rel=1e-12
+        assert batch_loss(g, s, 10.0, "exhaustive") == pytest.approx(
+            batch_loss(g, s, 10.0, "hard_mining"), rel=1e-12
         )
 
     def test_quadruplet_orthonormal_triple(self):
         # d_pos = 0, every negative distance 2: each quadruplet term doubles
         g = np.eye(3)
-        value = batch_loss(g, g.copy(), LossConfig(alpha=1.0), loss="quadruplet")
+        value = batch_loss(g, g.copy(), alpha=1.0, loss="quadruplet")
         assert value == pytest.approx(2.0 * softplus_oracle(-2.0), rel=1e-12)
 
     def test_quadruplet_needs_three_pairs(self):
         g = np.eye(2)
         with pytest.raises(ValueError):
-            batch_loss(g, g.copy(), LossConfig(), loss="quadruplet")
+            batch_loss(g, g.copy(), loss="quadruplet")
 
     def test_result_finite_and_positive(self):
         rng = np.random.default_rng(9)
         g, s = rng.normal(size=(6, 16)), rng.normal(size=(6, 16))
         for mode in ("exhaustive", "hard_mining"):
             for loss in ("triplet", "quadruplet"):
-                value = batch_loss(g, s, LossConfig(alpha=10.0), mode, loss)
+                value = batch_loss(g, s, 10.0, mode, loss)
                 assert math.isfinite(value) and value > 0
 
     def test_single_pair_rejected(self):
         with pytest.raises(ValueError):
-            batch_loss(np.ones((1, 3)), np.ones((1, 3)), LossConfig())
+            batch_loss(np.ones((1, 3)), np.ones((1, 3)))
 
     def test_exhaustive_matches_plain_loop_oracle(self):
         # independent recomputation: explicit loops, no shared index math
@@ -348,7 +344,7 @@ class TestBatchLoss:
         rng = np.random.default_rng(77)
         for m in (2, 3, 5):
             g, s = rng.normal(size=(m, 6)), rng.normal(size=(m, 6))
-            got = batch_loss(g, s, LossConfig(alpha=2.0))
+            got = batch_loss(g, s, alpha=2.0)
             assert got == pytest.approx(oracle(g, s, 2.0), rel=1e-12)
 
     def test_hard_mining_matches_plain_loop_oracle(self):
@@ -366,15 +362,11 @@ class TestBatchLoss:
 
         rng = np.random.default_rng(78)
         g, s = rng.normal(size=(7, 5)), rng.normal(size=(7, 5))
-        got = batch_loss(g, s, LossConfig(alpha=2.0), mode="hard_mining")
+        got = batch_loss(g, s, alpha=2.0, mode="hard_mining")
         assert got == pytest.approx(oracle(g, s, 2.0), rel=1e-12)
 
-
-class TestLossConfig:
-    def test_rejects_nonpositive_alpha(self):
-        with pytest.raises(ValueError):
-            LossConfig(alpha=0.0)
-
-    def test_rejects_negative_margin(self):
-        with pytest.raises(ValueError):
-            LossConfig(margin_m=-1.0)
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
+    def test_rejects_alpha_not_positive(self, alpha):
+        g = np.eye(2)
+        with pytest.raises(ValueError, match="alpha"):
+            batch_loss(g, g.copy(), alpha=alpha)

@@ -16,6 +16,7 @@ from cvloc.mapgrid import (
     corner_cells,
     geo_to_local,
     local_to_geo,
+    nearest_cells,
     tessellate,
 )
 
@@ -174,6 +175,28 @@ class TestCornerCells:
         inside, i, j, tx, ty = corner_cells(g, states[:, 0], states[:, 1])
         assert inside.all() and len(i) == len(j) == 50
         assert not (np.shares_memory(tx, states) or np.shares_memory(ty, states))
+
+
+def scalar_nearest_cell(grid: GridMap, x: float, y: float) -> int:
+    """Reference for ``nearest_cells``: the former per-point form."""
+    s = grid.cell_interval
+    col = min(max(int(round(x / s)), 0), grid.width - 1)
+    row = min(max(int(round(y / s)), 0), grid.height - 1)
+    return row * grid.width + col
+
+
+# finite points on and off the map, with half-interval multiples (10 m cells) for the ties
+NEAREST_COORDS = st.one_of(st.floats(-100, 100), st.integers(-4, 20).map(lambda k: 5.0 * k))
+
+
+class TestNearestCells:
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(NEAREST_COORDS, NEAREST_COORDS), min_size=1, max_size=40))
+    def test_matches_scalar_form(self, points):
+        g = make_grid(width=5, height=4)
+        xy = np.array(points)
+        want = [scalar_nearest_cell(g, x, y) for x, y in points]
+        assert nearest_cells(g, xy[:, 0], xy[:, 1]).tolist() == want
 
 
 def metric_rect(width_m: float, height_m: float, origin=(40.0, -105.0)) -> GeoRect:

@@ -382,6 +382,12 @@ class TestMeasurementProbability:
         got = measurement_probability(f, Pose(1.0, 1.0), "corner-sum")
         assert got == pytest.approx(0.1 + 0.2 + 0.3 + 0.15)
 
+    def test_corner_sum_over_a_whole_2x2_map_is_at_most_1(self):
+        # the four corners are every cell; their float sum rounds above 1
+        p = np.array([0.26558727489063405, 0.29807590973548614, 0.19810726468437218, 0.2382295506895077])
+        assert ((p[0] + p[1]) + p[2]) + p[3] > 1
+        assert measurement_probability(field_from_probs(p, 2, 2), Pose(0.0, 0.0), "corner-sum") == 1.0
+
     def test_bilinear_constant_corners(self):
         f = field_from_probs([0.125] * 8 + [0.0], 3, 3)
         assert measurement_probability(f, Pose(0.3, 0.7), "bilinear") == pytest.approx(0.125)

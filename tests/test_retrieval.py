@@ -544,6 +544,12 @@ class TestRecallVsDistance:
         values = [r for _, r in self.curve(db, geos, descs, [1, 10, 100, 10000])]
         assert values == sorted(values)
 
+    def test_unknown_top_id_rejected(self):
+        db, _ = random_db(10, 3)
+        for top in ([3, 10], [2**63]):
+            with pytest.raises(KeyError):
+                threshold_recall(db, np.array(top, dtype=np.uint64), [(40.0, -105.0)] * len(top), [1.0])
+
 
 class TestDistractors:
     def test_zero_distractors_change_nothing(self):

@@ -13,8 +13,8 @@ from cvloc.config import ScenarioConfig
 from cvloc.descriptor import (
     SATELLITE,
     AffineMap,
-    BranchParams,
-    DualPipeline,
+    Branch,
+    Pipeline,
     forward,
     forward_batch,
     random_dual_pipeline,
@@ -57,9 +57,9 @@ def flat_oracle(world: SyntheticWorld, rng_seed: int, cells: int, spawn: int = 0
     return np.broadcast_to(np.cos(phase), (cells,) + phase.shape)
 
 
-def make_world(seed=7, interval=5.0, cells=41, **kw):
+def make_world(interval=5.0, cells=41, **kw):
     grid = GridMap((40.0, -105.0), interval, cells, cells)
-    return SyntheticWorld(grid=grid, seed=seed, **kw)
+    return SyntheticWorld(grid=grid, **kw)
 
 
 def ground_descriptor(world, pipeline, pose, seed):
@@ -216,7 +216,7 @@ class TestFlatWorld:
 
     @pytest.mark.parametrize("grid", [ODD_GRID, WIDE_GRID], ids=["odd", "wide"])
     def test_cell_features_equal_the_broadcast_form_bit_for_bit(self, grid):
-        w = SyntheticWorld(grid=grid, seed=7, flat=True)
+        w = SyntheticWorld(grid=grid, flat=True)
         np.testing.assert_array_equal(satellite_cell_features(w, 7), flat_oracle(w, 7, grid.num_cells))
 
     def test_pose_features_equal_the_broadcast_form_bit_for_bit(self):
@@ -309,7 +309,7 @@ WORLD_KINDS = {
 class TestLatticeFeatures:
     @pytest.mark.parametrize("kind", WORLD_KINDS)
     def test_matches_direct_path(self, kind):
-        w = SyntheticWorld(grid=ODD_GRID, seed=7, **WORLD_KINDS[kind])
+        w = SyntheticWorld(grid=ODD_GRID, **WORLD_KINDS[kind])
         want = _features_at(w, ODD_GRID.locations(), 7, SATELLITE)
         got = satellite_cell_features(w, 7)
         assert got.shape == (ODD_GRID.num_cells, w.n_features, w.feature_dim)
@@ -322,14 +322,14 @@ class TestLatticeFeatures:
     @pytest.mark.parametrize("kind", ["default", "corridor+alias"])
     def test_column_chunks_match_one_chunk_bit_for_bit(self, kind, monkeypatch):
         # the same elementwise formula per chunk: the same bits as a whole row at once
-        w = SyntheticWorld(grid=WIDE_GRID, seed=7, **WORLD_KINDS[kind])
+        w = SyntheticWorld(grid=WIDE_GRID, **WORLD_KINDS[kind])
         got = satellite_cell_features(w, 7)
         np.testing.assert_allclose(got, _features_at(w, WIDE_GRID.locations(), 7, SATELLITE), rtol=0, atol=1e-12)
         monkeypatch.setattr(cvloc.world, "FEATURE_CHUNK_COLUMNS", WIDE_GRID.width)
         np.testing.assert_array_equal(satellite_cell_features(w, 7), got)
 
     def test_aliased_cells_take_the_direct_path_exactly(self):
-        w = SyntheticWorld(grid=ODD_GRID, seed=7, **WORLD_KINDS["corridor+alias"])
+        w = SyntheticWorld(grid=ODD_GRID, **WORLD_KINDS["corridor+alias"])
         locs = ODD_GRID.locations()
         inside = np.hypot(locs[:, 0] - 150.0, locs[:, 1] - 150.0) <= 30.0
         assert inside.sum() > 100
@@ -440,7 +440,7 @@ class TestBlockedMapBuild:
 
     def test_row_over_the_budget_builds_one_row_per_block(self, monkeypatch):
         grid = GridMap((40.0, -105.0), 1.0, MAP_BLOCK_BYTES // (24 * 16 * 8) + 7, 3)
-        world = SyntheticWorld(grid=grid, seed=7)
+        world = SyntheticWorld(grid=grid)
         assert grid.width * 24 * 16 * 8 > MAP_BLOCK_BYTES
         blocks = forward_block_sizes(monkeypatch)
         build_descriptor_map(world, random_dual_pipeline(11, tie_views=True), 7)
@@ -452,7 +452,7 @@ class TestBlockedMapBuild:
         rows = {}
         for n in (24, 48, 96):
             blocks = forward_block_sizes(monkeypatch)
-            build_descriptor_map(SyntheticWorld(grid=grid, seed=7, n_features=n), pipeline, 7)
+            build_descriptor_map(SyntheticWorld(grid=grid, n_features=n), pipeline, 7)
             assert sum(blocks) == grid.num_cells
             rows[n] = blocks[0] // grid.width
         # 64 cells x N x 16 float64 features: at 1.5 MiB, 8, 4 and 2 rows fit
@@ -488,7 +488,7 @@ class TestBlockedMapBuild:
 
     @pytest.mark.parametrize("kind", ["default", "corridor+alias"])
     def test_within_one_float32_ulp_of_oneshot_build(self, kind):
-        w = SyntheticWorld(grid=ODD_GRID, seed=7, **WORLD_KINDS[kind])
+        w = SyntheticWorld(grid=ODD_GRID, **WORLD_KINDS[kind])
         pipeline = random_dual_pipeline(11, tie_views=True)
         got = build_descriptor_map(w, pipeline, 7).descriptors
         assert got.dtype == np.float32
@@ -513,9 +513,9 @@ class TestBlockedMapBuild:
         # finite in float64, beyond float32 range once stored
         p = random_dual_pipeline(11, tie_views=True, normalize_output=False)
         big = AffineMap(np.full((32, 128), 1e38, dtype=np.float32), np.zeros(32, dtype=np.float32))
-        branch = BranchParams(p.satellite.vlad, big)
+        branch = Branch((), p.satellite.vlad, big)
         with pytest.raises(ValueError, match="non-finite"):
-            build_descriptor_map(make_world(cells=11), DualPipeline(branch, branch, False), 7)
+            build_descriptor_map(make_world(cells=11), Pipeline(branch, branch, False), 7)
 
 
 @pytest.mark.skipif(not POOLED, reason="numpy's OpenBLAS has no thread-count functions: one worker")
@@ -530,7 +530,7 @@ class TestPooledMapBuild:
         assert hashlib.sha256(descriptors.tobytes()).hexdigest() == MAP_2M_SHA256[variant]
 
     def test_odd_grid_identical_at_any_worker_count(self, monkeypatch):
-        w = SyntheticWorld(grid=ODD_GRID, seed=7, **WORLD_KINDS["corridor+alias"])
+        w = SyntheticWorld(grid=ODD_GRID, **WORLD_KINDS["corridor+alias"])
         pipeline = random_dual_pipeline(11, tie_views=True)
         maps = []
         for workers in (1, 2, 4):
@@ -541,7 +541,7 @@ class TestPooledMapBuild:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_first_non_finite_block_in_row_order_is_named(self, workers, monkeypatch):
-        w = SyntheticWorld(grid=ODD_GRID, seed=7)
+        w = SyntheticWorld(grid=ODD_GRID)
         step = block_rows(w)
         bad = (3 * step, 4 * step)  # blocks 3 and 4: one in each worker's share at two workers
         with_workers(monkeypatch, workers)
