@@ -40,17 +40,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _scenario(args) -> ScenarioConfig:
-    overrides = {}
-    for item in args.overrides or ():
-        if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
-        overrides[key.strip()] = value.strip()
+    entries = list(args.overrides or ())  # the flags come last: they win over --set
     if args.out_dir:
-        overrides["out_dir"] = args.out_dir
+        entries.append(f"out_dir={args.out_dir}")
     if getattr(args, "heatmap_every", None) is not None:  # simulate's flag
-        overrides["heatmap_every"] = str(args.heatmap_every)
-    return load_config(args.config or None, overrides)
+        entries.append(f"heatmap_every={args.heatmap_every}")
+    return load_config(args.config or None, entries)
 
 
 def _parse_pose(text: str) -> Pose:
@@ -168,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ConfigError, OutOfMapError) as e:
         message, code = f"error[config]: {e}", 2
-    except (OSError, ValueError, struct.error) as e:
+    except (OSError, ValueError, struct.error, MemoryError) as e:  # MemoryError: a size the input asks for
         message, code = f"error[input]: {e}", 2
     except Exception as e:  # pragma: no cover - last-resort reporting
         message, code = f"error[internal]: {e}", 1

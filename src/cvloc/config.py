@@ -200,48 +200,37 @@ class ScenarioConfig:
         return vals
 
 
-_FIELDS = {f.name: f.type for f in fields(ScenarioConfig)}
+_FIELDS = {f.name: {"bool": _parse_bool, "int": int, "float": float}.get(f.type, str)
+           for f in fields(ScenarioConfig)}
 
 
-def _convert(key: str, raw: str):
-    kind = _FIELDS[key]
+def _set_entry(cfg: ScenarioConfig, text: str, source: str) -> None:
+    """Set on ``cfg`` the ``key = value`` entry ``text``, split on the first
+    ``=`` and stripped; every error starts with ``source`` (``path:line`` or
+    ``--set``)."""
+    key, eq, raw = text.partition("=")
+    key, raw = key.strip(), raw.strip()
+    if not eq:
+        raise ConfigError(f"{source}: expected 'key = value', got {text!r}")
+    if key not in _FIELDS:
+        raise ConfigError(f"{source}: unknown config key {key!r}")
     try:
-        if kind == "bool":
-            return _parse_bool(raw)
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
+        setattr(cfg, key, _FIELDS[key](raw))
     except ValueError as e:
-        raise ConfigError(f"bad value for {key}: {e}") from None
+        raise ConfigError(f"{source}: bad value for {key}: {e}") from None
 
 
-def apply_overrides(cfg: ScenarioConfig, overrides: dict[str, str]) -> ScenarioConfig:
-    for key, raw in overrides.items():
-        if key not in _FIELDS:
-            raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, key, _convert(key, raw))
-    return cfg
-
-
-def load_config(path: str | None, overrides: dict[str, str] | None = None) -> ScenarioConfig:
-    """The config of the defaults, then the file at ``path`` (none when
-    ``path`` is None), then ``overrides``; ``simulate.build_scenario``
-    validates it."""
+def load_config(path: str | None, overrides: list[str] | None = None) -> ScenarioConfig:
+    """The config of the defaults, then each line of the file at ``path``
+    (none when ``path`` is None), then each ``key=value`` of ``overrides``
+    in order; ``simulate.build_scenario`` validates it."""
     cfg = ScenarioConfig()
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 text = line.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                if "=" not in text:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
-                key, raw = (part.strip() for part in text.split("=", 1))
-                if key not in _FIELDS:
-                    raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-                setattr(cfg, key, _convert(key, raw))
-    if overrides:
-        apply_overrides(cfg, overrides)
+                if text:
+                    _set_entry(cfg, text, f"{path}:{lineno}")
+    for entry in overrides or ():
+        _set_entry(cfg, entry, "--set")
     return cfg

@@ -36,7 +36,6 @@ class ParticleSet:
 
     states: np.ndarray  # (M, 3): x, y, theta
     weights: np.ndarray  # (M,) non-negative, summing to 1
-    step: int = 0
     ess: float | None = None
     degenerate: bool = False
 
@@ -64,7 +63,7 @@ def init_particles(
     states[:, 2] = wrap_angles(
         init_pose.theta + (rng.normal(0.0, spread.sigma_rot, m) if spread.sigma_rot > 0 else 0.0)
     )
-    return ParticleSet(states, np.full(m, 1.0 / m), step=0)
+    return ParticleSet(states, np.full(m, 1.0 / m))
 
 
 def systematic_indices(weights: np.ndarray, m: int, u0: float) -> np.ndarray:
@@ -134,7 +133,7 @@ def pf_step(
     else:
         weights = raw / total
     ess = effective_sample_size(weights)
-    out = ParticleSet(states, weights, prev.step + 1, ess=ess, degenerate=degenerate)
+    out = ParticleSet(states, weights, ess=ess, degenerate=degenerate)
     if ess_threshold is not None and ess >= ess_threshold * len(prev):
         return out
     return resample_systematic(out, rng)

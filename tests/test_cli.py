@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import time
 from dataclasses import fields
 
@@ -53,6 +56,19 @@ class TestConfigHandling:
     def test_bad_value_exits_2(self, capsys):
         code, _, err = run_cli(["simulate", "--set", "particles=many"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("entry, message", [
+        ("particles", "expected 'key = value', got 'particles'"),
+        ("partcles = 100", "unknown config key 'partcles'"),
+        ("particles = ten", "bad value for particles: "),
+    ])
+    def test_every_entry_error_starts_with_its_source(self, entry, message, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# scenario\ntraj_steps = 3\n{entry}  # third line\n")
+        code, _, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+        assert code == 2 and err.startswith(f"error[config]: {cfg}:3: {message}"), err
+        code, _, err = run_cli(["simulate", "--set", "traj_steps=3", "--set", entry.replace(" ", "")], capsys)
+        assert code == 2 and err.startswith(f"error[config]: --set: {message}"), err
 
     @pytest.mark.parametrize("length", ["-300", "0", "nan"])
     def test_non_positive_traj_length_exits_2(self, length, capsys):
@@ -239,6 +255,33 @@ class TestSimulateCommand:
         assert code == 0
         names = sorted(p.name for p in (tmp_path / "heatmaps").iterdir())
         assert names == [f"field_{t:05d}.{ext}" for t in (3, 6, 9) for ext in ("csv", "pgm")]
+
+
+# Runs cvloc.cli.main on the given arguments with the address space capped
+# at 4 GiB, so an oversized allocation fails whatever the overcommit setting.
+ADDRESS_SPACE_CAPPED_MAIN = """
+import resource, sys
+from cvloc.cli import main
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestOversizedAllocation:
+    """An allocation a config value asks for that cannot be made is bad input."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--set", "particles=100000000000", "--set", "traj_steps=1"],  # 2.18 TiB of states
+        ["localize", "--pose", "10,10,0", "--set", "clusters=1000000000"],  # 119 GiB of centroids
+    ])
+    def test_exits_2_and_leaves_no_out_dir(self, argv, tmp_path):
+        out = tmp_path / "out"
+        src = os.path.dirname(os.path.dirname(cvloc.world.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", ADDRESS_SPACE_CAPPED_MAIN, *argv, "--out-dir", str(out)],
+                              capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        assert proc.returncode == 2 and proc.stderr.startswith("error[input]: "), proc.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestValidatedOnce:

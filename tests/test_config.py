@@ -2,7 +2,7 @@ from dataclasses import fields
 
 import pytest
 
-from cvloc.config import ConfigError, ScenarioConfig, apply_overrides, load_config
+from cvloc.config import ConfigError, ScenarioConfig, load_config
 
 
 def write_config(cfg: ScenarioConfig, path: str) -> None:
@@ -54,9 +54,10 @@ class TestFileParsing:
 
     def test_bad_type_rejected(self, tmp_path):
         path = tmp_path / "s.cfg"
-        path.write_text("particles = plenty\n")
-        with pytest.raises(ConfigError):
+        path.write_text("# header\nworld_seed = 3\nparticles = plenty\n")
+        with pytest.raises(ConfigError) as e:
             load_config(str(path))
+        assert str(e.value).startswith(f"{path}:3: bad value for particles: ")
 
     def test_bool_spellings(self, tmp_path):
         path = tmp_path / "s.cfg"
@@ -68,8 +69,9 @@ class TestFileParsing:
     def test_overrides_win_over_file(self, tmp_path):
         path = tmp_path / "s.cfg"
         path.write_text("particles = 10\n")
-        cfg = load_config(str(path), {"particles": "99"})
-        assert cfg.particles == 99
+        cfg = load_config(str(path), ["particles=5", " out_dir = a=b ", "particles = 99"])
+        assert cfg.particles == 99  # the later override wins
+        assert cfg.out_dir == "a=b"  # split on the first '=', both sides stripped
 
 
 class TestValidation:
@@ -112,7 +114,7 @@ class TestValidation:
 
     def test_unknown_override_key_rejected(self):
         with pytest.raises(ConfigError):
-            apply_overrides(ScenarioConfig(), {"nope": "1"})
+            load_config(None, ["nope=1"])
 
 
 class TestParsedFields:

@@ -22,8 +22,8 @@ from cvloc.pfilter import (
 from cvloc.simulate import build_scenario, filter_noise, scenario_trajectory
 
 
-def particle_set(states, weights, step=0):
-    return ParticleSet(np.asarray(states, dtype=float), np.asarray(weights, dtype=float), step)
+def particle_set(states, weights):
+    return ParticleSet(np.asarray(states, dtype=float), np.asarray(weights, dtype=float))
 
 
 class TestInitParticles:
@@ -149,7 +149,6 @@ class TestPfStep:
         out = pf_step(ps, ControlAction(0, 0), small_field(), ZERO_NOISE, make_rng(8))
         np.testing.assert_array_equal(out.states, states)
         assert out.weights == pytest.approx([0.05] * 20)
-        assert out.step == 1
 
     def test_peaked_field_concentrates_particles(self):
         # 5x5 grid, all mass at the centre cell (2, 2); particles sitting on

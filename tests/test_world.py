@@ -539,11 +539,13 @@ class TestPooledMapBuild:
             assert ran_pooled(threads, workers)
         assert maps[0].tobytes() == maps[1].tobytes() == maps[2].tobytes()
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_first_non_finite_block_in_row_order_is_named(self, workers, monkeypatch):
+    # blocks first and first + 1: one in each worker's share at two workers;
+    # block 0 is the one the calling thread builds alone before the pool starts
+    @pytest.mark.parametrize("workers, first", [(1, 3), (2, 3), (2, 0)])
+    def test_first_non_finite_block_in_row_order_is_named(self, workers, first, monkeypatch):
         w = SyntheticWorld(grid=ODD_GRID)
         step = block_rows(w)
-        bad = (3 * step, 4 * step)  # blocks 3 and 4: one in each worker's share at two workers
+        bad = (first * step, (first + 1) * step)
         with_workers(monkeypatch, workers)
 
         def poisoned(world, seed, rows):
