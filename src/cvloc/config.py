@@ -226,8 +226,14 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> Scenari
     in order; ``simulate.build_scenario`` validates it."""
     cfg = ScenarioConfig()
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
+        # a byte that is not UTF-8 is read as an escape, so that its line can be named
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, start=1):
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as e:
+                    raise ConfigError(f"{path}:{lineno}: not UTF-8 text: byte 0x{ord(line[e.start]) - 0xDC00:02x} "
+                                      f"at column {e.start + 1}") from None
                 text = line.split("#", 1)[0].strip()
                 if text:
                     _set_entry(cfg, text, f"{path}:{lineno}")

@@ -17,6 +17,14 @@ shapes differ only in which parts a view owns and which it shares:
 
 Parameters are plain arrays loaded from a binary container or randomly
 initialised from a seed; there is no training here.
+
+Batches take one of two kernels. :func:`forward_batch` runs the map: one
+assignment GEMM and one reduction GEMM over a whole block of cells.
+:func:`forward_sets` runs ground views: a GEMM per set for the assignment
+and a GEMV per set for the reduction, the products numpy picks for a lone
+set. The two round differently, by a few 1e-16 at most: the map goldens
+lock the block kernels, and the step-log goldens lock the per-set ones, so
+a batch of ground views must equal each view computed alone.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +60,7 @@ class LocalFeatureSet:
         f = self.features
         if f.ndim != 2 or f.shape[0] < 1:
             raise ValueError(f"features must be (N, D) with N >= 1, got {f.shape}")
-        if not np.all(np.isfinite(f)):
+        if not np.isfinite(f).all():
             raise ValueError("features must be finite")
         if self.view not in VIEWS:
             raise ValueError(f"unknown view {self.view!r}")
@@ -61,6 +70,14 @@ class LocalFeatureSet:
 class GlobalDescriptor:
     values: np.ndarray
     view: str
+
+
+def _float64(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Read-only float64 copies of parameter arrays, made once per parameter object."""
+    out = tuple(np.array(a, dtype=np.float64) for a in arrays)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -80,6 +97,11 @@ class VladParams:
         for a in (self.centroids, self.assign_weights, self.assign_bias):
             if not np.all(np.isfinite(a)):
                 raise ValueError("parameters must be finite")
+
+    @cached_property
+    def exact64(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(centroids, assign_weights, assign_bias) cast to float64, exactly."""
+        return _float64(self.centroids, self.assign_weights, self.assign_bias)
 
     @property
     def clusters(self) -> int:
@@ -101,6 +123,11 @@ class AffineMap:
         if not (np.all(np.isfinite(self.weight)) and np.all(np.isfinite(self.bias))):
             raise ValueError("parameters must be finite")
 
+    @cached_property
+    def exact64(self) -> tuple[np.ndarray, np.ndarray]:
+        """(weight, bias) cast to float64, exactly."""
+        return _float64(self.weight, self.bias)
+
     @property
     def in_dim(self) -> int:
         return self.weight.shape[1]
@@ -110,8 +137,9 @@ class AffineMap:
         return self.weight.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        out = x @ self.weight.astype(np.float64).T
-        out += self.bias  # cast to float64 by the add, exactly; in place saves a block-sized copy
+        weight, bias = self.exact64
+        out = x @ weight.T
+        out += bias  # in place saves a block-sized copy
         return out
 
 
@@ -148,8 +176,9 @@ class Pipeline:
 def _assign_batch(params: VladParams, feats: np.ndarray) -> np.ndarray:
     """(M, D) features -> (K, M) softmax columns, cluster-leading so that
     every step runs over K contiguous rows rather than M rows of length K."""
-    a = np.dot(params.assign_weights.astype(np.float64), feats.T)
-    a += params.assign_bias[:, None]  # cast to float64 by the add, exactly
+    _, weights, bias = params.exact64
+    a = np.dot(weights, feats.T)
+    a += bias[:, None]
     a -= a.max(axis=0)
     np.exp(a, out=a)
     a /= _cluster_sum(a)
@@ -193,7 +222,7 @@ def _vlad_batch(params: VladParams, feats: np.ndarray) -> np.ndarray:
         totals = t.T
     weighted = np.matmul(a.transpose(1, 0, 2), feats)  # (B, K, D)
     del a  # freed before the (B, K, D) product below
-    weighted -= totals[:, :, None] * params.centroids
+    weighted -= totals[:, :, None] * params.exact64[0]
     return weighted.reshape(b, -1)
 
 
@@ -201,27 +230,51 @@ def _finish(values: np.ndarray, reduction: AffineMap, normalize: bool) -> np.nda
     out = reduction.apply(values)
     if normalize:
         norms = np.sqrt(np.add.reduce(out * out, axis=-1, keepdims=True))  # np.linalg.norm, less overhead
-        if np.any(norms == 0):
+        if not norms.all():
             raise ValueError("cannot normalise a zero descriptor")
         out = out / norms
     return out
 
 
 def forward(pipeline: Pipeline, feats: LocalFeatureSet) -> GlobalDescriptor:
-    """Full descriptor pipeline for one feature set."""
-    values = forward_batch(pipeline, feats.features.astype(np.float64)[None, :, :], feats.view)[0]
-    return GlobalDescriptor(values, feats.view)
+    """Full descriptor pipeline for one feature set: :func:`forward_sets` of one."""
+    return GlobalDescriptor(forward_sets(pipeline, feats.features[None, :, :], feats.view)[0], feats.view)
 
 
-def forward_batch(pipeline: Pipeline, feats: np.ndarray, view: str) -> np.ndarray:
-    """Pipeline over a (B, N, D) batch of feature sets, returning (B, R)."""
+def _layers(pipeline: Pipeline, feats: np.ndarray, view: str) -> tuple[Branch, np.ndarray]:
+    """The view's branch and the (B, N, D) batch after its layers, in float64."""
     if view not in VIEWS:
         raise ValueError(f"unknown view {view!r}")
     branch = pipeline.branch(view)
     x = np.asarray(feats, dtype=np.float64)
     for layer in branch.layers:
         x = layer.apply(x)
+    return branch, x
+
+
+def forward_batch(pipeline: Pipeline, feats: np.ndarray, view: str) -> np.ndarray:
+    """Pipeline over a (B, N, D) block of map cells, returning (B, R), with one
+    GEMM over the block for the assignment and one for the reduction. The map
+    goldens lock these; ground views take :func:`forward_sets`, which rounds as a lone set."""
+    branch, x = _layers(pipeline, feats, view)
     return _finish(_vlad_batch(branch.vlad, x), branch.reduction, pipeline.normalize_output)
+
+
+def forward_sets(pipeline: Pipeline, feats: np.ndarray, view: str) -> np.ndarray:
+    """Pipeline over a (B, N, D) batch of ground views, returning (B, R), with
+    every product on one set, so that each row is bit for bit the set's own."""
+    branch, x = _layers(pipeline, feats, view)
+    centroids, weights, bias = branch.vlad.exact64
+    a = np.matmul(weights, x.transpose(0, 2, 1))  # (B, K, N)
+    a += bias[:, None]
+    a -= a.max(axis=1, keepdims=True)
+    np.exp(a, out=a)
+    a /= np.ascontiguousarray(a.transpose(0, 2, 1)).sum(axis=2)[:, None, :]  # pairwise over K
+    totals = np.ascontiguousarray(a.transpose(2, 0, 1)).sum(axis=0)  # (B, K), added over N one by one
+    weighted = np.matmul(a, x)  # (B, K, D)
+    weighted -= totals[:, :, None] * centroids
+    values = weighted.reshape(len(x), 1, -1)  # (B, 1, K*D): numpy takes a GEMV per row
+    return _finish(values, branch.reduction, pipeline.normalize_output).reshape(len(x), -1)
 
 
 # ---------------------------------------------------------------------------

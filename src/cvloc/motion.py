@@ -23,8 +23,14 @@ def wrap_angle(a: float) -> float:
 
 
 def wrap_angles(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    return np.where((a > -np.pi) & (a <= np.pi), a, np.pi - (np.pi - a) % TWO_PI)
+    """A copy of ``a`` wrapped into (-pi, pi]; the modulo runs only on the
+    elements outside it (NaN among them), which are mostly none."""
+    out = np.array(a, dtype=np.float64)
+    inside = (out > -np.pi) & (out <= np.pi)
+    if not inside.all():
+        outside = ~inside
+        out[outside] = np.pi - (np.pi - out[outside]) % TWO_PI
+    return out
 
 
 @dataclass

@@ -95,7 +95,7 @@ def resample_systematic(pset: ParticleSet, rng: np.random.Generator) -> Particle
     """Draw M particles with replacement; output weights are uniform 1/M."""
     m = len(pset)
     idx = systematic_indices(pset.weights, m, float(rng.random()))
-    return replace(pset, states=pset.states[idx], weights=np.full(m, 1.0 / m))  # indexing copies
+    return replace(pset, states=np.take(pset.states, idx, axis=0), weights=np.full(m, 1.0 / m))  # a copy
 
 
 def effective_sample_size(weights: np.ndarray) -> float:

@@ -24,16 +24,18 @@ from .descriptor import (
     GlobalDescriptor,
     Pipeline,
     forward,
+    forward_sets,
     load_pipeline,
     random_dual_pipeline,
     random_shared_pipeline,
 )
 from .mapgrid import GridMap, LocalPoint, local_to_geo, nearest_cells, tessellate
 from .measurement import location_probabilities, emit_heatmap
-from .motion import MotionNoise, Pose
+from .motion import MotionNoise, Pose, wrap_angles
 from .pfilter import init_particles, localize_step
 from .retrieval import DescriptorDatabase, build_db, rank_table, recall_in_table, threshold_recall, top_percent_k
-from .world import AliasRegion, Corridor, SyntheticWorld, build_descriptor_map, synth_features
+from .world import (AliasRegion, Corridor, SyntheticWorld, build_descriptor_map, pose_features,
+                    sets_per_block, synth_features)
 
 
 def position_error(est: Pose, gt: Pose) -> float:
@@ -150,6 +152,20 @@ class Scenario:
     def ground_view(self, pose: Pose) -> GlobalDescriptor:
         """The ground-view descriptor at ``pose``."""
         return forward(self.pipeline, synth_features(self.world, pose, self.cfg.world_seed, view=GROUND))
+
+    def ground_views(self, poses: np.ndarray) -> np.ndarray:
+        """(P, R) ground-view descriptors at (P, 3) poses, each row bit for bit
+        ``ground_view(Pose(*row))``, computed in blocks of ``sets_per_block``
+        sets so that memory does not grow with P beyond the output."""
+        poses = np.asarray(poses, dtype=np.float64).reshape(-1, 3)
+        step = sets_per_block(self.world)
+        out = np.empty((len(poses), self.pipeline.ground.reduction.out_dim))
+        for i in range(0, len(poses), step):
+            block = poses[i : i + step].copy()
+            block[:, 2] = wrap_angles(block[:, 2])  # the heading a Pose holds
+            feats = pose_features(self.world, block, self.cfg.world_seed, GROUND)
+            out[i : i + step] = forward_sets(self.pipeline, feats, GROUND)
+        return out
 
 
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
@@ -362,7 +378,7 @@ def eval_retrieval(cfg: ScenarioConfig) -> dict:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.master_seed, spawn_key=(99,))))
     ex, ey = grid.extent
     poses = rng.uniform((0.0, 0.0, -math.pi), (ex, ey, math.pi), (cfg.eval_queries, 3))
-    descs = [scenario.ground_view(Pose(*pose)).values for pose in poses.tolist()]
+    descs = scenario.ground_views(poses)
     true_ids = nearest_cells(grid, poses[:, 0], poses[:, 1])
     true_geos = np.column_stack(local_to_geo(grid, LocalPoint(poses[:, 0], poses[:, 1])))
 

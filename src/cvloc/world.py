@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .descriptor import GROUND, SATELLITE, LocalFeatureSet, Pipeline, forward_batch
-from .mapgrid import GridMap, LocalPoint, OutOfMapError
+from .mapgrid import GridMap, OutOfMapError
 from .motion import Pose
 
 TWO_PI = 2.0 * math.pi
@@ -111,8 +111,9 @@ def _column_factors(seed: int, n: int, d: int, scale: float, flat: bool, width: 
 def _eval_field(world: SyntheticWorld, positions: np.ndarray, seed: int, spawn: int) -> np.ndarray:
     """(P, 2) positions -> (P, n_features, feature_dim) sinusoid features."""
     wave, phase = _field_params(seed, world.n_features, world.feature_dim, world.length_scale, spawn, world.flat)
-    arg = np.einsum("pc,ndc->pnd", positions, wave) + phase
-    return np.cos(arg)
+    arg = np.einsum("pc,ndc->pnd", positions, wave)
+    arg += phase
+    return np.cos(arg, out=arg)
 
 
 def _remap_aliases(world: SyntheticWorld, positions: np.ndarray) -> np.ndarray:
@@ -143,26 +144,43 @@ def _features_at(world: SyntheticWorld, positions: np.ndarray, seed: int, view: 
     positions = _remap_aliases(world, np.asarray(positions, dtype=np.float64))
     feats = _eval_field(world, positions, seed, spawn=0)
     if view == GROUND and world.view_noise > 0:
-        feats = feats + world.view_noise * _eval_field(world, positions, seed, spawn=1)
+        noise = _eval_field(world, positions, seed, spawn=1)
+        noise *= world.view_noise
+        feats += noise
     _apply_corridor(world, feats, positions)
     return feats
 
 
-def synth_features(world: SyntheticWorld, pose: Pose, rng_seed: int, view: str = GROUND) -> LocalFeatureSet:
-    """Deterministic local features for one pose.
+def pose_features(world: SyntheticWorld, poses: np.ndarray, rng_seed: int, view: str = GROUND) -> np.ndarray:
+    """(P, 3) poses (x, y, theta) -> (P, N, D) local features, one set per pose.
 
     The seed selects the field realisation; the same (pose, seed) always
-    produces the same output. Ground-view sets are additionally rolled by
-    heading, exercising the order-invariance of the aggregation stage.
+    produces the same output, whatever the other poses of the batch. Ground-view
+    sets are additionally rolled by heading, exercising the order-invariance
+    of the aggregation stage. Every pose must lie on the map.
     """
-    p = LocalPoint(pose.x, pose.y)
-    if not world.grid.contains(p):
-        raise OutOfMapError(f"pose ({pose.x}, {pose.y}) outside world bounds")
-    feats = _features_at(world, np.array([[pose.x, pose.y]]), rng_seed, view)[0]
+    poses = np.asarray(poses, dtype=np.float64).reshape(-1, 3)
+    xy = np.ascontiguousarray(poses[:, :2])
+    on_map = (xy >= 0.0) & (xy <= world.grid.extent)
+    if not on_map.all():
+        x, y = xy[np.argmin(on_map.all(axis=1))]
+        raise OutOfMapError(f"pose ({x}, {y}) outside world bounds")
+    feats = _features_at(world, xy, rng_seed, view)
     if view == GROUND:
-        shift = int(round((pose.theta % TWO_PI) / TWO_PI * world.n_features)) % world.n_features
-        feats = np.roll(feats, shift, axis=0)
-    return LocalFeatureSet(feats, view)
+        theta, n = poses[:, 2], world.n_features
+        if not np.isfinite(theta).all():
+            raise ValueError(f"pose heading {theta[~np.isfinite(theta)][0]} is not finite")
+        shift = np.rint(theta % TWO_PI / TWO_PI * n).astype(np.int64)
+        # np.roll of each set by its shift, as one gather
+        feats = feats[np.arange(len(feats))[:, None], (np.arange(n) - shift[:, None]) % n]
+    if not np.isfinite(feats).all():
+        raise ValueError("features must be finite")
+    return feats
+
+
+def synth_features(world: SyntheticWorld, pose: Pose, rng_seed: int, view: str = GROUND) -> LocalFeatureSet:
+    """Deterministic local features for one pose: :func:`pose_features` of one."""
+    return LocalFeatureSet(pose_features(world, np.array([pose.x, pose.y, pose.theta]), rng_seed, view)[0], view)
 
 
 def satellite_cell_features(world: SyntheticWorld, rng_seed: int, rows: slice = slice(None)) -> np.ndarray:
@@ -198,6 +216,11 @@ def satellite_cell_features(world: SyntheticWorld, rng_seed: int, rows: slice = 
     return feats
 
 
+def sets_per_block(world: SyntheticWorld) -> int:
+    """Feature sets whose float64 features fit MAP_BLOCK_BYTES, at least one."""
+    return max(1, MAP_BLOCK_BYTES // (world.n_features * world.feature_dim * 8))
+
+
 @contextmanager
 def _blas_on_one_thread():
     """Pin numpy's bundled OpenBLAS to one thread and restore the former count
@@ -227,7 +250,7 @@ def build_descriptor_map(world: SyntheticWorld, pipeline: Pipeline, rng_seed: in
     with OpenBLAS on one thread; each block writes only its own rows.
     """
     grid = world.grid
-    step = max(1, MAP_BLOCK_BYTES // (grid.width * world.n_features * world.feature_dim * 8))
+    step = max(1, sets_per_block(world) // grid.width)
     blocks = [slice(r0, min(r0 + step, grid.height)) for r0 in range(0, grid.height, step)]
     out, bad = None, []
 

@@ -1,5 +1,6 @@
 """Small helpers shared by several test files: a seeded generator, a uniform
-field, the corner indices of one point, and a trajectory writer."""
+field, the corner indices of one point, a trajectory writer and the per-pose
+ground-view oracle."""
 
 from __future__ import annotations
 
@@ -7,9 +8,11 @@ import math
 
 import numpy as np
 
+from cvloc.descriptor import GROUND, Pipeline, forward_batch
 from cvloc.mapgrid import GridMap, LocalPoint, OutOfMapError, corner_cells
 from cvloc.measurement import DEFAULT_FLOOR, ProbabilityField
 from cvloc.motion import Pose
+from cvloc.world import TWO_PI, SyntheticWorld, _features_at
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -44,3 +47,14 @@ def save_trajectory(poses: list[Pose], path: str) -> None:
         fh.write("t,x,y,theta\n")
         for t, p in enumerate(poses):
             fh.write(f"{t},{p.x:.17g},{p.y:.17g},{p.theta:.17g}\n")
+
+
+def ground_view_oracle(world: SyntheticWorld, pipeline: Pipeline, pose: Pose, rng_seed: int) -> np.ndarray:
+    """The (R,) ground-view descriptor at ``pose`` as computed one pose at a
+    time before the batch path: the features of one position, rolled by the
+    heading with ``np.roll``, through a one-set ``forward_batch``."""
+    if not world.grid.contains(LocalPoint(pose.x, pose.y)):
+        raise OutOfMapError(f"pose ({pose.x}, {pose.y}) outside world bounds")
+    feats = _features_at(world, np.array([[pose.x, pose.y]]), rng_seed, GROUND)[0]
+    shift = int(round((pose.theta % TWO_PI) / TWO_PI * world.n_features)) % world.n_features
+    return forward_batch(pipeline, np.roll(feats, shift, axis=0)[None, :, :], GROUND)[0]

@@ -70,6 +70,18 @@ class TestConfigHandling:
         code, _, err = run_cli(["simulate", "--set", "traj_steps=3", "--set", entry.replace(" ", "")], capsys)
         assert code == 2 and err.startswith(f"error[config]: --set: {message}"), err
 
+    @pytest.mark.parametrize("body, line, column, byte", [
+        (b"particles = 1\xff0\n", 1, 14, "0xff"),
+        (b"# scenario\ntraj_steps = 3\r\nparticles = 10  # caf\xe9\n", 3, 22, "0xe9"),
+        (b"traj_steps = 3\rparticles = \xc3\n", 2, 13, "0xc3"),  # a lone CR ends a line too
+    ])
+    def test_a_byte_not_utf8_names_its_line(self, body, line, column, byte, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(body)
+        code, _, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+        assert code == 2 and err.startswith(f"error[config]: {cfg}:{line}: not UTF-8 text: byte {byte} "
+                                            f"at column {column}"), err
+
     @pytest.mark.parametrize("length", ["-300", "0", "nan"])
     def test_non_positive_traj_length_exits_2(self, length, capsys):
         code, _, err = run_cli(["simulate", *SMALL, "--set", f"traj_length={length}"], capsys)

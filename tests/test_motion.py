@@ -47,6 +47,12 @@ def wrap_angle_oracle(a: float) -> float:
     return math.pi - (math.pi - a) % (2.0 * math.pi)
 
 
+def wrap_angles_oracle(a) -> np.ndarray:
+    """The array wrap before it ran the modulo on out-of-range elements only."""
+    a = np.asarray(a)
+    return np.where((a > -np.pi) & (a <= np.pi), a, np.pi - (np.pi - a) % (2.0 * np.pi))
+
+
 def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).view(np.int64)
 
@@ -63,6 +69,23 @@ class TestWrapAngle:
         expected = _bits([wrap_angle_oracle(float(a)) for a in angles])
         np.testing.assert_array_equal(_bits([wrap_angle(float(a)) for a in angles]), expected)
         np.testing.assert_array_equal(_bits(wrap_angles(angles)), expected)
+
+    @pytest.mark.parametrize("special", [math.pi, -math.pi, 0.0, -0.0, math.inf, -math.inf, math.nan,
+                                         1e300, -1e300, 3 * math.pi, -3 * math.pi])
+    def test_bit_identical_to_the_former_array_wrap(self, special):
+        rng = np.random.default_rng(17)
+        angles = np.concatenate([rng.uniform(-4.0, 4.0, 1_000), [special], rng.uniform(-1e6, 1e6, 10)])
+        np.testing.assert_array_equal(_bits(wrap_angles(angles)), _bits(wrap_angles_oracle(angles)))
+        inside = angles[np.abs(angles) < 3.0]  # every element in range: the modulo never runs
+        np.testing.assert_array_equal(_bits(wrap_angles(inside)), _bits(wrap_angles_oracle(inside)))
+        zero_d = wrap_angles(np.float64(special))
+        assert zero_d.shape == () and _bits(zero_d) == _bits(wrap_angles_oracle(np.float64(special)))
+
+    def test_returns_a_copy(self):
+        angles = np.array([0.5, -0.5])
+        out = wrap_angles(angles)
+        out[:] = 9.0
+        np.testing.assert_array_equal(angles, [0.5, -0.5])
 
     def test_zero(self):
         assert wrap_angle(0.0) == 0.0

@@ -93,6 +93,15 @@ class TestSystematicResampling:
         ps = particle_set(np.random.default_rng(5).normal(size=(33, 3)), np.full(33, 1 / 33))
         assert len(resample_systematic(ps, make_rng(6))) == 33
 
+    @pytest.mark.parametrize("m", [1, 7, 1000, 100_000])
+    def test_equals_the_former_indexing_gather(self, m):
+        rng = np.random.default_rng(m)
+        ps = particle_set(rng.normal(size=(m, 3)), rng.uniform(0.0, 1.0, m))
+        out = resample_systematic(ps, make_rng(8))
+        idx = systematic_indices(ps.weights, m, float(make_rng(8).random()))
+        np.testing.assert_array_equal(out.states.view(np.int64), ps.states[idx].view(np.int64))
+        assert out.states.flags.c_contiguous
+
     def test_survivors_share_no_memory_with_the_input(self):
         ps = particle_set(np.random.default_rng(5).normal(size=(33, 3)), np.full(33, 1 / 33))
         before = ps.states.copy()

@@ -6,10 +6,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import ground_view_oracle
 
 import cvloc.world
 from cvloc.cli import main
-from cvloc.config import ScenarioConfig
+from cvloc.config import ScenarioConfig, load_config
 from cvloc.descriptor import (
     SATELLITE,
     AffineMap,
@@ -26,6 +30,7 @@ from cvloc.simulate import build_pipeline, build_scenario, build_world
 from cvloc.world import (
     FEATURE_CHUNK_COLUMNS,
     MAP_BLOCK_BYTES,
+    TWO_PI,
     AliasRegion,
     Corridor,
     SyntheticWorld,
@@ -33,6 +38,7 @@ from cvloc.world import (
     _field_params,
     build_descriptor_map,
     satellite_cell_features,
+    sets_per_block,
     synth_features,
 )
 
@@ -599,3 +605,137 @@ class TestPooledMapBuild:
         finally:
             set_(former)
         assert set(seen) == {1}
+
+
+# The shapes the batched ground views are held to, as config entries.
+GROUND_VIEW_SHAPES = {
+    "default": [],
+    "shared": ["pipeline_variant=shared"],
+    "dual-K16-N7": ["clusters=16", "world_features=7"],
+    "shared-K16-N7": ["pipeline_variant=shared", "clusters=16", "world_features=7"],
+    "corridor+alias": ["corridor=true", "alias_regions=100,100,300,300,40;50,400,380,60,25"],
+    "flat": ["world_kind=flat"],
+    "K1": ["clusters=1"],
+    "N1": ["world_features=1"],
+    "R100-K20": ["reduced_dim=100", "clusters=20"],
+    "K200-D3": ["clusters=200", "world_feature_dim=3"],
+}
+
+
+def scenario_of(entries):
+    return build_scenario(load_config(None, entries))
+
+
+def random_poses(scenario, count, seed):
+    ex, ey = scenario.world.grid.extent
+    return np.random.default_rng(seed).uniform((0.0, 0.0, -math.pi), (ex, ey, math.pi), (count, 3))
+
+
+def assert_ground_views_equal_oracle(scenario, poses):
+    """Every row of ``ground_views`` and every ``ground_view`` equals the
+    per-pose oracle bit for bit."""
+    want = np.array([ground_view_oracle(scenario.world, scenario.pipeline, Pose(*p), scenario.cfg.world_seed)
+                     for p in poses.tolist()]).reshape(len(poses), -1)
+    got = scenario.ground_views(poses)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    for p, row in zip(poses.tolist()[:20], want):
+        np.testing.assert_array_equal(scenario.ground_view(Pose(*p)).values.view(np.int64), row.view(np.int64))
+
+
+def half_way_headings(n: int) -> list[float]:
+    """Headings in (-π, π], as a Pose holds them, whose roll bin (θ mod 2π)/2π·n
+    lands exactly on k + 1/2, where rounding goes to the even neighbour; found
+    within a few ulps of (k + 1/2)·2π/n."""
+    found = []
+    for k in range(-n // 2, n // 2):
+        theta = (k + 0.5) * TWO_PI / n
+        for _ in range(4):
+            if theta % TWO_PI / TWO_PI * n % 1.0 == 0.5:
+                found.append(theta)
+                break
+            theta = math.nextafter(theta, math.inf)
+    return found
+
+
+DEFAULT_SCENARIO = build_scenario(ScenarioConfig())
+EX, EY = DEFAULT_SCENARIO.world.grid.extent
+EDGE_HEADINGS = [math.pi, -math.pi, 0.0, -0.0, math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0),
+                 *half_way_headings(DEFAULT_SCENARIO.world.n_features)]
+
+
+def edge_coordinate(extent):
+    return st.one_of(st.sampled_from([0.0, extent, math.nextafter(extent, 0.0), 5e-324]),
+                     st.floats(0.0, extent))
+
+
+class TestGroundViewBatch:
+    """``Scenario.ground_views`` against the per-pose oracle, with zero tolerance."""
+
+    @pytest.mark.parametrize("shape", GROUND_VIEW_SHAPES)
+    def test_ground_view_oracle_at_every_shape(self, shape):
+        scenario = scenario_of(GROUND_VIEW_SHAPES[shape])
+        poses = random_poses(scenario, 60, 5)
+        poses[:6, 2] = [math.pi, -math.pi, 0.0, -0.0, 3 * math.pi, -1e300]
+        poses[6:9, :2] = [(300.0, 300.0), (320.0, 285.0), (385.0, 55.0)]  # inside the alias regions
+        ring = scenario.world.corridor
+        if ring is not None:
+            poses[9, :2] = (ring.center_x + ring.radius, ring.center_y)
+        assert_ground_views_equal_oracle(scenario, poses)
+
+    def test_ground_view_oracle_finds_half_way_headings(self):
+        assert len(half_way_headings(DEFAULT_SCENARIO.world.n_features)) >= 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(poses=st.lists(st.tuples(edge_coordinate(EX), edge_coordinate(EY),
+                                    st.one_of(st.sampled_from(EDGE_HEADINGS), st.floats(-1e3, 1e3))),
+                          min_size=1, max_size=6))
+    def test_ground_view_oracle_on_the_map_edges(self, poses):
+        assert_ground_views_equal_oracle(DEFAULT_SCENARIO, np.array(poses))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_ground_view_oracle_around_one_block(self, extra):
+        step = sets_per_block(DEFAULT_SCENARIO.world)
+        assert step == MAP_BLOCK_BYTES // (24 * 16 * 8)
+        assert_ground_views_equal_oracle(DEFAULT_SCENARIO, random_poses(DEFAULT_SCENARIO, step + extra, extra + 9))
+
+    @pytest.mark.parametrize("bad", [(-1.0, 10.0), (10.0, EY + 1e-9), (math.nan, 10.0), (10.0, math.inf)])
+    def test_ground_view_oracle_rejects_an_off_map_pose(self, bad):
+        poses = random_poses(DEFAULT_SCENARIO, 700, 3)
+        poses[600, :2] = bad  # in the second block
+        with pytest.raises(OutOfMapError, match="outside world bounds"):
+            DEFAULT_SCENARIO.ground_views(poses)
+        with pytest.raises(ValueError):  # OutOfMapError, or Pose's own check of a non-finite value
+            ground_view_oracle(DEFAULT_SCENARIO.world, DEFAULT_SCENARIO.pipeline, Pose(*poses[600]), 7)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_ground_view_oracle_rejects_a_non_finite_heading(self, theta):
+        poses = random_poses(DEFAULT_SCENARIO, 5, 3)
+        poses[2, 2] = theta
+        with pytest.raises(ValueError, match="not finite"):
+            DEFAULT_SCENARIO.ground_views(poses)
+        with pytest.raises(ValueError):
+            ground_view_oracle(DEFAULT_SCENARIO.world, DEFAULT_SCENARIO.pipeline, Pose(*poses[2]), 7)
+
+    def test_ground_view_oracle_non_finite_features_rejected(self):
+        # a length scale this small makes the wavevectors infinite, so the field is NaN
+        scenario = scenario_of(["world_length_scale=1e-308"])
+        with pytest.raises(ValueError, match="features must be finite"):
+            scenario.ground_views(np.array([[10.0, 20.0, 0.0]]))
+        with pytest.raises(ValueError, match="features must be finite"):
+            scenario.ground_view(Pose(10.0, 20.0, 0.0))
+
+    @pytest.mark.parametrize("variant", ["dual", "shared"])
+    def test_ground_view_oracle_memory_stays_within_a_few_blocks(self, variant):
+        # 20,000 poses are 40 blocks; the traced peak is the output plus one
+        # block's features, assignments and temporaries (~3.2 blocks), not 40 blocks' worth
+        scenario = scenario_of([f"pipeline_variant={variant}"])
+        poses = random_poses(scenario, 20_000, 4)
+        scenario.ground_views(poses[:1])
+        tracemalloc.start()
+        try:
+            out = scenario.ground_views(poses)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 4 * MAP_BLOCK_BYTES, peak - out.nbytes
