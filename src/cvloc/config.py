@@ -138,10 +138,10 @@ class ScenarioConfig:
             raise ConfigError("log_format must be csv or jsonl")
         if self.heatmap_contrast not in ("linear", "exponential"):
             raise ConfigError("heatmap_contrast must be linear or exponential")
-        if self.particles < 1:
-            raise ConfigError("particles must be >= 1")
-        if self.traj_steps < 1:
-            raise ConfigError("traj_steps must be >= 1")
+        for name in ("particles", "traj_steps", "clusters", "reduced_dim", "hidden_dim", "world_features",
+                     "world_feature_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if not (math.isfinite(self.traj_length) and self.traj_length > 0):
             raise ConfigError("traj_length must be finite and positive")
         if not (0 < self.probability_floor < 1):

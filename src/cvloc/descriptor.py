@@ -18,13 +18,14 @@ shapes differ only in which parts a view owns and which it shares:
 Parameters are plain arrays loaded from a binary container or randomly
 initialised from a seed; there is no training here.
 
-Batches take one of two kernels. :func:`forward_batch` runs the map: one
-assignment GEMM and one reduction GEMM over a whole block of cells.
-:func:`forward_sets` runs ground views: a GEMM per set for the assignment
-and a GEMV per set for the reduction, the products numpy picks for a lone
-set. The two round differently, by a few 1e-16 at most: the map goldens
-lock the block kernels, and the step-log goldens lock the per-set ones, so
-a batch of ground views must equal each view computed alone.
+Every batch runs one aggregation body, and map cells and ground views differ
+only in its two products. :func:`forward_batch` runs a block of map cells
+with one assignment GEMM and one reduction GEMM over the whole block.
+:func:`forward_sets` runs ground views with a GEMM per set for the
+assignment and a GEMV per set for the reduction, the products numpy picks
+for a lone set. The two round differently, by a few 1e-16 at most: the map
+goldens lock the block products, and the step-log goldens lock the per-set
+ones, so a batch of ground views must equal each view computed alone.
 """
 
 from __future__ import annotations
@@ -159,6 +160,8 @@ class Branch:
         if any(out != nxt for (_, out), (nxt, _) in zip(stages, stages[1:])):
             raise ValueError("branch dimensions must chain: each layer's output into the next layer, "
                              "the last into the aggregator, and its K*D into the reduction")
+        if any(0 in stage for stage in stages):
+            raise ValueError(f"every stage of a branch needs a nonzero width, got (in, out) {stages}")
 
 
 @dataclass(frozen=True)
@@ -171,18 +174,6 @@ class Pipeline:
 
     def branch(self, view: str) -> Branch:
         return self.satellite if view == SATELLITE else self.ground
-
-
-def _assign_batch(params: VladParams, feats: np.ndarray) -> np.ndarray:
-    """(M, D) features -> (K, M) softmax columns, cluster-leading so that
-    every step runs over K contiguous rows rather than M rows of length K."""
-    _, weights, bias = params.exact64
-    a = np.dot(weights, feats.T)
-    a += bias[:, None]
-    a -= a.max(axis=0)
-    np.exp(a, out=a)
-    a /= _cluster_sum(a)
-    return a
 
 
 def _cluster_sum(x: np.ndarray) -> np.ndarray:
@@ -206,26 +197,6 @@ def _cluster_sum(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _vlad_batch(params: VladParams, feats: np.ndarray) -> np.ndarray:
-    """(B, N, D) feature batches -> (B, K*D) aggregated residuals."""
-    b, n, d = feats.shape
-    a = _assign_batch(params, feats.reshape(-1, d)).reshape(-1, b, n)  # (K, B, N)
-    # adds over N one by one, as the former middle-axis sum did. A block takes N − 1
-    # adds of (K, B) slices, skipping a block-sized strided copy; a single set, where
-    # those calls would cost ~35 µs, sums an N-leading copy of its few values.
-    if b == 1:
-        totals = np.ascontiguousarray(a.transpose(2, 1, 0)).sum(axis=0)  # (B, K)
-    else:
-        t = a[:, :, 0].copy()  # (K, B)
-        for i in range(1, n):
-            t += a[:, :, i]
-        totals = t.T
-    weighted = np.matmul(a.transpose(1, 0, 2), feats)  # (B, K, D)
-    del a  # freed before the (B, K, D) product below
-    weighted -= totals[:, :, None] * params.exact64[0]
-    return weighted.reshape(b, -1)
-
-
 def _finish(values: np.ndarray, reduction: AffineMap, normalize: bool) -> np.ndarray:
     out = reduction.apply(values)
     if normalize:
@@ -241,40 +212,56 @@ def forward(pipeline: Pipeline, feats: LocalFeatureSet) -> GlobalDescriptor:
     return GlobalDescriptor(forward_sets(pipeline, feats.features[None, :, :], feats.view)[0], feats.view)
 
 
-def _layers(pipeline: Pipeline, feats: np.ndarray, view: str) -> tuple[Branch, np.ndarray]:
-    """The view's branch and the (B, N, D) batch after its layers, in float64."""
+def _forward(pipeline: Pipeline, feats: np.ndarray, view: str, per_set: bool) -> np.ndarray:
+    """The one aggregation body under :func:`forward_batch` (``per_set`` false)
+    and :func:`forward_sets` (true): (B, N, D) features -> (B, R). Only the
+    assignment and the reduction products differ between the two."""
     if view not in VIEWS:
         raise ValueError(f"unknown view {view!r}")
     branch = pipeline.branch(view)
     x = np.asarray(feats, dtype=np.float64)
     for layer in branch.layers:
         x = layer.apply(x)
-    return branch, x
+    centroids, weights, bias = branch.vlad.exact64
+    b, n, d = x.shape
+    if per_set:  # a GEMM per set
+        a = np.matmul(weights, x.transpose(0, 2, 1)).transpose(1, 0, 2)  # (K, B, N)
+    else:  # one GEMM over the block
+        a = np.dot(weights, x.reshape(-1, d).T).reshape(-1, b, n)  # (K, B, N)
+    # cluster-leading, so that the softmax steps run over K rows of B*N values
+    a += bias[:, None, None]
+    a -= a.max(axis=0)
+    np.exp(a, out=a)
+    a /= _cluster_sum(a)
+    # adds over N one by one: a lone set sums an N-leading copy (~2 µs), a batch N − 1
+    # (K, B) slices (~25 µs at N = 24) without a block-sized copy. The two add in one
+    # order wherever B*K > 1, and at K = 1 every assignment is 1.0: only speed differs.
+    if b == 1:
+        totals = np.ascontiguousarray(a.transpose(2, 1, 0)).sum(axis=0)  # (B, K)
+    else:
+        t = a[:, :, 0].copy()  # (K, B)
+        for i in range(1, n):
+            t += a[:, :, i]
+        totals = t.T
+    weighted = np.matmul(a.transpose(1, 0, 2), x)  # (B, K, D)
+    del a  # freed before the (B, K, D) product below
+    weighted -= totals[:, :, None] * centroids
+    # (B, 1, K*D): numpy takes a GEMV per row; (B, K*D): one GEMM
+    values = weighted.reshape(b, 1, -1) if per_set else weighted.reshape(b, -1)
+    return _finish(values, branch.reduction, pipeline.normalize_output).reshape(b, -1)
 
 
 def forward_batch(pipeline: Pipeline, feats: np.ndarray, view: str) -> np.ndarray:
     """Pipeline over a (B, N, D) block of map cells, returning (B, R), with one
     GEMM over the block for the assignment and one for the reduction. The map
     goldens lock these; ground views take :func:`forward_sets`, which rounds as a lone set."""
-    branch, x = _layers(pipeline, feats, view)
-    return _finish(_vlad_batch(branch.vlad, x), branch.reduction, pipeline.normalize_output)
+    return _forward(pipeline, feats, view, per_set=False)
 
 
 def forward_sets(pipeline: Pipeline, feats: np.ndarray, view: str) -> np.ndarray:
     """Pipeline over a (B, N, D) batch of ground views, returning (B, R), with
     every product on one set, so that each row is bit for bit the set's own."""
-    branch, x = _layers(pipeline, feats, view)
-    centroids, weights, bias = branch.vlad.exact64
-    a = np.matmul(weights, x.transpose(0, 2, 1))  # (B, K, N)
-    a += bias[:, None]
-    a -= a.max(axis=1, keepdims=True)
-    np.exp(a, out=a)
-    a /= np.ascontiguousarray(a.transpose(0, 2, 1)).sum(axis=2)[:, None, :]  # pairwise over K
-    totals = np.ascontiguousarray(a.transpose(2, 0, 1)).sum(axis=0)  # (B, K), added over N one by one
-    weighted = np.matmul(a, x)  # (B, K, D)
-    weighted -= totals[:, :, None] * centroids
-    values = weighted.reshape(len(x), 1, -1)  # (B, 1, K*D): numpy takes a GEMV per row
-    return _finish(values, branch.reduction, pipeline.normalize_output).reshape(len(x), -1)
+    return _forward(pipeline, feats, view, per_set=True)
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,15 @@ class TestConfigHandling:
         (["--set", "alias_regions=inf,0,10,10,5"], "alias region"),
         (["--set", "alias_regions=0,0,10,10,nan"], "alias region"),
         (["--set", "alias_regions=0,0,10,10,-1"], "alias region"),
+        # zero-width or negative descriptor stages
+        (["--set", "reduced_dim=0", "--set", "normalize_descriptors=false"], "reduced_dim"),
+        (["--set", "clusters=0"], "clusters"),
+        (["--set", "clusters=-1"], "clusters"),
+        (["--set", "reduced_dim=-1"], "reduced_dim"),
+        (["--set", "hidden_dim=-1"], "hidden_dim"),
+        (["--set", "pipeline_variant=shared", "--set", "hidden_dim=0"], "hidden_dim"),
+        (["--set", "world_features=0"], "world_features"),
+        (["--set", "world_feature_dim=0"], "world_feature_dim"),
         # passes validation, overflows the field: the map build's own check
         (["--set", "world_length_scale=1e-308"], "non-finite map descriptors"),
         # subnormal intervals: the cell count overflows to infinity
@@ -421,6 +430,18 @@ class TestTruncatedInputs:
         code, _, err = run_cli(["build-db", *SMALL, "--set", f"params_file={params}", "--out", str(out)], capsys)
         assert code == 2
         assert err.startswith("error[input]")
+        assert not out.exists()
+
+    def test_params_with_a_zero_width_reduction_exits_2(self, params_file, tmp_path, capsys):
+        # R = 0 with the body that header declares: both aggregators and no reduction values
+        data = bytearray(params_file.read_bytes())
+        k, d = struct.unpack_from("<II", data, PARAMS_HEADER["k"])
+        struct.pack_into("<I", data, PARAMS_HEADER["r"], 0)
+        params, out = tmp_path / "zero.params", tmp_path / "map.db"
+        params.write_bytes(bytes(data[: 40 + 4 * 2 * (2 * k * d + k)]))
+        code, _, err = run_cli(["build-db", *SMALL, "--set", f"params_file={params}", "--out", str(out)], capsys)
+        assert code == 2
+        assert "nonzero width" in err
         assert not out.exists()
 
 
@@ -762,11 +783,13 @@ def output_option(option, tmp, kind, name):
 
 
 def run_hostile(tmp, argv):
-    """Run ``argv`` with the map held to CELL_BUDGET cells; on a failure, check
-    that nothing it created is left in ``tmp``."""
+    """Run ``argv`` from ``tmp`` with the map held to CELL_BUDGET cells; on a
+    failure, check that nothing it created, default output directories
+    included, is left in ``tmp``."""
     (tmp / "file").write_text("")
     before = sorted(tmp.rglob("*"))
     with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)
         mp.setattr(cvloc.mapgrid, "MAX_CELLS", CELL_BUDGET)
         code, out, err = run_quietly(argv)
     assert code in (0, 2), err

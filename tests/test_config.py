@@ -104,6 +104,15 @@ class TestValidation:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("key", ["clusters", "reduced_dim", "hidden_dim", "world_features",
+                                     "world_feature_dim"])
+    def test_descriptor_widths_below_one_rejected_by_name(self, key, value):
+        cfg = ScenarioConfig()
+        setattr(cfg, key, value)
+        with pytest.raises(ConfigError, match=f"^{key} must be >= 1"):
+            cfg.validate()
+
     def test_missing_referenced_files_rejected(self):
         cfg = ScenarioConfig(trajectory_file="/nonexistent/t.csv")
         with pytest.raises(ConfigError):

@@ -1,3 +1,6 @@
+import struct
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,11 +14,10 @@ from cvloc.descriptor import (
     LocalFeatureSet,
     Pipeline,
     VladParams,
-    _assign_batch,
     _cluster_sum,
-    _vlad_batch,
     forward,
     forward_batch,
+    forward_sets,
     load_pipeline,
     random_dual_pipeline,
     random_shared_pipeline,
@@ -25,12 +27,42 @@ from cvloc.descriptor import (
 mp.dps = 50
 
 
+def one_branch(params: VladParams, reduction: AffineMap) -> Pipeline:
+    branch = Branch((), params, reduction)
+    return Pipeline(branch, branch, normalize_output=False)
+
+
+def kernel_vlad(params: VladParams, feats: np.ndarray, per_set: bool = False) -> np.ndarray:
+    """The shared kernel's (B, K*D) aggregation of a (B, N, D) batch, on the map's
+    products or, with ``per_set``, on the ground views'. The reduction is the
+    identity, which is exact: each output adds one value times 1 to zeros."""
+    pipeline = one_branch(params, identity_reduction(params.clusters * params.dim))
+    return (forward_sets if per_set else forward_batch)(pipeline, feats, "ground")
+
+
+def kernel_assign(params: VladParams, feats: np.ndarray, per_set: bool = False) -> np.ndarray:
+    """The shared kernel's (K, B, N) soft assignments of a (B, N, D) batch, read
+    where it divides by their cluster sums (the outermost call, which returns last)."""
+    seen = []
+
+    def spy(x):
+        total = _cluster_sum(x)
+        seen.append(x / total)
+        return total
+
+    kd = params.clusters * params.dim
+    pipeline = one_branch(params, AffineMap(np.zeros((1, kd), np.float32), np.zeros(1, np.float32)))
+    with mock.patch("cvloc.descriptor._cluster_sum", spy):
+        (forward_sets if per_set else forward_batch)(pipeline, feats, "ground")
+    return seen[-1]
+
+
 def soft_assign(params: VladParams, u: np.ndarray) -> np.ndarray:
     """Soft cluster assignment of one feature: softmax over w_k . u + b_k."""
     u = np.asarray(u, dtype=np.float64)
     if u.shape != (params.dim,):
         raise ValueError(f"feature dim {u.shape} does not match clusters of dim {params.dim}")
-    return _assign_batch(params, u[None, :])[:, 0]
+    return kernel_assign(params, u[None, None, :])[:, 0, 0]
 
 
 def vlad_aggregate(params: VladParams, feats: LocalFeatureSet) -> GlobalDescriptor:
@@ -42,7 +74,7 @@ def vlad_aggregate(params: VladParams, feats: LocalFeatureSet) -> GlobalDescript
     u = feats.features.astype(np.float64)
     if u.shape[1] != params.dim:
         raise ValueError(f"feature dim {u.shape[1]} != aggregator dim {params.dim}")
-    return GlobalDescriptor(_vlad_batch(params, u[None, :, :])[0], feats.view)
+    return GlobalDescriptor(kernel_vlad(params, u[None, :, :])[0], feats.view)
 
 
 def identity_reduction(dim: int) -> AffineMap:
@@ -153,12 +185,12 @@ def oracle_forward(pipeline: Pipeline, feats: np.ndarray, view: str) -> np.ndarr
     return out / np.linalg.norm(out, axis=-1, keepdims=True) if pipeline.normalize_output else out
 
 
-def einsum_vlad_batch(params: VladParams, feats: np.ndarray) -> np.ndarray:
-    """Reference for ``_vlad_batch``: the weighted sums as one einsum over the
-    program's cluster-leading assignments (the program uses a batched matmul,
+def einsum_vlad_batch(params: VladParams, feats: np.ndarray, per_set: bool = False) -> np.ndarray:
+    """Reference for the shared kernel: the weighted sums as one einsum over the
+    kernel's own cluster-leading assignments (the kernel uses a batched matmul,
     which sums in another order)."""
-    b, n, d = feats.shape
-    a = _assign_batch(params, feats.reshape(-1, d)).reshape(-1, b, n)  # (K, B, N)
+    b = len(feats)
+    a = kernel_assign(params, feats, per_set)  # (K, B, N)
     weighted = np.einsum("kbn,bnd->bkd", a, feats)
     v = weighted - a.sum(axis=2).T[:, :, None] * params.centroids.astype(np.float64)[None, :, :]
     return v.reshape(b, -1)
@@ -170,7 +202,7 @@ def gamma(m: int) -> float:
     return m * u / (1 - m * u)
 
 
-def vlad_order_bound(params: VladParams, feats: np.ndarray) -> np.ndarray:
+def vlad_order_bound(params: VladParams, feats: np.ndarray, per_set: bool = False) -> np.ndarray:
     """Largest difference, per output element, between two float64
     evaluations of v = sum_j a_j*u_j - (sum_j a_j)*c over the same
     assignments a >= 0 that add the n features in different orders.
@@ -182,27 +214,28 @@ def vlad_order_bound(params: VladParams, feats: np.ndarray) -> np.ndarray:
     gamma_(n+1) * M of the exact v, with M = sum_j a_j*(|u_j| + |c|), and two
     evaluations are within twice that of each other.
     """
-    b, n, d = feats.shape
-    a = _assign_batch(params, feats.reshape(-1, d)).reshape(-1, b, n)  # (K, B, N)
+    b, n, _ = feats.shape
+    a = kernel_assign(params, feats, per_set)  # (K, B, N)
     c = np.abs(params.centroids.astype(np.float64))
     magnitude = np.einsum("kbn,bnd->bkd", a, np.abs(feats)) + a.sum(axis=2).T[:, :, None] * c
     return 2 * gamma(n + 1) * magnitude.reshape(b, -1)
 
 
 class TestVladBatchAgainstOracle:
+    @pytest.mark.parametrize("per_set", [False, True], ids=["block", "per-set"])
     @settings(max_examples=200)
-    @given(st.integers(1, 40), st.integers(1, 32), st.integers(1, 10), st.integers(1, 20),
-           st.integers(0, 2**32 - 1))
-    @example(5, 27, 2, 19, 42)  # off by 1.07e-14, beyond a fixed atol of 1e-14
-    def test_matches_einsum_form(self, b, n, k, d, seed):
+    @given(b=st.integers(1, 40), n=st.integers(1, 32), k=st.integers(1, 10), d=st.integers(1, 20),
+           seed=st.integers(0, 2**32 - 1))
+    @example(b=5, n=27, k=2, d=19, seed=42)  # off by 1.07e-14, beyond a fixed atol of 1e-14
+    def test_matches_einsum_form(self, per_set, b, n, k, d, seed):
         # features in [-1, 1] like the world's sinusoids
         rng = np.random.default_rng(seed)
         p = VladParams(rng.uniform(-1, 1, (k, d)), rng.uniform(-1, 1, (k, d)), rng.uniform(-1, 1, k))
         feats = rng.uniform(-1, 1, (b, n, d))
-        got, bound = _vlad_batch(p, feats), vlad_order_bound(p, feats)
-        assert np.all(np.abs(got - einsum_vlad_batch(p, feats)) <= bound)
+        got, bound = kernel_vlad(p, feats, per_set), vlad_order_bound(p, feats, per_set)
+        assert np.all(np.abs(got - einsum_vlad_batch(p, feats, per_set)) <= bound)
         if n > 1:  # tight enough to catch one feature's term going missing
-            assert np.any(np.abs(got - einsum_vlad_batch(p, feats[:, 1:])) > bound)
+            assert np.any(np.abs(got - einsum_vlad_batch(p, feats[:, 1:], per_set)) > bound)
 
 
 PIPELINE_MAKERS = {"dual": random_dual_pipeline, "shared": random_shared_pipeline}
@@ -254,6 +287,41 @@ class TestFormerPathOracle:
         np.testing.assert_array_equal(_cluster_sum(x), np.ascontiguousarray(x.T).sum(axis=1))
         if k >= 8:  # adding the rows one by one rounds differently
             assert not np.array_equal(_cluster_sum(x), x.sum(axis=0))
+
+
+class TestGroundViewBatches:
+    """forward_sets over B ground views against each view alone. A batch sums
+    its totals over N in N − 1 adds of (K, B) slices, a lone set in an N-leading
+    copy; the per-set assignment GEMMs and reduction GEMVs are the same."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(b=st.integers(1, 6), n=st.integers(1, 30),
+           k=st.one_of(st.sampled_from([1, 8, 9]), st.integers(1, 16), st.integers(257, 300)),
+           d=st.integers(1, 20), r=st.integers(1, 40), variant=st.sampled_from(sorted(PIPELINE_MAKERS)),
+           view=st.sampled_from(["satellite", "ground"]), seed=st.integers(0, 2**32 - 1))
+    @example(b=4, n=24, k=8, d=16, r=32, variant="dual", view="ground", seed=7)  # the world's default shape
+    def test_batch_invariance_each_row_is_the_set_alone(self, b, n, k, d, r, variant, view, seed):
+        config = PIPELINE_MAKERS[variant](seed % 2**16, dim=d, clusters=k, reduced_dim=r)
+        feats = np.random.default_rng(seed).uniform(-1, 1, (b, n, d))
+        rows = forward_sets(config, feats, view)
+        for i in range(b):
+            np.testing.assert_array_equal(rows[i], forward_batch(config, feats[i : i + 1], view)[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(b=st.integers(1, 6), k=st.integers(1, 12), n=st.integers(1, 40), per_set=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(b=1, k=1, n=40, per_set=True, seed=0)  # one value a set: numpy sums it pairwise, but of 1.0s
+    def test_batch_invariance_totals_in_either_form(self, b, k, n, per_set, seed):
+        rng = np.random.default_rng(seed)
+        p = VladParams(rng.uniform(-1, 1, (k, 3)), rng.uniform(-1, 1, (k, 3)), rng.uniform(-1, 1, k))
+        a = kernel_assign(p, rng.uniform(-1, 1, (b, n, 3)), per_set)  # (K, B, N)
+        slices = a[:, :, 0].copy()
+        for i in range(1, n):
+            slices += a[:, :, i]
+        copied = np.ascontiguousarray(a.transpose(2, 1, 0)).sum(axis=0)  # (B, K)
+        np.testing.assert_array_equal(copied, slices.T)
+        for i in range(b):  # and each set's own N-leading copy
+            np.testing.assert_array_equal(np.ascontiguousarray(a[:, i, :].T).sum(axis=0), slices[:, i])
 
 
 def dual_with_identity(k=2, d=3, normalize=False) -> Pipeline:
@@ -378,6 +446,28 @@ class TestParameterFile:
         vlad = VladParams(np.zeros((2, 4)), np.zeros((2, 4)), np.zeros(2))
         with pytest.raises(ValueError, match="chain"):
             Branch(tuple(maps), vlad, AffineMap(np.zeros((2, reduction_in), np.float32), np.zeros(2, np.float32)))
+
+    @pytest.mark.parametrize("maker, dims", [
+        (random_dual_pipeline, {"reduced_dim": 0}), (random_dual_pipeline, {"dim": 0}),
+        (random_shared_pipeline, {"reduced_dim": 0}), (random_shared_pipeline, {"hidden_dim": 0}),
+        (random_shared_pipeline, {"dim": 0}),
+    ])
+    def test_zero_width_stage_rejected_when_built(self, maker, dims):
+        with pytest.raises(ValueError, match="nonzero width"):
+            maker(1, **dims)
+
+    @pytest.mark.parametrize("variant, dims", [(1, (8, 16, 0, 0, 0)), (1, (8, 0, 32, 0, 0)),
+                                               (2, (8, 16, 0, 16, 16)), (2, (8, 16, 32, 0, 16)),
+                                               (2, (8, 16, 32, 16, 0))])
+    def test_zero_width_stage_rejected_when_loaded(self, variant, dims, tmp_path):
+        # a header naming a zero width, with the body it then declares
+        k, d, r, h1, h2 = dims
+        floats = (2 * (2 * k * d + k) + 2 * (r * k * d + r) if variant == 1
+                  else 2 * k * h2 + k + 2 * (h1 * d + h1) + h2 * h1 + h2 + r * k * h2 + r)
+        path = tmp_path / "zero.params"
+        path.write_bytes(b"CVLDESC1" + struct.pack("<II6I", 1, variant, *dims, 1) + bytes(4 * floats))
+        with pytest.raises(ValueError, match="nonzero width"):
+            load_pipeline(str(path))
 
     @pytest.mark.parametrize("tie_views", [False, True])
     @pytest.mark.parametrize("maker", [random_dual_pipeline, random_shared_pipeline])
