@@ -6,8 +6,9 @@ distance fields in declaration order. Batch construction follows the
 exhaustive strategy (every in-batch cross-view negative for both anchors
 of every positive pair) or hardest-negative mining. The weighted soft
 margin has one elementwise kernel, :func:`_soft_margin`: the single-item
-losses and :func:`batch_loss`, which works on the whole cross-distance
-matrix at once, all call it.
+losses, :func:`batch_loss`, which works on the whole cross-distance
+matrix at once, and the loss surface ``eval`` writes
+(``simulate.dump_loss_surface``) all call it.
 """
 
 from __future__ import annotations

@@ -1,15 +1,18 @@
 """Geo-tagged descriptor database: exact nearest-neighbour search and the
 retrieval metrics (top-K / top-percent recall, distance-threshold recall).
 
-Search is exact and runs in two stages. A float32 pre-filter scores every
-entry by the expansion form of its squared distance, from squared norms
-summed once per database and one GEMV, and keeps each entry that a proven
-bound on that form's rounding cannot rule out of the top k (every entry
-when the bound or the form is not finite). Only those entries go through
-:func:`distances`, the float64 kernel, and the (distance, id) sort, so a
-result is the full sort's, bit for bit, at any BLAS thread count. The
-metrics rank each query once, to the largest K they need, and read every
-recall from that rank table.
+Search is exact and runs in two stages, for one query or a batch. A
+float32 pre-filter scores every entry by the expansion form of its squared
+distance, from squared norms summed once per database and one GEMM per
+score block of queries (at most ``_SCORE_FLOATS`` scores, one query at
+least). For each query it keeps each entry that a proven bound on that
+form's rounding cannot rule out of the top k (every entry when the
+query's bound or one of its scores is not finite). Only those entries go
+through :func:`distances`, the float64 kernel, and the (distance, id)
+sort, so a result is the full sort's, bit for bit, at any BLAS thread
+count and in any batch. The metrics rank all their queries in one
+:func:`query` call, to the largest K they need, and read every recall
+from that rank table.
 """
 
 from __future__ import annotations
@@ -23,12 +26,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .blas import one_thread
 from .config import open_output
 from .mapgrid import geo_distance_m
 
 _MAGIC = b"CVLOCDB1"
 _VERSION = 1
 _BLOCK_FLOATS = 1 << 15  # float64 difference scratch per row block of distances(): 256 KB
+_SCORE_FLOATS = 1 << 18  # float32 pre-filter scores per query block of query(): 1 MiB
 _U32, _U64 = 2.0**-24, 2.0**-53  # unit roundoff of float32 and of float64
 _TINY32 = 2.0**-149  # smallest float32 subnormal
 
@@ -121,24 +126,27 @@ def _gamma(n: int, u: float) -> float:
     return n * u / (1.0 - n * u) if n * u < 1.0 else math.inf
 
 
-def _candidates(db: DescriptorDatabase, q: np.ndarray, k: int) -> np.ndarray:
-    """Ascending rows of ``db`` that may lie at or inside the k-th distance
-    :func:`distances` gives ``q``: a superset of every such row.
+def _candidates(db: DescriptorDatabase, qs: np.ndarray, k: int) -> list[np.ndarray]:
+    """For each query q, a row of the block ``qs``, the ascending rows of
+    ``db`` that may lie at or inside the k-th distance :func:`distances`
+    gives q: a superset of every such row.
 
-    A row s scores a = fl32(ñ − 2·p̃), its squared distance less the ‖q‖²
+    A row s scores a = fl32(ñ + p̃), its squared distance less the ‖q‖²
     that every row shares, from its float32 squared norm ñ
-    (``_sq_norms``) and p̃, one float32 GEMV with q rounded to float32
-    (q₃₂). Let u = 2⁻²⁴, η = 2⁻¹⁴⁹ (the smallest float32 subnormal), R the
-    dimension, γ_n = n·u/(1 − n·u) and γ⁶⁴_n the same with 2⁻⁵³, S ≥ every
-    ‖s‖ and Q' ≥ both ‖q‖ and ‖q₃₂‖. A sum of R products rounds by at most
-    γ_R times the sum of their magnitudes, in any order and with or without
-    FMA (so at any BLAS thread count), plus η for each underflowing
-    product. Hence
+    (``_sq_norms``) and p̃ ≈ s·q'₃₂, its entry of one float32 GEMM of the
+    stored descriptors with the block's queries scaled by −2 and rounded to
+    float32 (q' = −2q, rounded q'₃₂). Let u = 2⁻²⁴, η = 2⁻¹⁴⁹ (the smallest
+    float32 subnormal), R the dimension, γ_n = n·u/(1 − n·u) and γ⁶⁴_n the
+    same with 2⁻⁵³, S ≥ every ‖s‖ and Q' ≥ both ‖q‖ and ‖q'₃₂‖/2. A sum of R
+    products rounds by at most γ_R times the sum of their magnitudes, in any
+    order and with or without FMA, plus η for each underflowing product. A
+    GEMM entry is such a sum, whatever kernel, blocking or BLAS thread count
+    computes it, just as a GEMV entry is. Hence
 
     - |ñ − ‖s‖²| ≤ γ_R·‖s‖² + Rη;
-    - |p̃ − s·q₃₂| ≤ γ_R·‖s‖·Q' + Rη (Cauchy–Schwarz);
-    - |s·q₃₂ − s·q| ≤ u·‖s‖·Q' + √R·η·‖s‖/2, as |q₃₂ⱼ − qⱼ| ≤ u·|qⱼ| + η/2;
-    - the subtraction rounds by at most u·(ñ + 2·|p̃|);
+    - |p̃ − s·q'₃₂| ≤ 2·γ_R·‖s‖·Q' + Rη (Cauchy–Schwarz);
+    - |s·q'₃₂ − s·q'| ≤ 2·u·‖s‖·Q' + √R·η·‖s‖/2, as |q'₃₂ⱼ − q'ⱼ| ≤ u·|q'ⱼ| + η/2;
+    - the addition rounds by at most u·(ñ + |p̃|);
 
     so |a − (d² − ‖q‖²)| ≤ γ_{R+2}·(S² + 2·S·Q') + √R·η·S + 4Rη for the
     exact distance d. The kernel's float64 d̂ (difference, square, R − 1
@@ -146,59 +154,83 @@ def _candidates(db: DescriptorDatabase, q: np.ndarray, k: int) -> np.ndarray:
     both bounds, times 1 + 2⁻²⁰, which covers the float64 rounding of S, Q'
     and B and of τ + 2B below. S² = (max ñ + Rη)·(1 + γ_{2R}) inverts the
     first bound, and Q' = (1 + 2⁻²⁰)·‖q‖ + √R·η, with ‖q‖ in float64, covers
-    the rounding to q₃₂ and the float64 norm's own, underflow included.
+    the rounding to q'₃₂ and the float64 norm's own, underflow included.
+    B is one bound per query, as ‖q‖ is.
 
     So |a − (d̂² − ‖q‖²)| ≤ B for every row (a finite a keeps ‖s‖ and every
-    |qⱼ| below 2¹²⁸, so d̂ cannot overflow). Let τ be the k-th smallest a:
+    |qⱼ| below 2¹²⁸, so d̂ cannot overflow). Let τ be q's k-th smallest a:
     the k rows with a ≤ τ have d̂² − ‖q‖² ≤ τ + B, so the k-th smallest
     d̂² − ‖q‖² is at most τ + B, and every row at or inside it has
-    a ≤ τ + 2B. Those rows are kept. If an a or B is not finite (a float32
-    square or product overflowed, a query past the float32 range, or
-    R·u ≥ 1), every row is.
+    a ≤ τ + 2B. Those rows are kept. If one of q's a, or its B, is not
+    finite (a float32 square or product overflowed, a query past the
+    float32 range, or R·u ≥ 1), every row is q's candidate; the other
+    queries of the block keep their own.
     """
     sq_norms, top = db._sq_norms
     r = db.dimension
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
-        approx = db.descriptors @ q.astype(np.float32)
-        approx *= -2
+        approx = (-2.0 * qs).astype(np.float32) @ db.descriptors.T
         approx += sq_norms
-        q_norm = math.sqrt(float(q @ q))
+        q_norms = [math.sqrt(float(q @ q)) for q in qs]
+    finite = np.isfinite(approx).all(axis=1).tolist()
+    kths = np.partition(approx, k - 1, axis=1)[:, k - 1].tolist()
     s = math.sqrt((top + r * _TINY32) * (1.0 + _gamma(2 * r, _U32)))
-    q_top = (1.0 + 2.0**-20) * q_norm + math.sqrt(r) * _TINY32
-    bound = (1.0 + 2.0**-20) * (
-        _gamma(r + 2, _U32) * (s * s + 2.0 * s * q_top)
-        + _gamma(r + 4, _U64) * (s + q_top) * (s + q_top)
-        + math.sqrt(r) * _TINY32 * s
-        + 5 * r * _TINY32
-    )
-    if not (math.isfinite(bound) and np.all(np.isfinite(approx))):
-        return np.arange(len(db))
-    kth = np.float64(np.partition(approx, k - 1)[k - 1])
-    return np.flatnonzero(approx <= kth + 2.0 * bound)
+    g32, g64, tiny = _gamma(r + 2, _U32), _gamma(r + 4, _U64), math.sqrt(r) * _TINY32
+    out = []
+    for scores, q_norm, kth, ok in zip(approx, q_norms, kths, finite):
+        q_top = (1.0 + 2.0**-20) * q_norm + tiny
+        bound = (1.0 + 2.0**-20) * (
+            g32 * (s * s + 2.0 * s * q_top) + g64 * (s + q_top) * (s + q_top) + tiny * s + 5 * r * _TINY32
+        )
+        # a float64 limit: against a Python float, numpy would round it to float32
+        limit = np.float64(kth + 2.0 * bound)
+        out.append((scores <= limit).nonzero()[0] if ok and math.isfinite(bound) else np.arange(len(db)))
+    return out
+
+
+def _nearest(db: DescriptorDatabase, q: np.ndarray, rows: np.ndarray, k: int) -> RetrievalResult:
+    """The exact stage: the k nearest of ``rows`` (k at least) to ``q`` by
+    their :func:`distances`, ties broken by id. Of more than k rows, only
+    those at or inside the k-th distance are sorted, and keeping every row
+    tied with it leaves the id tie-break exact."""
+    dists = distances(db.descriptors[rows], q)
+    if len(rows) > k:
+        inside = dists <= np.partition(dists, k - 1)[k - 1]
+        rows, dists = rows[inside], dists[inside]
+    order = np.lexsort((db.ids[rows], dists))[:k]
+    return RetrievalResult(db.ids[rows[order]], dists[order])
 
 
 def query(db: DescriptorDatabase, q: np.ndarray, k: int) -> RetrievalResult:
     """Exact k nearest entries by Euclidean distance (:func:`distances`),
-    ties broken by id. Only the :func:`_candidates` rows are measured, and
+    ties broken by id, of one query (R,), or of each row of a batch (Q, R)
+    as (Q, k) ids and distances.
+
+    The :func:`_candidates` pre-filter scores a batch in blocks of at most
+    ``_SCORE_FLOATS`` float32 scores, one query at least, so its memory does
+    not grow with Q. Only a query's candidates are measured, and
     :func:`distances` gives a row the same bits whichever rows it is taken
-    with; of those, only the rows at or inside the k-th distance are sorted,
-    and keeping every row tied with it leaves the id tie-break exact.
+    with, so each row of a batch is the result of that query alone.
     """
     if len(db) == 0:
         raise ValueError("cannot query an empty database")
     if not 1 <= k <= len(db):
         raise ValueError(f"k must be in [1, {len(db)}], got {k}")
     q = np.asarray(q, dtype=np.float64)
-    if q.shape != (db.dimension,):
+    if q.ndim not in (1, 2) or q.shape[-1] != db.dimension:
         raise ValueError(f"query dimension {q.shape} != database dimension {db.dimension}")
     if not np.all(np.isfinite(q)):
         raise ValueError("query descriptor must be finite")
-    rows = _candidates(db, q, k)
-    dists = distances(db.descriptors[rows], q)
-    inside = dists <= np.partition(dists, k - 1)[k - 1]
-    rows, dists = rows[inside], dists[inside]
-    order = np.lexsort((db.ids[rows], dists))[:k]
-    return RetrievalResult(db.ids[rows[order]], dists[order])
+    if q.ndim == 1:
+        return _nearest(db, q, _candidates(db, q[None], k)[0], k)
+    ids, dists = np.empty((len(q), k), dtype=np.uint64), np.empty((len(q), k))
+    step = max(1, _SCORE_FLOATS // len(db))
+    with one_thread():  # a block's GEMM is too small to repay waking OpenBLAS threads
+        for start in range(0, len(q), step):
+            for i, rows in enumerate(_candidates(db, q[start:start + step], k), start):
+                result = _nearest(db, q[i], rows, k)
+                ids[i], dists[i] = result.ids, result.distances
+    return RetrievalResult(ids, dists)
 
 
 def top_percent_k(size: int, percent: float) -> int:
@@ -209,8 +241,9 @@ def top_percent_k(size: int, percent: float) -> int:
 
 
 def rank_table(db: DescriptorDatabase, descs: Sequence[np.ndarray], k: int) -> np.ndarray:
-    """(Q, k) ids of each query's k nearest entries, one :func:`query` each."""
-    return np.array([query(db, q, k).ids for q in descs], dtype=np.uint64).reshape(len(descs), k)
+    """(Q, k) ids of each query's k nearest entries: one :func:`query` call
+    on the whole batch."""
+    return query(db, np.reshape(descs, (len(descs), db.dimension)), k).ids
 
 
 def recall_in_table(table: np.ndarray, true_ids: Sequence[int], k: int) -> float:

@@ -410,15 +410,16 @@ def eval_retrieval(cfg: ScenarioConfig) -> dict:
 
 
 def dump_loss_surface(path: str, alpha: float = 10.0, margin: float = 1.0) -> None:
-    """Loss-vs-distance-gap CSV for the triplet loss family."""
-    from .losses import TripletDistances, max_margin_triplet, weighted_soft_margin
+    """Loss-vs-distance-gap CSV for the triplet loss family: 121 gaps
+    d = d_pos − d_neg from −3 to 3, and at each the max-margin loss
+    max(0, margin + d), the soft margin and the weighted soft margin, each
+    column one array call."""
+    from .losses import _soft_margin
 
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+    d = np.linspace(-3.0, 3.0, 121)
+    columns = (d, np.maximum(margin + d, 0.0), _soft_margin(d, 1.0)[0], _soft_margin(d, alpha)[0])
     with open_output(path) as fh:
         fh.write("d,max_margin,soft_margin,weighted\n")
-        for d in np.linspace(-3.0, 3.0, 121):
-            pos, neg = (d, 0.0) if d >= 0 else (0.0, -d)
-            t = TripletDistances(pos, neg)
-            mm, _ = max_margin_triplet(t, margin)
-            sm, _ = weighted_soft_margin(t, 1.0)
-            wm, _ = weighted_soft_margin(t, alpha)
-            fh.write(f"{_fmt(float(d))},{_fmt(mm)},{_fmt(sm)},{_fmt(wm)}\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in zip(*(c.tolist() for c in columns)))

@@ -11,16 +11,15 @@ cross-view matching realistic rather than exact.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .blas import one_thread
 from .descriptor import GROUND, SATELLITE, LocalFeatureSet, Pipeline, forward_batch
 from .mapgrid import GridMap, OutOfMapError
 from .motion import Pose
@@ -221,24 +220,6 @@ def sets_per_block(world: SyntheticWorld) -> int:
     return max(1, MAP_BLOCK_BYTES // (world.n_features * world.feature_dim * 8))
 
 
-@contextmanager
-def _blas_on_one_thread():
-    """Pin numpy's bundled OpenBLAS to one thread and restore the former count
-    after; yields False, pinning nothing, where it has no such functions."""
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # resolves the OpenBLAS numpy links
-    get, set_ = (getattr(lib, f"scipy_openblas_{op}_num_threads64_", None) for op in ("get", "set"))
-    if get is None or set_ is None:
-        yield False
-        return
-    get.argtypes, get.restype, set_.argtypes, set_.restype = [], ctypes.c_int, [ctypes.c_int], None
-    former = get()
-    set_(1)
-    try:
-        yield True
-    finally:
-        set_(former)
-
-
 def build_descriptor_map(world: SyntheticWorld, pipeline: Pipeline, rng_seed: int) -> GridMap:
     """Run every cell's satellite features through the pipeline and store
     the descriptors on the grid (float32, matching the database format).
@@ -266,7 +247,7 @@ def build_descriptor_map(world: SyntheticWorld, pipeline: Pipeline, rng_seed: in
             if not np.all(np.isfinite(block)):
                 bad.append(rows)
 
-    with _blas_on_one_thread() as pinned:
+    with one_thread() as pinned:
         workers = min(len(os.sched_getaffinity(0)), len(blocks)) if pinned else 1
         shares = [blocks[i::workers] for i in range(workers)]
         build(shares[0][:1])  # alone: sizes the output and caches the lattice factors

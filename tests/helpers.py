@@ -1,9 +1,10 @@
 """Small helpers shared by several test files: a seeded generator, a uniform
-field, the corner indices of one point, a trajectory writer and the per-pose
-ground-view oracle."""
+field, the corner indices of one point, a trajectory writer, the per-pose
+ground-view oracle and numpy's OpenBLAS thread-count functions."""
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
@@ -13,6 +14,16 @@ from cvloc.mapgrid import GridMap, LocalPoint, OutOfMapError, corner_cells
 from cvloc.measurement import DEFAULT_FLOOR, ProbabilityField
 from cvloc.motion import Pose
 from cvloc.world import TWO_PI, SyntheticWorld, _features_at
+
+# numpy's bundled OpenBLAS; the map build and a batch kNN pin it to one
+# thread, and the map build runs on one worker where it lacks these functions
+OPENBLAS = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+POOLED = hasattr(OPENBLAS, "scipy_openblas_get_num_threads64_")
+if POOLED:
+    OPENBLAS.scipy_openblas_get_num_threads64_.argtypes = []
+    OPENBLAS.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+    OPENBLAS.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+    OPENBLAS.scipy_openblas_set_num_threads64_.restype = None
 
 
 def make_rng(seed: int) -> np.random.Generator:

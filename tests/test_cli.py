@@ -543,6 +543,20 @@ class TestHostileDatabase:
         assert code == 2 and out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_ground_view_exits_2(self, small_db, value, monkeypatch, capsys):
+        real = cvloc.simulate.Scenario.ground_view
+
+        def spoiled(self, pose):
+            view = real(self, pose)
+            view.values[2] = value
+            return view
+
+        monkeypatch.setattr(cvloc.simulate.Scenario, "ground_view", spoiled)
+        code, out, err = run_cli(["query", *SMALL, "--db", str(small_db), "--pose", "60,60,0"], capsys)
+        assert code == 2 and out == ""
+        assert "finite" in err
+
 
 # offset of each parameter-file header field after the magic, all "<I"
 PARAMS_HEADER = {"version": 8, "variant": 12, "k": 16, "d": 20, "r": 24, "h1": 28, "h2": 32, "norm": 36}
@@ -879,15 +893,33 @@ class TestEvalCommand:
     # K_max = max(eval_top_k, ceil(eval_percent% of the 930 entries))
     @pytest.mark.parametrize("percent, k_max", [(1, 20), (10, 93)])
     def test_one_rank_call_per_query(self, percent, k_max, tmp_path, monkeypatch, capsys):
+        # every query is ranked once: one query() call on the batch of all 30
         seen = []
         real = cvloc.retrieval.query
         monkeypatch.setattr(cvloc.retrieval, "query",
-                            lambda db, q, k: seen.append((np.asarray(q).tobytes(), k)) or real(db, q, k))
+                            lambda db, q, k: seen.append((np.array(q), k)) or real(db, q, k))
         code, _, err = run_cli(["eval", *SMALL, "--set", "eval_queries=30", "--set",
                                 f"eval_percent={percent}", "--out-dir", str(tmp_path)], capsys)
         assert code == 0, err
-        assert len(seen) == 30 and len({q for q, _ in seen}) == 30
-        assert {k for _, k in seen} == {k_max}
+        assert len(seen) == 1
+        batch, k = seen[0]
+        assert batch.ndim == 2 and len({row.tobytes() for row in batch}) == 30
+        assert k == k_max
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_ground_view_exits_2(self, value, tmp_path, monkeypatch, capsys):
+        real = cvloc.simulate.Scenario.ground_views
+
+        def spoiled(self, poses):
+            views = real(self, poses)
+            views[7, 3] = value
+            return views
+
+        monkeypatch.setattr(cvloc.simulate.Scenario, "ground_views", spoiled)
+        code, out, err = run_cli(["eval", *SMALL, "--set", "eval_queries=30",
+                                  "--out-dir", str(tmp_path / "eval")], capsys)
+        assert code == 2 and out == ""
+        assert "finite" in err
 
     @pytest.mark.parametrize("args, size", [
         (["--set", "eval_top_k=100000"], 930),

@@ -16,6 +16,7 @@ from cvloc.losses import (
     weighted_quadruplet,
     weighted_soft_margin,
 )
+from cvloc.simulate import _fmt, dump_loss_surface
 
 mp.dps = 50
 
@@ -370,3 +371,34 @@ class TestBatchLoss:
         g = np.eye(2)
         with pytest.raises(ValueError, match="alpha"):
             batch_loss(g, g.copy(), alpha=alpha)
+
+
+def per_row_loss_surface(path: str, alpha: float = 10.0, margin: float = 1.0) -> None:
+    """Reference for :func:`dump_loss_surface`: one triplet and three scalar
+    loss calls per row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("d,max_margin,soft_margin,weighted\n")
+        for d in np.linspace(-3.0, 3.0, 121):
+            pos, neg = (d, 0.0) if d >= 0 else (0.0, -d)
+            t = TripletDistances(pos, neg)
+            mm, _ = max_margin_triplet(t, margin)
+            sm, _ = weighted_soft_margin(t, 1.0)
+            wm, _ = weighted_soft_margin(t, alpha)
+            fh.write(f"{_fmt(float(d))},{_fmt(mm)},{_fmt(sm)},{_fmt(wm)}\n")
+
+
+class TestLossSurface:
+    @pytest.mark.parametrize("alpha", [10.0, 1.0, 0.5])
+    def test_bytes_equal_the_per_row_oracle(self, alpha, tmp_path):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        dump_loss_surface(str(got), alpha=alpha)
+        per_row_loss_surface(str(want), alpha=alpha)
+        assert got.read_bytes() == want.read_bytes()
+        assert len(got.read_text().splitlines()) == 122
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan")])
+    def test_alpha_not_positive_is_rejected_before_writing(self, alpha, tmp_path):
+        path = tmp_path / "loss.csv"
+        with pytest.raises(ValueError, match="alpha"):
+            dump_loss_surface(str(path), alpha=alpha)
+        assert not path.exists()

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import OPENBLAS, POOLED
+
 import cvloc.retrieval
 from cvloc.cli import main
 from cvloc.config import ScenarioConfig
@@ -219,10 +221,20 @@ class TestTwoStageKnn:
 
     @staticmethod
     def measured_rows(monkeypatch):
-        """Row count of each :func:`distances` call that :func:`query` makes."""
-        counts, real = [], cvloc.retrieval.distances
-        monkeypatch.setattr(cvloc.retrieval, "distances",
-                            lambda stored, q: counts.append(len(stored)) or real(stored, q))
+        """Row count of each :func:`distances` call that :func:`query` makes;
+        the call a one-row input makes on itself, as a pair, is not counted."""
+        counts, inner, real = [], [], cvloc.retrieval.distances
+
+        def counted(stored, q):
+            if not inner:
+                counts.append(len(stored))
+            inner.append(True)
+            try:
+                return real(stored, q)
+            finally:
+                inner.pop()
+
+        monkeypatch.setattr(cvloc.retrieval, "distances", counted)
         return counts
 
     def test_knn_oracle_default_map_measures_at_most_2k_rows(self, monkeypatch):
@@ -257,6 +269,155 @@ class TestTwoStageKnn:
         for k in (1, 80, 1500):
             self.assert_bits_equal(query(db, q, k), oracle_query(db, q, k))
         assert counts == [1500] * 3
+
+
+class TestBatchKnn:
+    """:func:`query` on a (Q, R) batch: each row is ``oracle_query`` of that
+    query alone, ids and distance bits, with the pre-filter's GEMM over
+    blocks of at most ``_SCORE_FLOATS`` scores."""
+
+    assert_bits_equal = staticmethod(TestTwoStageKnn.assert_bits_equal)
+    measured_rows = staticmethod(TestTwoStageKnn.measured_rows)
+
+    def assert_rows_equal_oracle(self, db, qs, k):
+        got = query(db, qs, k)
+        assert got.ids.shape == got.distances.shape == (len(qs), k)
+        for i, q in enumerate(qs):
+            self.assert_bits_equal(RetrievalResult(got.ids[i], got.distances[i]), oracle_query(db, q, k))
+
+    @staticmethod
+    def block_queries(db):
+        return max(1, cvloc.retrieval._SCORE_FLOATS // len(db))
+
+    @pytest.fixture(scope="class")
+    def default_map(self):
+        scenario = build_scenario(ScenarioConfig())
+        db = database_from_map(scenario.db_map)
+        rng = np.random.default_rng(23)
+        ex, ey = scenario.world.grid.extent
+        poses = rng.uniform((0.0, 0.0, -math.pi), (ex, ey, math.pi), (80, 3))
+        return db, scenario.ground_views(poses)
+
+    def test_knn_oracle_batch_at_block_edges_of_the_default_map(self, default_map):
+        db, views = default_map
+        b = self.block_queries(db)
+        assert b == 33  # 2**18 scores over 7,921 rows
+        for n in (1, b - 1, b, b + 1, 2 * b + 1):
+            for k in (1, 80):
+                self.assert_rows_equal_oracle(db, views[:n], k)
+        self.assert_rows_equal_oracle(db, views[:b + 1], len(db))
+
+    def test_knn_oracle_batch_past_the_block_budget_one_query_a_block(self, monkeypatch):
+        n = cvloc.retrieval._SCORE_FLOATS + 5
+        rng = np.random.default_rng(24)
+        descs = rng.normal(size=(n, 3)).astype(np.float32)
+        db = DescriptorDatabase(rng.permutation(n).astype(np.uint64), np.zeros((n, 2)), descs)
+        assert self.block_queries(db) == 1
+        blocks, real = [], cvloc.retrieval._candidates
+        monkeypatch.setattr(cvloc.retrieval, "_candidates",
+                            lambda db, qs, k: blocks.append(len(qs)) or real(db, qs, k))
+        qs = np.concatenate([descs[:2].astype(np.float64), rng.normal(size=(1, 3))])
+        for q_count in (0, 1, 2, 3):  # b − 1, b, b + 1 and 2·b + 1 at b = 1
+            for k in (1, 7):
+                self.assert_rows_equal_oracle(db, qs[:q_count], k)
+        self.assert_rows_equal_oracle(db, qs[1:3], n)
+        assert set(blocks) == {1}
+
+    # 87 queries a block at 3,000 rows
+    @pytest.mark.parametrize("q_count", [1, 87, 88, 200])
+    def test_knn_oracle_score_blocks_stay_within_the_budget(self, monkeypatch, q_count):
+        db, _ = random_db(3000, 6, seed=25)
+        scores, real = [], cvloc.retrieval._candidates
+        monkeypatch.setattr(cvloc.retrieval, "_candidates",
+                            lambda db, qs, k: scores.append(len(qs) * len(db)) or real(db, qs, k))
+        query(db, np.random.default_rng(26).normal(size=(q_count, 6)), 4)
+        assert max(scores) <= cvloc.retrieval._SCORE_FLOATS
+        assert sum(scores) == q_count * len(db)
+
+    def test_knn_oracle_batch_ties_straddle_the_kth_distance(self):
+        # rows 100-109 are one descriptor, with ids falling along them, so the
+        # id tie-break reorders them; each query's k cuts through the tie
+        rng = np.random.default_rng(27)
+        n = 2000
+        descs = rng.normal(size=(n, 8)).astype(np.float32)
+        descs[100:110] = descs[100]
+        ids = (n - np.arange(n, dtype=np.uint64)) * np.uint64(2**40 + 1)
+        db = DescriptorDatabase(ids, np.zeros((n, 2)), descs)
+        qs = np.stack([descs[100].astype(np.float64), descs[100] + 0.01, rng.normal(size=8),
+                       descs[100] * 0.5, descs[3].astype(np.float64)])
+        ks = {1, n}
+        for q in qs:
+            full = oracle_query(db, q, n)
+            first_tie = int(np.flatnonzero(np.isin(full.ids, ids[100:110]))[0])
+            ks |= {first_tie + 1, first_tie + 3, first_tie + 10}
+        for k in sorted(ks):
+            self.assert_rows_equal_oracle(db, qs, k)
+
+    def test_knn_oracle_one_query_past_float32_measures_every_row_alone(self, monkeypatch):
+        db, _ = random_db(1500, 8, seed=28)
+        rng = np.random.default_rng(29)
+        qs = rng.normal(size=(6, 8))
+        qs[2] *= 1e39  # beyond the float32 range: its scores are not finite
+        counts = self.measured_rows(monkeypatch)
+        for k in (1, 80):
+            counts.clear()
+            self.assert_rows_equal_oracle(db, qs, k)
+            assert len(counts) == 6 and counts[2] == len(db)
+            assert max(counts[:2] + counts[3:]) <= 2 * k, counts
+
+    @pytest.mark.skipif(not POOLED, reason="numpy's OpenBLAS has no thread-count functions")
+    def test_batch_runs_on_one_blas_thread_and_restores_the_count(self, monkeypatch):
+        get, set_ = OPENBLAS.scipy_openblas_get_num_threads64_, OPENBLAS.scipy_openblas_set_num_threads64_
+        db, _ = random_db(3000, 6, seed=31)
+        seen, fail, real = [], [], cvloc.retrieval._candidates
+
+        def candidates(db, qs, k):
+            seen.append(get())
+            if fail and len(seen) > 4:
+                raise MemoryError("second block")
+            return real(db, qs, k)
+
+        monkeypatch.setattr(cvloc.retrieval, "_candidates", candidates)
+        qs = np.random.default_rng(32).normal(size=(100, 6))  # two blocks of 87 and 13
+        former = get()
+        try:
+            set_(3)
+            query(db, qs, 4)
+            assert get() == 3 and seen == [1, 1]
+            query(db, qs[0], 4)  # one query: OpenBLAS keeps its count
+            assert seen == [1, 1, 3]
+            fail.append(True)
+            with pytest.raises(MemoryError):
+                query(db, qs, 4)
+            assert get() == 3 and seen == [1, 1, 3, 1, 1]
+        finally:
+            set_(former)
+
+    def test_one_row_and_one_query_batch_give_the_same_bits(self, default_map):
+        db, views = default_map
+        for k in (1, 5, 80):
+            one, batch = query(db, views[3], k), query(db, views[3:4], k)
+            assert one.ids.shape == one.distances.shape == (k,)
+            self.assert_bits_equal(RetrievalResult(batch.ids[0], batch.distances[0]), one)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_batch_with_one_non_finite_query_is_rejected(self, value):
+        db, _ = random_db(20, 3)
+        qs = np.random.default_rng(30).normal(size=(4, 3))
+        qs[1, 2] = value
+        with pytest.raises(ValueError, match="finite"):
+            query(db, qs, 2)
+
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 3, 3), (0, 2)])
+    def test_batch_of_the_wrong_shape_is_rejected(self, shape):
+        db, _ = random_db(20, 3)
+        with pytest.raises(ValueError, match="dimension"):
+            query(db, np.zeros(shape), 2)
+
+    def test_empty_batch_gives_empty_results(self):
+        db, _ = random_db(20, 3)
+        got = query(db, np.zeros((0, 3)), 2)
+        assert got.ids.shape == got.distances.shape == (0, 2) and got.ids.dtype == np.uint64
 
 
 class TestDistanceKernel:
@@ -324,13 +485,15 @@ class TestRankTableAgainstOracle:
         assert threshold_recall(db, rank_table(db, descs, 1)[:, 0], true_geos, thresholds) == want
         assert threshold_recall(db, table[:, 0], true_geos, thresholds) == want
 
-    def test_one_query_call_per_row(self, monkeypatch):
+    def test_one_query_call_per_table(self, monkeypatch):
         db, items = random_db(50, 4, seed=30)
+        descs = [items[i][2] for i in range(7)]
         calls = []
         real = cvloc.retrieval.query
         monkeypatch.setattr(cvloc.retrieval, "query", lambda *a: calls.append(a) or real(*a))
-        table = rank_table(db, [items[i][2] for i in range(7)], 12)
-        assert table.shape == (7, 12) and len(calls) == 7
+        table = rank_table(db, descs, 12)
+        assert table.shape == (7, 12) and len(calls) == 1 and calls[0][1].shape == (7, 4)
+        np.testing.assert_array_equal(table, [real(db, d, 12).ids for d in descs])
 
     def test_no_queries_gives_empty_table(self):
         db, _ = random_db(5, 3)

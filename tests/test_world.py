@@ -1,4 +1,3 @@
-import ctypes
 import hashlib
 import math
 import threading
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ground_view_oracle
+from helpers import OPENBLAS, POOLED, ground_view_oracle
 
 import cvloc.world
 from cvloc.cli import main
@@ -288,17 +287,6 @@ def ran_pooled(threads, workers):
     share before the next is submitted may be handed that one too, so more
     than one thread, not ``workers`` threads, is what a pooled build ensures."""
     return len(threads) == 1 if workers == 1 else 1 < len(threads) <= workers
-
-
-# numpy's bundled OpenBLAS; the map build pins it to one thread and runs on
-# one worker where it lacks these thread-count functions
-OPENBLAS = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-POOLED = hasattr(OPENBLAS, "scipy_openblas_get_num_threads64_")
-if POOLED:
-    OPENBLAS.scipy_openblas_get_num_threads64_.argtypes = []
-    OPENBLAS.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
-    OPENBLAS.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
-    OPENBLAS.scipy_openblas_set_num_threads64_.restype = None
 
 
 WORLD_KINDS = {
