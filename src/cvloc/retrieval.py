@@ -51,7 +51,9 @@ class DescriptorDatabase:
         ids = np.sort(self.ids)
         if np.any(ids[1:] == ids[:-1]):
             raise ValueError("duplicate ids in database")
-        if not (np.all(np.isfinite(self.descriptors)) and np.all(np.isfinite(self.geos))):
+        # min and max carry NaN and ±inf with no (N, R) mask; a geo column is a fast 1-D reduce
+        extremes = [f(initial=0.0) for a in (self.descriptors, *self.geos.T) for f in (a.min, a.max)]
+        if not np.all(np.isfinite(extremes)):
             raise ValueError("database descriptors and geos must be finite")
 
     @property
@@ -308,22 +310,22 @@ def add_distractors(
 
 def _record(dim: int) -> np.dtype:
     """One packed little-endian database entry: 24 + 4*dim bytes."""
-    return np.dtype([("id", "<u8"), ("lat", "<f8"), ("lon", "<f8"), ("desc", "<f4", (dim,))])
+    return np.dtype([("id", "<u8"), ("geo", "<f8", (2,)), ("desc", "<f4", (dim,))])
 
 
 def save_db(db: DescriptorDatabase, path: str) -> None:
     """Binary layout: magic, u32 version, u64 count, u32 dimension, then one
     :func:`_record` per entry (u64 id, f64 lat, f64 lon, f32 descriptor)."""
     records = np.empty(len(db), dtype=_record(db.dimension))
-    records["id"], records["lat"], records["lon"] = db.ids, db.geos[:, 0], db.geos[:, 1]
-    records["desc"] = db.descriptors
+    records["id"], records["geo"], records["desc"] = db.ids, db.geos, db.descriptors
     with open_output(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IQI", _VERSION, len(db), db.dimension))
-        fh.write(records.tobytes())
+        fh.write(records)
 
 
 def load_db(path: str) -> DescriptorDatabase:
+    """Read a :func:`save_db` file; its columns are fields of one record array."""
     with open(path, "rb") as fh:
         if fh.read(8) != _MAGIC:
             raise ValueError("not a descriptor database file")
@@ -336,9 +338,7 @@ def load_db(path: str) -> DescriptorDatabase:
                 f"database header declares {count} entries of dimension {dim}, "
                 f"which does not match the {body} bytes that follow"
             )
-        records = np.frombuffer(fh.read(body), dtype=_record(dim), count=count)
-    return DescriptorDatabase(
-        records["id"].astype(np.uint64),
-        np.stack([records["lat"], records["lon"]], axis=1),
-        records["desc"].astype(np.float32),
-    )
+        records = np.empty(count, dtype=_record(dim))
+        if (read := fh.readinto(records)) != body:
+            raise ValueError(f"database file ended after {read} of its {body} declared bytes")
+    return DescriptorDatabase(records["id"], records["geo"], records["desc"])

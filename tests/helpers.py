@@ -1,11 +1,13 @@
 """Small helpers shared by several test files: a seeded generator, a uniform
 field, the corner indices of one point, a trajectory writer, the per-pose
-ground-view oracle and numpy's OpenBLAS thread-count functions."""
+ground-view oracle, numpy's OpenBLAS thread-count functions and the golden
+assertion that names the library versions."""
 
 from __future__ import annotations
 
 import ctypes
 import math
+import platform
 
 import numpy as np
 
@@ -24,6 +26,27 @@ if POOLED:
     OPENBLAS.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
     OPENBLAS.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
     OPENBLAS.scipy_openblas_set_num_threads64_.restype = None
+
+# The versions with which every golden hash in tests/test_world.py,
+# tests/test_retrieval.py and tests/test_simulate.py was last checked. A hash
+# rests on numpy's summation orders and its bundled OpenBLAS, so a mismatch
+# under other versions points at the library before the program.
+GOLDEN_VERSIONS = {"python": "3.11.7", "numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
+
+
+def library_versions() -> dict[str, str]:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}"}
+
+
+def assert_golden(got, want, what: str) -> None:
+    """Assert an output's recorded hash (or table of hashes) is unchanged;
+    a mismatch names the versions the hash was checked with and those in use."""
+    assert got == want, (
+        f"{what} changed: got {got}, recorded {want}; "
+        f"recorded with {GOLDEN_VERSIONS}, running {library_versions()}"
+    )
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -360,6 +360,18 @@ class TestWindowedCornerScores:
         assert w == 7 - 3 + 2 and scores.size == w * (9 - 2 + 2)
         np.testing.assert_array_equal(sw, (j - 2) * w + (i - 3))
 
+    @pytest.mark.parametrize("m", [1, 2, 7, 1_000, 100_000])
+    def test_clipped_take_into_a_row_equals_fancy_indexing(self, m):
+        # the _corner_values gather rests on this: for in-range indices,
+        # np.take(..., out=row, mode="clip") gives table[idx], bit for bit
+        rng = np.random.default_rng(m)
+        table = rng.random(5_000) * rng.choice([-1e300, -1.0, 0.0, 5e-324, 1e300], 5_000)
+        idx = rng.integers(0, len(table), m)
+        idx[0], idx[-1] = 0, len(table) - 1
+        rows = np.empty((4, m))
+        np.take(table, idx, out=rows[2], mode="clip")
+        assert rows[2].tobytes() == table[idx].tobytes()
+
 
 class TestCombine:
     @pytest.mark.parametrize("mode", MODES)

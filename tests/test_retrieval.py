@@ -4,13 +4,15 @@ import io
 import itertools
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from helpers import OPENBLAS, POOLED
+from helpers import OPENBLAS, POOLED, assert_golden
 
 import cvloc.retrieval
 from cvloc.cli import main
@@ -790,6 +792,7 @@ def random_records(count, dim, seed):
     return DescriptorDatabase(ids, geos, descs)
 
 
+# Golden hashes, checked with helpers.GOLDEN_VERSIONS.
 # sha256 of `cvloc build-db` at the default scenario config
 BUILD_DB_DEFAULT_SHA256 = "09e6addb2b4321a18cee713d8112336cc683690f808daeb58a5bd4f843968c3f"
 
@@ -808,7 +811,7 @@ class TestEvalOutputs:
         assert main(["eval", "--out-dir", str(tmp_path)]) == 0
         capsys.readouterr()
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
-        assert got == EVAL_DEFAULT_SHA256
+        assert_golden(got, EVAL_DEFAULT_SHA256, "eval --out-dir file sha256s")
 
 
 class TestPersistence:
@@ -830,14 +833,14 @@ class TestPersistence:
         path = tmp_path / "map.db"
         assert main(["build-db", "--out", str(path)]) == 0
         capsys.readouterr()
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == BUILD_DB_DEFAULT_SHA256
+        assert_golden(hashlib.sha256(path.read_bytes()).hexdigest(), BUILD_DB_DEFAULT_SHA256, "build-db file")
 
     def test_build_db_from_saved_default_params_bytes_unchanged(self, tmp_path, capsys):
         params, path = tmp_path / "default.params", tmp_path / "map.db"
         save_pipeline(build_pipeline(ScenarioConfig(out_dir="")), str(params))
         assert main(["build-db", "--set", f"params_file={params}", "--out", str(path)]) == 0
         capsys.readouterr()
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == BUILD_DB_DEFAULT_SHA256
+        assert_golden(hashlib.sha256(path.read_bytes()).hexdigest(), BUILD_DB_DEFAULT_SHA256, "build-db file")
 
     def test_round_trip_identical(self, tmp_path):
         db, _ = random_db(17, 9, seed=21)
@@ -860,3 +863,122 @@ class TestPersistence:
         p.write_bytes(b"WRONGMAG" + b"\x00" * 32)
         with pytest.raises(ValueError):
             load_db(str(p))
+
+
+def database_arrays(max_count=300):
+    """Databases of 0, 1 or up to ``max_count`` entries and dimension 1-64:
+    unsorted, sparse uint64 ids up to 2^64 - 1 and finite extremes, descriptors
+    to ±3.4e38 and geos to ±1e308."""
+    edge = float(np.float32(3.4e38))
+
+    def build(count, dim):
+        return st.tuples(
+            st.lists(st.integers(0, 2**64 - 1), min_size=count, max_size=count, unique=True),
+            hnp.arrays(np.float64, (count, 2), elements=st.floats(-1e308, 1e308)),
+            hnp.arrays(np.float32, (count, dim), elements=st.floats(-edge, edge, width=32)),
+        ).map(lambda cols: DescriptorDatabase(np.array(cols[0], dtype=np.uint64), cols[1], cols[2]))
+
+    counts = st.sampled_from([0, 1]) | st.integers(2, max_count)
+    return st.tuples(counts, st.integers(1, 64)).flatmap(lambda shape: build(*shape))
+
+
+def extreme_db(count, dim):
+    """Every value at the edge of database_arrays' ranges, ids descending from 2^64 - 1."""
+    signs = np.where(np.arange(count * dim) % 2, -1.0, 1.0)
+    return DescriptorDatabase(
+        np.uint64(2**64 - 1) - np.arange(count, dtype=np.uint64) * np.uint64(2**40 + 7),
+        np.resize(signs, (count, 2)) * 1e308,
+        (np.resize(signs, (count, dim)) * 3.4e38).astype(np.float32),
+    )
+
+
+class ShortRead(io.BufferedReader):
+    """A reader whose body read stops one byte short, as when the file
+    shrinks between its size check and the read."""
+
+    def readinto(self, buffer):
+        view = memoryview(buffer).cast("B")
+        return super().readinto(view[:-1])
+
+
+# a query on the 31 x 31 map of a small scenario
+SMALL_QUERY = ["--set", "lat_max=40.00135", "--set", "lon_max=-104.99824", "--pose", "60,60,0"]
+
+
+@pytest.fixture(scope="module")
+def db_2m():
+    return database_from_map(build_scenario(ScenarioConfig(cell_interval=2.0, out_dir="")).db_map)
+
+
+class TestRecordArrayPersistence:
+    @settings(max_examples=60, deadline=None)
+    @example(db=extreme_db(0, 1))
+    @example(db=extreme_db(1, 64))
+    @example(db=extreme_db(300, 7))
+    @given(db=database_arrays())
+    def test_save_load_round_trip_fuzz(self, db, tmp_path_factory):
+        a = tmp_path_factory.mktemp("fuzz") / "a.db"
+        save_db(db, str(a))
+        loaded = load_db(str(a))
+        for attr, dtype in (("ids", np.uint64), ("geos", np.float64), ("descriptors", np.float32)):
+            got, want = getattr(loaded, attr), getattr(db, attr)
+            assert got.dtype == dtype and got.shape == want.shape, attr
+            assert got.tobytes() == want.tobytes(), attr
+        b = a.with_name("b.db")
+        save_db(loaded, str(b))
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_loaded_columns_are_fields_of_one_record_array(self, tmp_path):
+        path = tmp_path / "db.bin"
+        save_db(random_records(17, 9, seed=3), str(path))
+        db = load_db(str(path))
+        records = db.ids.base
+        assert records is not None and records.dtype.names == ("id", "geo", "desc")
+        assert db.geos.base is records and db.descriptors.base is records
+
+    def test_short_read_is_a_value_error_and_exits_2(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "map.db"
+        save_db(random_records(17, 9, seed=4), str(path))
+        monkeypatch.setattr(cvloc.retrieval, "open", lambda p, mode: ShortRead(io.FileIO(p, mode[0])),
+                            raising=False)
+        body = path.stat().st_size - 24
+        with pytest.raises(ValueError, match=f"ended after {body - 1} of its {body} declared bytes"):
+            load_db(str(path))
+        code = main(["query", *SMALL_QUERY, "--db", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error[input]: database file ended after")
+
+    def test_empty_database_loads_and_query_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "empty.db"
+        save_db(extreme_db(0, 32), str(path))
+        db = load_db(str(path))
+        assert len(db) == 0 and db.dimension == 32
+        code = main(["query", *SMALL_QUERY, "--db", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error[input]: cannot query an empty database")
+
+    def test_load_db_peak_is_the_body_and_a_sorted_id_copy(self, db_2m, tmp_path):
+        path = tmp_path / "map.db"
+        save_db(db_2m, str(path))
+        body = path.stat().st_size - 24
+        tracemalloc.start()
+        try:
+            load_db(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= body + 8 * len(db_2m) + 2**20, (peak, body)
+
+    def test_save_db_peak_is_the_record_array(self, db_2m, tmp_path):
+        path = tmp_path / "map.db"
+        records = len(db_2m) * (24 + 4 * db_2m.dimension)
+        tracemalloc.start()
+        try:
+            save_db(db_2m, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= records + 2**20, (peak, records)
+        assert path.stat().st_size == 24 + records

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import save_trajectory
+from helpers import assert_golden, save_trajectory
 
 from cvloc.config import ScenarioConfig
 from cvloc.motion import Pose
@@ -180,6 +180,7 @@ class TestRunSimulation:
 
 
 
+# Golden hashes, checked with helpers.GOLDEN_VERSIONS.
 # sha256 of `steps.csv` at the default scenario config per measurement mode
 # and master seed, recorded before the pose estimate summed in fixed chunks
 # (one chunk at 1,000 particles, so these bits did not move)
@@ -195,6 +196,13 @@ STEP_LOG_SHA256 = {
 # chunked pose estimate; a whole-array BLAS dot gave a different log at one
 # thread than at two or four
 STEP_LOG_1E5_SHA256 = "6e135b1af11e4bd6e0090f1e01405143d7e3d8cb7bba5ee2c5e793400d44bcbb"
+# sha256 of `steps.csv` for 20 steps at 1 m cells (441 x 441) and master seed
+# 1 per measurement mode: the map on which a step scores a small window of
+# the field and the lazy field's fallbacks matter
+STEP_LOG_1M_SHA256 = {
+    "corner-sum": "e46063c3b4a8d9eaa0f659aa7ec7206e4026a2d8a81f527e701a07cd86bd09c8",
+    "bilinear": "34a76fa2083d727958204fe337d5b1b022d252711b6e3a70a6cf4dcba208a19e",
+}
 
 
 def step_log_sha256(out_dir, **overrides):
@@ -206,10 +214,16 @@ class TestGoldenStepLogs:
     @pytest.mark.parametrize("mode, seed", sorted(STEP_LOG_SHA256))
     def test_default_step_log_bytes_unchanged(self, mode, seed, tmp_path):
         got = step_log_sha256(tmp_path, master_seed=seed, measurement_mode=mode)
-        assert got == STEP_LOG_SHA256[mode, seed]
+        assert_golden(got, STEP_LOG_SHA256[mode, seed], "steps.csv sha256")
 
     def test_1e5_particle_step_log_bytes_unchanged(self, tmp_path):
-        assert step_log_sha256(tmp_path, particles=100_000, traj_steps=20) == STEP_LOG_1E5_SHA256
+        got = step_log_sha256(tmp_path, particles=100_000, traj_steps=20)
+        assert_golden(got, STEP_LOG_1E5_SHA256, "1e5-particle steps.csv sha256")
+
+    @pytest.mark.parametrize("mode", sorted(STEP_LOG_1M_SHA256))
+    def test_1m_step_log_bytes_unchanged(self, mode, tmp_path):
+        got = step_log_sha256(tmp_path, cell_interval=1.0, traj_steps=20, master_seed=1, measurement_mode=mode)
+        assert_golden(got, STEP_LOG_1M_SHA256[mode], "1 m steps.csv sha256")
 
 class TestEvalRetrieval:
     def test_metrics_shapes_and_monotonicity(self, tmp_path):

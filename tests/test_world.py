@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import OPENBLAS, POOLED, ground_view_oracle
+from helpers import OPENBLAS, POOLED, assert_golden, ground_view_oracle
 
 import cvloc.world
 from cvloc.cli import main
@@ -331,6 +331,7 @@ class TestLatticeFeatures:
         np.testing.assert_array_equal(got, _features_at(w, locs[inside], 7, SATELLITE))
 
 
+# Golden hashes, checked with helpers.GOLDEN_VERSIONS.
 # sha256 of the 2 m map's float32 descriptor bytes at the default scenario
 # config: 48,841 cells in many blocks. Recorded on the former last-axis
 # soft-assignment path, in blocks of up to 8,192 cells.
@@ -379,7 +380,7 @@ class TestBlockedMapBuild:
         descriptors = build_descriptor_map(world, pipeline, seed).descriptors
         assert len(blocks) == -(-world.grid.height // block_rows(world)) > 1
         assert descriptors.shape == (48841, 32)
-        assert hashlib.sha256(descriptors.tobytes()).hexdigest() == MAP_2M_SHA256[variant]
+        assert_golden(hashlib.sha256(descriptors.tobytes()).hexdigest(), MAP_2M_SHA256[variant], "map sha256")
 
     @pytest.mark.parametrize("variant", sorted(MAP_2M_SHA256))
     def test_2m_map_from_saved_params_bytes_unchanged(self, variant, tmp_path):
@@ -388,14 +389,14 @@ class TestBlockedMapBuild:
         save_pipeline(build_pipeline(cfg), str(params))
         cfg.params_file = str(params)
         descriptors = build_descriptor_map(build_world(cfg), build_pipeline(cfg), cfg.world_seed).descriptors
-        assert hashlib.sha256(descriptors.tobytes()).hexdigest() == MAP_2M_SHA256[variant]
+        assert_golden(hashlib.sha256(descriptors.tobytes()).hexdigest(), MAP_2M_SHA256[variant], "map sha256")
 
     @pytest.mark.parametrize("variant", sorted(MAP_1M_SHA256))
     def test_fine_1m_map_bytes_unchanged(self, variant):
         world, pipeline, seed = default_map(1.0, variant)
         descriptors = build_descriptor_map(world, pipeline, seed).descriptors
         assert descriptors.shape == (194481, 32)
-        assert hashlib.sha256(descriptors.tobytes()).hexdigest() == MAP_1M_SHA256[variant]
+        assert_golden(hashlib.sha256(descriptors.tobytes()).hexdigest(), MAP_1M_SHA256[variant], "map sha256")
 
     @pytest.mark.parametrize("variant, kind", sorted(FLAT_2M_SHA256))
     def test_flat_2m_map_bytes_unchanged(self, variant, kind):
@@ -403,13 +404,13 @@ class TestBlockedMapBuild:
         cfg = ScenarioConfig(cell_interval=2.0, world_kind="flat", pipeline_variant=variant, out_dir="", **extra)
         descriptors = build_scenario(cfg).db_map.descriptors
         assert descriptors.shape == (48841, 32)
-        assert hashlib.sha256(descriptors.tobytes()).hexdigest() == FLAT_2M_SHA256[variant, kind]
+        assert_golden(hashlib.sha256(descriptors.tobytes()).hexdigest(), FLAT_2M_SHA256[variant, kind], "map sha256")
 
     @pytest.mark.parametrize("variant", sorted(OFF_DEFAULT_5M_SHA256))
     def test_off_default_5m_map_bytes_unchanged(self, variant):
         cfg = ScenarioConfig(world_features=7, clusters=16, pipeline_variant=variant, out_dir="")
         descriptors = build_scenario(cfg).db_map.descriptors
-        assert hashlib.sha256(descriptors.tobytes()).hexdigest() == OFF_DEFAULT_5M_SHA256[variant]
+        assert_golden(hashlib.sha256(descriptors.tobytes()).hexdigest(), OFF_DEFAULT_5M_SHA256[variant], "map sha256")
 
     @pytest.mark.parametrize("order", [("smooth", "flat"), ("flat", "smooth")])
     def test_smooth_and_flat_maps_in_one_process_share_no_cached_field(self, order):
@@ -521,7 +522,7 @@ class TestPooledMapBuild:
         threads = with_workers(monkeypatch, workers)
         descriptors = build_descriptor_map(world, pipeline, seed).descriptors
         assert ran_pooled(threads, workers)
-        assert hashlib.sha256(descriptors.tobytes()).hexdigest() == MAP_2M_SHA256[variant]
+        assert_golden(hashlib.sha256(descriptors.tobytes()).hexdigest(), MAP_2M_SHA256[variant], "map sha256")
 
     def test_odd_grid_identical_at_any_worker_count(self, monkeypatch):
         w = SyntheticWorld(grid=ODD_GRID, **WORLD_KINDS["corridor+alias"])
