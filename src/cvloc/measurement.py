@@ -243,10 +243,13 @@ def emit_heatmap(
     grid = _contrast_grid(field, contrast)
     g = field.grid
     if csv_path is not None:
-        cells = zip(*g.locations().T.tolist(), grid.ravel().tolist())
+        # the cells lie on a lattice: x strings are formatted once per column, y once per row
+        xs, ys = ([f"{v:.9g}," for v in (np.arange(n) * g.cell_interval).tolist()]
+                  for n in (g.width, g.height))
         with open_output(csv_path) as fh:
             fh.write("x,y,p\n")
-            fh.writelines(f"{x:.9g},{y:.9g},{p:.9g}\n" for x, y, p in cells)
+            for y, row in zip(ys, grid.tolist()):
+                fh.write("".join([f"{x}{y}{p:.9g}\n" for x, p in zip(xs, row)]))
     if pgm_path is not None:
         samples = np.rint(grid[::-1, :] * 65535).astype(">u2")
         with open_output(pgm_path, "wb") as fh:

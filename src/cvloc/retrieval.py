@@ -3,7 +3,7 @@ retrieval metrics (top-K / top-percent recall, distance-threshold recall).
 
 Search is exact and runs in two stages, for one query or a batch. A
 float32 pre-filter scores every entry by the expansion form of its squared
-distance, from squared norms summed once per database and one GEMM per
+distance, from squared norms computed at construction and one GEMM per
 score block of queries (at most ``_SCORE_FLOATS`` scores, one query at
 least). For each query it keeps each entry that a proven bound on that
 form's rounding cannot rule out of the top k (every entry when the
@@ -21,7 +21,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,13 +47,22 @@ class DescriptorDatabase:
         n = self.ids.shape[0]
         if self.geos.shape != (n, 2) or self.descriptors.shape[0] != n or self.descriptors.ndim != 2:
             raise ValueError("inconsistent database arrays")
-        ids = np.sort(self.ids)
-        if np.any(ids[1:] == ids[:-1]):
+        # the id index: none for strictly increasing ids, which are unique; else their argsort
+        order = None if np.all(self.ids[1:] > self.ids[:-1]) else np.argsort(self.ids)
+        if order is not None and np.any((ids := self.ids[order])[1:] == ids[:-1]):
             raise ValueError("duplicate ids in database")
-        # min and max carry NaN and ±inf with no (N, R) mask; a geo column is a fast 1-D reduce
-        extremes = [f(initial=0.0) for a in (self.descriptors, *self.geos.T) for f in (a.min, a.max)]
-        if not np.all(np.isfinite(extremes)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = np.einsum("ij,ij->i", self.descriptors, self.descriptors)
+            top = float(sq.max(initial=0.0))
+            sums = [a.sum() for a in self.geos.T]
+        # a NaN or ±inf carries into the norms and the geo sums, so finite ones prove every value
+        # finite; min and max, which carry them with no (N, R) mask, settle a square or sum past range
+        if not all(map(math.isfinite, (top, *sums))) and not np.all(np.isfinite(
+                [f(initial=0.0) for a in (self.descriptors, *self.geos.T) for f in (a.min, a.max)])):
             raise ValueError("database descriptors and geos must be finite")
+        object.__setattr__(self, "_id_order", order)
+        # float32 squared norm of each descriptor, the pre-filter's ‖s‖² term, and the largest
+        object.__setattr__(self, "_sq_norms", (sq, top))
 
     @property
     def dimension(self) -> int:
@@ -63,18 +71,19 @@ class DescriptorDatabase:
     def __len__(self) -> int:
         return self.ids.shape[0]
 
-    @cached_property
-    def _sq_norms(self) -> tuple[np.ndarray, float]:
-        """Float32 squared norm of each descriptor, the pre-filter's ‖s‖²
-        term, and the largest of them; summed once per database."""
-        sq = np.einsum("ij,ij->i", self.descriptors, self.descriptors)
-        return sq, float(sq.max(initial=0.0))
+    def _rows(self, ids: np.ndarray) -> np.ndarray:
+        """Row of each of the uint64 ``ids``: a binary search through the id index."""
+        order = self._id_order
+        pos = np.minimum(np.searchsorted(self.ids, ids, sorter=order), len(self) - 1)
+        rows = pos if order is None else order[pos]
+        if not ((self.ids[rows] == ids).all() if len(self) else np.size(ids) == 0):
+            raise KeyError("an id is not in the database")
+        return rows
 
     def entry(self, id_: int) -> tuple[tuple[float, float], np.ndarray]:
-        idx = np.nonzero(self.ids == id_)[0]
-        if idx.size == 0:
-            raise KeyError(f"id {id_} not in database")
-        i = int(idx[0])
+        if not 0 <= id_ < 2**64:
+            raise KeyError("an id is not in the database")
+        i = int(self._rows(np.uint64(id_)))
         return (float(self.geos[i, 0]), float(self.geos[i, 1])), self.descriptors[i]
 
 
@@ -263,15 +272,11 @@ def threshold_recall(
 ) -> list[tuple[float, float]]:
     """Recall curve over metric thresholds: a query counts as localized at
     threshold T when its top-1 entry lies within T metres of the true geo.
-    The top-1 geos are gathered by row, from one sort of the ids."""
-    top_ids = np.asarray(top_ids, dtype=np.uint64)
-    order = np.argsort(db.ids)
-    pos = np.searchsorted(db.ids, top_ids, sorter=order)
-    if np.any(pos == len(order)) or not np.array_equal(db.ids[order[pos]], top_ids):
-        raise KeyError("a top-1 id is not in the database")
+    The top-1 geos are gathered by row, through the database's id index."""
+    rows = db._rows(np.asarray(top_ids, dtype=np.uint64))
     truth = np.asarray(true_geos, dtype=np.float64).tolist()
     errors = np.array([geo_distance_m(lat, lon, glat, glon)
-                       for (lat, lon), (glat, glon) in zip(truth, db.geos[order[pos]].tolist())])
+                       for (lat, lon), (glat, glon) in zip(truth, db.geos[rows].tolist())])
     return [(float(t), float(np.mean(errors <= t))) for t in thresholds]
 
 

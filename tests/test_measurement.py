@@ -539,3 +539,45 @@ class TestHeatmap:
         assert samples.shape == (3, 4)
         # spike at cell index 5 = (row 1, col 1); rows are flipped north-up
         assert samples[1, 1] == 65535
+
+
+def former_heatmap_csv(field: ProbabilityField, contrast: str, path: str) -> None:
+    """The per-cell writer the lattice one replaced, kept as its byte oracle:
+    x, y and p formatted for every cell from ``GridMap.locations``."""
+    grid = emit_heatmap(field, contrast)
+    cells = zip(*field.grid.locations().T.tolist(), grid.ravel().tolist())
+    with open(path, "w") as fh:
+        fh.write("x,y,p\n")
+        fh.writelines(f"{x:.9g},{y:.9g},{p:.9g}\n" for x, y, p in cells)
+
+
+def random_field(width, height, interval, seed):
+    p = np.random.default_rng(seed).uniform(0, 1, width * height)
+    p[seed % p.size] = 0.0  # a cell at 0 and, under the linear contrast, one at 1
+    return field_from_probs(p / p.sum(), width, height, interval)
+
+
+class TestHeatmapCsvFormerWriter:
+    """``emit_heatmap`` formats x once per column and y once per row; its CSV
+    equals the per-cell writer's byte for byte."""
+
+    @staticmethod
+    def assert_same_bytes(field, tmp_path):
+        for contrast in ("linear", "exponential"):
+            got, want = tmp_path / f"{contrast}.csv", tmp_path / f"{contrast}.former.csv"
+            emit_heatmap(field, contrast, csv_path=str(got))
+            former_heatmap_csv(field, contrast, str(want))
+            assert got.read_bytes() == want.read_bytes(), contrast
+
+    def test_default_5m_field(self, tmp_path):
+        scenario = build_scenario(ScenarioConfig(out_dir=""))
+        field = location_probabilities(scenario.db_map, scenario.ground_view(Pose(60.0, 60.0, 0.3)).values)
+        assert (field.grid.width, field.grid.height, field.grid.cell_interval) == (89, 89, 5.0)
+        self.assert_same_bytes(field, tmp_path)
+
+    def test_1m_field(self, tmp_path):
+        self.assert_same_bytes(random_field(441, 441, 1.0, seed=1), tmp_path)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 1.0), (7, 3, 2.5), (3, 11, 1 / 3), (50, 2, 1e-3)])
+    def test_small_and_non_square_maps(self, shape, tmp_path):
+        self.assert_same_bytes(random_field(*shape, seed=shape[0] * shape[1]), tmp_path)

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -590,6 +590,189 @@ class TestDuplicateIds:
                          "--db", str(path), "--pose", "60,60,0"])
         assert code == 2 and out.getvalue() == ""
         assert err.getvalue().startswith("error[input]: duplicate ids")
+
+
+def former_database_check(ids, geos, descriptors):
+    """The former rule of ``DescriptorDatabase``, kept as the oracle of its
+    checks: duplicates by sorting the ids and comparing neighbours, then
+    finiteness by the min and max of the descriptors and of each geo column.
+    Returns the ValueError message, or None where the database is accepted."""
+    ids = np.sort(ids)
+    if np.any(ids[1:] == ids[:-1]):
+        return "duplicate ids in database"
+    extremes = [f(initial=0.0) for a in (descriptors, *geos.T) for f in (a.min, a.max)]
+    if not np.all(np.isfinite(extremes)):
+        return "database descriptors and geos must be finite"
+    return None
+
+
+# finite scales of each descriptor dtype: ordinary, squares past float32's range in a
+# long enough row, and the largest float32; squares past float64's range, and ±1e308
+DESCRIPTOR_SCALES = {np.float32: [1.0, 1e19, 3.4e38], np.float64: [1.0, 1e154, 1e308]}
+
+
+@st.composite
+def checked_columns(draw):
+    """(ids, geos, descriptors) of 0-300 entries and dimension 1-64: sorted,
+    shuffled or one-duplicate uint64 ids up to 2^64 - 1, float32 or float64
+    descriptors and float64 geos at finite scales up to their dtype's edge
+    (random values, or every value at ±scale), with NaN and ±inf at a few
+    random cells of either."""
+    n = draw(st.sampled_from([0, 1, 2]) | st.integers(3, 300))
+    r = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = np.array(sorted(draw(st.sets(st.sampled_from([0, 1, 2**63, 2**64 - 1])))), dtype=np.uint64)
+    ids = np.unique(np.concatenate([edges, rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True)]))
+    ids = ids[rng.permutation(len(ids))[:n]]
+    layout = draw(st.sampled_from(["sorted", "shuffled", "one duplicate"] if n > 1 else ["sorted"]))
+    if layout == "one duplicate":
+        src, dst = rng.choice(n, 2, replace=False)
+        ids[dst] = ids[src]
+    if layout == "sorted":
+        ids.sort()
+
+    def column(shape, dtype, scale):
+        signs = rng.uniform(-1.0, 1.0, shape) if draw(st.booleans()) else rng.choice([-1.0, 1.0], shape)
+        return (signs * scale).astype(dtype)
+
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    descs = column((len(ids), r), dtype, draw(st.sampled_from(DESCRIPTOR_SCALES[dtype])))
+    geos = column((len(ids), 2), np.float64, draw(st.sampled_from([90.0, 1e308])))
+    for array, most in ((descs, 3), (geos, 2)):
+        for _ in range(draw(st.integers(0, most)) if len(ids) else 0):
+            cell = tuple(rng.integers(0, array.shape))
+            array[cell] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return ids, geos, descs
+
+
+class TestDatabaseChecksAgainstTheFormerRule:
+    """The squared norms and geo sums prove most databases finite, and one
+    scan of the ids proves sorted ids unique: a database is accepted exactly
+    when the former sort-and-min/max rule accepts it, else it raises that
+    rule's message, and the norms are the pre-filter's einsum, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @example(cols=(np.array([5, 5], dtype=np.uint64), np.full((2, 2), np.nan), np.full((2, 3), np.inf)))
+    @example(cols=(np.array([9, 2], dtype=np.uint64), np.zeros((2, 2)),
+                   np.array([[3.4e38, -3.4e38], [np.nan, 0.0]], dtype=np.float32)))
+    @given(cols=checked_columns())
+    def test_accepts_exactly_what_the_former_rule_accepts(self, cols):
+        ids, geos, descs = cols
+        want = former_database_check(ids, geos, descs)
+        event(want or "accepted")
+        if want is not None:
+            with pytest.raises(ValueError, match=f"^{want}$"):
+                DescriptorDatabase(ids, geos, descs)
+            return
+        db = DescriptorDatabase(ids, geos, descs)
+        sq, top = db._sq_norms
+        want_sq = np.einsum("ij,ij->i", descs, descs)
+        assert sq.dtype == want_sq.dtype and sq.tobytes() == want_sq.tobytes()
+        assert top == float(want_sq.max(initial=0.0))
+        event(f"accepted with {'finite' if math.isfinite(top) else 'overflowing'} norms")
+        order = db._id_order
+        if np.all(ids[1:] > ids[:-1]):
+            assert order is None
+        else:
+            assert sorted(order.tolist()) == list(range(len(ids))) and np.all(np.diff(ids[order]) > 0)
+
+    @pytest.mark.parametrize("dtype, scale", [(np.float32, 3.4e38), (np.float64, 1e308)])
+    def test_finite_extremes_load(self, dtype, scale, tmp_path):
+        signs = np.resize([1.0, -1.0], (6, 4))
+        db = DescriptorDatabase(np.arange(6, dtype=np.uint64)[::-1].copy(), signs[:, :2] * 1e308,
+                                (signs * scale).astype(dtype))
+        assert db._sq_norms[1] == math.inf  # every square overflowed: min and max ruled
+        if dtype is np.float32:
+            save_db(db, str(tmp_path / "edge.db"))
+            assert len(load_db(str(tmp_path / "edge.db"))) == 6
+
+
+def linear_scan_entry(db, id_):
+    """The former ``entry``: the first row whose id equals ``id_``."""
+    rows = [i for i, stored in enumerate(db.ids.tolist()) if stored == id_]
+    if not rows:
+        raise KeyError(id_)
+    return (float(db.geos[rows[0], 0]), float(db.geos[rows[0], 1])), db.descriptors[rows[0]]
+
+
+def former_threshold_recall(db, top_ids, true_geos, thresholds):
+    """The former ``threshold_recall``: top-1 geos through an argsort of the ids
+    made on every call."""
+    top_ids = np.asarray(top_ids, dtype=np.uint64)
+    order = np.argsort(db.ids)
+    pos = np.searchsorted(db.ids, top_ids, sorter=order)
+    if np.any(pos == len(order)) or not np.array_equal(db.ids[order[pos]], top_ids):
+        raise KeyError("a top-1 id is not in the database")
+    errors = np.array([geo_distance_m(lat, lon, glat, glon)
+                       for (lat, lon), (glat, glon) in zip(true_geos, db.geos[order[pos]].tolist())])
+    return [(float(t), float(np.mean(errors <= t))) for t in thresholds]
+
+
+@st.composite
+def indexed_databases(draw):
+    """Databases of 1-60 unique uint64 ids, with 0 and 2^64 - 1 among them or
+    not, stored sorted or shuffled, as loaded (fields of a record array)."""
+    ids = draw(st.sets(UINT64_IDS, min_size=1, max_size=60))
+    ids |= draw(st.sets(st.sampled_from([0, 2**64 - 1])))
+    ids = sorted(ids)
+    if draw(st.booleans()):
+        ids = draw(st.permutations(ids))
+    rng = np.random.default_rng(len(ids))
+    records = np.empty(len(ids), dtype=cvloc.retrieval._record(3))
+    records["id"], records["geo"] = ids, rng.uniform(-90, 90, (len(ids), 2))
+    records["desc"] = rng.normal(size=(len(ids), 3))
+    return DescriptorDatabase(records["id"], records["geo"], records["desc"])
+
+
+def absent_ids(db):
+    """Ids below, between and above the stored ones, and Python ints outside uint64."""
+    stored = sorted(db.ids.tolist())
+    between = [a + (b - a) // 2 for a, b in zip(stored, stored[1:]) if b - a > 1]
+    outside = [stored[0] - 1, stored[-1] + 1, -1, -(2**64), 2**64, 2**64 + stored[0], 2**70]
+    return [i for i in between + outside if i not in set(stored)]
+
+
+class TestIdIndex:
+    """``entry`` and ``threshold_recall`` find rows by a binary search through
+    the id index (no order for sorted ids, an argsort otherwise)."""
+
+    @settings(max_examples=150, deadline=None)
+    @example(db=DescriptorDatabase(np.array([2**64 - 1, 0], dtype=np.uint64), np.zeros((2, 2)),
+                                   np.eye(2, dtype=np.float32)))
+    @given(db=indexed_databases())
+    def test_entry_equals_a_linear_scan(self, db):
+        for id_ in db.ids.tolist():
+            (lat, lon), desc = db.entry(id_)
+            (want_lat, want_lon), want_desc = linear_scan_entry(db, id_)
+            assert (lat, lon) == (want_lat, want_lon)
+            assert desc.tobytes() == want_desc.tobytes()
+        for id_ in absent_ids(db):
+            with pytest.raises(KeyError):
+                linear_scan_entry(db, id_)
+            with pytest.raises(KeyError):
+                db.entry(id_)
+
+    def test_empty_database_has_no_entries(self):
+        db = build_db([])
+        for id_ in (0, 2**64 - 1, -1):
+            with pytest.raises(KeyError):
+                db.entry(id_)
+
+    @settings(max_examples=100, deadline=None)
+    @given(db=indexed_databases(), picks=st.lists(st.integers(0, 2**16), min_size=1, max_size=20))
+    def test_threshold_recall_equals_the_former_argsort(self, db, picks):
+        stored = db.ids.tolist()
+        top = np.array([stored[p % len(stored)] for p in picks], dtype=np.uint64)
+        truth = [(float(40 + p % 7 * 1e-4), -105.0) for p in picks]
+        thresholds = [0.0, 10.0, 1e3, 1e7, math.inf]
+        assert threshold_recall(db, top, truth, thresholds) == former_threshold_recall(db, top, truth, thresholds)
+        for absent in absent_ids(db):
+            if 0 <= absent < 2**64:
+                bad = np.concatenate([top, np.array([absent], dtype=np.uint64)])
+                with pytest.raises(KeyError):
+                    former_threshold_recall(db, bad, truth + [(40.0, -105.0)], thresholds)
+                with pytest.raises(KeyError):
+                    threshold_recall(db, bad, truth + [(40.0, -105.0)], thresholds)
 
 
 class TestQuery:
