@@ -1,9 +1,15 @@
-"""Scenario configuration: a flat key-value file with a strict schema.
+"""Scenario configuration, and the program's one file layer.
 
 The file format is one ``key = value`` pair per line, ``#`` comments, blank
 lines ignored. Unknown keys are hard errors so a typo in a noise parameter
 cannot silently invalidate an experiment. Every key can also be overridden
 from the command line via ``--set key=value``.
+
+Every file the program writes goes through :func:`write_lines` (text) or
+:func:`write_records` (a binary header and one record array), so a failed
+command can remove what it created. The two binary inputs read their bodies
+with :func:`read_records`, and the two text inputs, a config and a
+trajectory, read their lines with :func:`read_lines`.
 """
 
 from __future__ import annotations
@@ -11,6 +17,9 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, fields
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .mapgrid import GeoRect
 
@@ -43,6 +52,51 @@ def make_output_dir(path: str) -> None:
         os.mkdir(directory)
         CREATED_OUTPUTS.append(directory)
     os.makedirs(path, exist_ok=True)  # raises as it would when ``path`` is not a directory
+
+
+def write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write each of ``lines`` followed by a newline, as UTF-8 text."""
+    with open_output(path) as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
+def write_records(path: str, header: bytes, records: np.ndarray) -> None:
+    """Write ``header``, then the buffer of the C-contiguous array ``records`` as it is."""
+    with open_output(path, "wb") as fh:
+        fh.write(header)
+        fh.write(records)
+
+
+def read_records(fh, fields: list[tuple[str, str, tuple[int, ...]]], count: int, kind: str) -> np.ndarray:
+    """The rest of the binary file ``fh``: ``count`` packed records of the
+    (name, format, shape) ``fields``, read by one ``readinto`` into one record
+    array. The declared size is checked against the bytes that follow, in
+    Python ints, before anything is allocated; a mismatch or a short read is
+    a ValueError that starts with ``kind``."""
+    size = count * sum(np.dtype(fmt).itemsize * math.prod(shape) for _, fmt, shape in fields)
+    body = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size != body:
+        raise ValueError(f"{kind} file truncated or overlong: its header declares {size} body bytes, "
+                         f"which does not match the {body} bytes that follow")
+    records = np.empty(count, dtype=fields)
+    if (read := fh.readinto(records)) != body:
+        raise ValueError(f"{kind} file ended after {read} of its {body} declared bytes")
+    return records
+
+
+def read_lines(path: str, error: type[ValueError] = ValueError) -> Iterator[tuple[str, str]]:
+    """Each line of the UTF-8 text file at ``path``, stripped, with its
+    source ``path:line``. A byte that is not UTF-8 raises ``error`` naming
+    its line and column."""
+    # a byte that is not UTF-8 is read as an escape, so that its line can be named
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as e:
+                raise error(f"{path}:{lineno}: not UTF-8 text: byte 0x{ord(line[e.start]) - 0xDC00:02x} "
+                            f"at column {e.start + 1}") from None
+            yield f"{path}:{lineno}", line.strip()
 
 
 def _parse_bool(s: str) -> bool:
@@ -225,18 +279,10 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> Scenari
     (none when ``path`` is None), then each ``key=value`` of ``overrides``
     in order; ``simulate.build_scenario`` validates it."""
     cfg = ScenarioConfig()
-    if path is not None:
-        # a byte that is not UTF-8 is read as an escape, so that its line can be named
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError as e:
-                    raise ConfigError(f"{path}:{lineno}: not UTF-8 text: byte 0x{ord(line[e.start]) - 0xDC00:02x} "
-                                      f"at column {e.start + 1}") from None
-                text = line.split("#", 1)[0].strip()
-                if text:
-                    _set_entry(cfg, text, f"{path}:{lineno}")
+    for source, line in read_lines(path, ConfigError) if path is not None else ():
+        text = line.split("#", 1)[0].strip()
+        if text:
+            _set_entry(cfg, text, source)
     for entry in overrides or ():
         _set_entry(cfg, entry, "--set")
     return cfg

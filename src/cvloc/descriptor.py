@@ -30,13 +30,13 @@ ones, so a batch of ground views must equal each view computed alone.
 
 from __future__ import annotations
 
-import math
-import os
 import struct
 from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
+
+from .config import read_records, write_records
 
 SATELLITE = "satellite"
 GROUND = "ground"
@@ -334,8 +334,11 @@ def _layout(variant: int, k: int, d: int, r: int, h1: int, h2: int) -> list[tupl
     raise ValueError(f"unknown pipeline variant {variant}")
 
 
-def _field_shapes(cls: type, rows: int, cols: int) -> list[tuple[int, ...]]:
-    return [(rows, cols)] * (len(fields(cls)) - 1) + [(rows,)]
+def _record(layout: list[tuple[str, type, tuple[int, int]]]) -> list[tuple[str, str, tuple[int, ...]]]:
+    """The container body as one record: a float32 field ``path.field`` per
+    array of each component, in layout order."""
+    return [(f"{path}.{f.name}", "<f4", (rows, cols) if i < len(fields(cls)) - 1 else (rows,))
+            for path, cls, (rows, cols) in layout for i, f in enumerate(fields(cls))]
 
 
 def _component(pipeline: Pipeline, path: str):
@@ -373,12 +376,14 @@ def save_pipeline(pipeline: Pipeline, path: str) -> None:
                            and sat.reduction is grd.reduction):
         raise ValueError("a two-layer pipeline must share its second layer, aggregator and reduction "
                          "between the views")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC + struct.pack("<II6I", _VERSION, variant, *dims, int(pipeline.normalize_output)))
-        for name, cls, _ in _layout(variant, *dims):
-            component = _component(pipeline, name)
-            for f in fields(cls):
-                fh.write(np.ascontiguousarray(getattr(component, f.name), dtype="<f4").tobytes())
+    layout = _layout(variant, *dims)
+    record = np.empty(1, dtype=_record(layout))
+    for name, cls, _ in layout:
+        component = _component(pipeline, name)
+        for f in fields(cls):
+            record[f"{name}.{f.name}"] = getattr(component, f.name)
+    header = _MAGIC + struct.pack("<II6I", _VERSION, variant, *dims, int(pipeline.normalize_output))
+    write_records(path, header, record)
 
 
 def load_pipeline(path: str) -> Pipeline:
@@ -391,16 +396,8 @@ def load_pipeline(path: str) -> Pipeline:
             raise ValueError(f"unsupported parameter file version {version}")
         *dims, norm = struct.unpack("<IIIIII", fh.read(24))
         layout = _layout(variant, *dims)
-        shapes = [s for _, cls, (rows, cols) in layout for s in _field_shapes(cls, rows, cols)]
-        sizes = [math.prod(s) for s in shapes]
-        # checked before reading, in Python ints: fh.read(body) allocates ``body`` bytes up front
-        body = os.fstat(fh.fileno()).st_size - fh.tell()
-        if 4 * sum(sizes) != body:
-            raise ValueError(f"parameter file truncated or overlong: the header declares "
-                             f"{4 * sum(sizes)} body bytes, but {body} follow")
-        flat = np.frombuffer(fh.read(body), dtype="<f4")
-    arrays = iter([a.reshape(s) for a, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)])
-    part = {name: cls(*(next(arrays) for _ in fields(cls))) for name, cls, _ in layout}
+        record = read_records(fh, _record(layout), 1, "parameter")[0]
+    part = {name: cls(*(record[f"{name}.{f.name}"] for f in fields(cls))) for name, cls, _ in layout}
     if variant == 1:
         branches = [Branch((), part[f"{view}.vlad"], part[f"{view}.reduction"]) for view in VIEWS]
     else:  # both branches hold the one second layer, aggregator and reduction read

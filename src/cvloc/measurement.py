@@ -25,10 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
-from .config import open_output
+from .config import write_lines, write_records
 from .descriptor import GlobalDescriptor
 from .mapgrid import GridMap, corner_cells
 from .retrieval import distances
@@ -243,16 +244,13 @@ def emit_heatmap(
     grid = _contrast_grid(field, contrast)
     g = field.grid
     if csv_path is not None:
-        # the cells lie on a lattice: x strings are formatted once per column, y once per row
+        # the cells lie on a lattice: x strings are formatted once per column, y once per row,
+        # and each grid row's cells are written as one string
         xs, ys = ([f"{v:.9g}," for v in (np.arange(n) * g.cell_interval).tolist()]
                   for n in (g.width, g.height))
-        with open_output(csv_path) as fh:
-            fh.write("x,y,p\n")
-            for y, row in zip(ys, grid.tolist()):
-                fh.write("".join([f"{x}{y}{p:.9g}\n" for x, p in zip(xs, row)]))
+        rows = ("\n".join([f"{x}{y}{p:.9g}" for x, p in zip(xs, row)]) for y, row in zip(ys, grid.tolist()))
+        write_lines(csv_path, chain(["x,y,p"], rows))
     if pgm_path is not None:
         samples = np.rint(grid[::-1, :] * 65535).astype(">u2")
-        with open_output(pgm_path, "wb") as fh:
-            fh.write(f"P5\n{g.width} {g.height}\n65535\n".encode("ascii"))
-            fh.write(samples.tobytes())
+        write_records(pgm_path, f"P5\n{g.width} {g.height}\n65535\n".encode("ascii"), samples)
     return grid

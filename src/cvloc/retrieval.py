@@ -18,7 +18,6 @@ from that rank table.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -26,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .blas import one_thread
-from .config import open_output
+from .config import read_records, write_records
 from .mapgrid import geo_distance_m
 
 _MAGIC = b"CVLOCDB1"
@@ -313,9 +312,9 @@ def add_distractors(
     )
 
 
-def _record(dim: int) -> np.dtype:
+def _record(dim: int) -> list[tuple[str, str, tuple[int, ...]]]:
     """One packed little-endian database entry: 24 + 4*dim bytes."""
-    return np.dtype([("id", "<u8"), ("geo", "<f8", (2,)), ("desc", "<f4", (dim,))])
+    return [("id", "<u8", ()), ("geo", "<f8", (2,)), ("desc", "<f4", (dim,))]
 
 
 def save_db(db: DescriptorDatabase, path: str) -> None:
@@ -323,10 +322,7 @@ def save_db(db: DescriptorDatabase, path: str) -> None:
     :func:`_record` per entry (u64 id, f64 lat, f64 lon, f32 descriptor)."""
     records = np.empty(len(db), dtype=_record(db.dimension))
     records["id"], records["geo"], records["desc"] = db.ids, db.geos, db.descriptors
-    with open_output(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IQI", _VERSION, len(db), db.dimension))
-        fh.write(records)
+    write_records(path, _MAGIC + struct.pack("<IQI", _VERSION, len(db), db.dimension), records)
 
 
 def load_db(path: str) -> DescriptorDatabase:
@@ -337,13 +333,5 @@ def load_db(path: str) -> DescriptorDatabase:
         version, count, dim = struct.unpack("<IQI", fh.read(16))
         if version != _VERSION:
             raise ValueError(f"unsupported database version {version}")
-        body = os.fstat(fh.fileno()).st_size - fh.tell()
-        if count * (24 + 4 * dim) != body:
-            raise ValueError(
-                f"database header declares {count} entries of dimension {dim}, "
-                f"which does not match the {body} bytes that follow"
-            )
-        records = np.empty(count, dtype=_record(dim))
-        if (read := fh.readinto(records)) != body:
-            raise ValueError(f"database file ended after {read} of its {body} declared bytes")
+        records = read_records(fh, _record(dim), count, "database")
     return DescriptorDatabase(records["id"], records["geo"], records["desc"])

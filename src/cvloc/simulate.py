@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, make_output_dir, open_output
+from .config import ConfigError, ScenarioConfig, make_output_dir, read_lines, write_lines
 from .descriptor import (
     GROUND,
     GlobalDescriptor,
@@ -216,20 +216,22 @@ def generate_trajectory(cfg: ScenarioConfig, grid: GridMap) -> list[Pose]:
 
 
 def load_trajectory(path: str) -> list[Pose]:
-    """CSV trajectory with header t,x,y,theta."""
+    """CSV trajectory with header t,x,y,theta; an error in a line names its ``path:line``."""
+    lines = read_lines(path)
+    source, header = next(lines, (path, ""))
+    if header != "t,x,y,theta":
+        raise ValueError(f"{source}: expected header 't,x,y,theta', got {header!r}")
     poses = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "t,x,y,theta":
-            raise ValueError(f"{path}: expected header 't,x,y,theta', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.strip().split(",")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 columns")
-            _, x, y, theta = parts
-            poses.append(Pose(float(x), float(y), float(theta)))
+    for source, line in lines:
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ValueError(f"{source}: expected 4 columns")
+        try:
+            poses.append(Pose(*map(float, parts[1:])))
+        except ValueError as e:  # a value that is not a number, or not finite
+            raise ValueError(f"{source}: {e}") from None
     if len(poses) < 2:
         raise ValueError(f"{path}: trajectory needs at least 2 poses")
     return poses
@@ -331,20 +333,15 @@ def run_simulation(cfg: ScenarioConfig, out_dir: str | None = None) -> tuple[Run
 
     if target:
         write_step_log(records, os.path.join(target, f"steps.{cfg.log_format}"), cfg.log_format)
-        with open_output(os.path.join(target, "summary.json")) as fh:
-            fh.write(summary.to_json() + "\n")
+        write_lines(os.path.join(target, "summary.json"), [summary.to_json()])
     return summary, records
 
 
 def write_step_log(records: list[StepRecord], path: str, log_format: str = "csv") -> None:
-    with open_output(path) as fh:
-        if log_format == "csv":
-            fh.write(",".join(f.name for f in fields(StepRecord)) + "\n")
-            for r in records:
-                fh.write(r.csv_row() + "\n")
-        else:
-            for r in records:
-                fh.write(r.json_line() + "\n")
+    if log_format == "csv":
+        write_lines(path, [",".join(f.name for f in fields(StepRecord)), *(r.csv_row() for r in records)])
+    else:
+        write_lines(path, [r.json_line() for r in records])
 
 
 # ---------------------------------------------------------------------------
@@ -404,22 +401,20 @@ def eval_retrieval(cfg: ScenarioConfig) -> dict:
             "retrieval_summary.json": [json.dumps(result, indent=2)],
         }
         for name, lines in outputs.items():
-            with open_output(os.path.join(cfg.out_dir, name)) as fh:
-                fh.write("".join(line + "\n" for line in lines))
+            write_lines(os.path.join(cfg.out_dir, name), lines)
     return result
 
 
-def dump_loss_surface(path: str, alpha: float = 10.0, margin: float = 1.0) -> None:
+def dump_loss_surface(path: str, alpha: float = 10.0) -> None:
     """Loss-vs-distance-gap CSV for the triplet loss family: 121 gaps
     d = d_pos − d_neg from −3 to 3, and at each the max-margin loss
-    max(0, margin + d), the soft margin and the weighted soft margin, each
+    max(0, 1 + d), the soft margin and the weighted soft margin, each
     column one array call."""
     from .losses import _soft_margin
 
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     d = np.linspace(-3.0, 3.0, 121)
-    columns = (d, np.maximum(margin + d, 0.0), _soft_margin(d, 1.0)[0], _soft_margin(d, alpha)[0])
-    with open_output(path) as fh:
-        fh.write("d,max_margin,soft_margin,weighted\n")
-        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in zip(*(c.tolist() for c in columns)))
+    columns = (d, np.maximum(1.0 + d, 0.0), _soft_margin(d, 1.0)[0], _soft_margin(d, alpha)[0])
+    rows = zip(*(c.tolist() for c in columns))
+    write_lines(path, ["d,max_margin,soft_margin,weighted", *(",".join(map(_fmt, row)) for row in rows)])

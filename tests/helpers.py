@@ -1,11 +1,13 @@
 """Small helpers shared by several test files: a seeded generator, a uniform
 field, the corner indices of one point, a trajectory writer, the per-pose
-ground-view oracle, numpy's OpenBLAS thread-count functions and the golden
-assertion that names the library versions."""
+ground-view oracle, numpy's OpenBLAS thread-count functions, the golden
+assertion that names the library versions and a reader whose body read
+stops short."""
 
 from __future__ import annotations
 
 import ctypes
+import io
 import math
 import platform
 
@@ -92,3 +94,12 @@ def ground_view_oracle(world: SyntheticWorld, pipeline: Pipeline, pose: Pose, rn
     feats = _features_at(world, np.array([[pose.x, pose.y]]), rng_seed, GROUND)[0]
     shift = int(round((pose.theta % TWO_PI) / TWO_PI * world.n_features)) % world.n_features
     return forward_batch(pipeline, np.roll(feats, shift, axis=0)[None, :, :], GROUND)[0]
+
+
+class ShortRead(io.BufferedReader):
+    """A reader whose body read stops one byte short, as when the file
+    shrinks between its size check and the read."""
+
+    def readinto(self, buffer):
+        view = memoryview(buffer).cast("B")
+        return super().readinto(view[:-1])

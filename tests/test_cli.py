@@ -14,15 +14,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import save_trajectory
+from helpers import ShortRead, save_trajectory
 
+import cvloc.descriptor
 import cvloc.mapgrid
 import cvloc.retrieval
 import cvloc.simulate
 import cvloc.world
 from cvloc.cli import build_parser, main
 from cvloc.config import ScenarioConfig
-from cvloc.descriptor import random_dual_pipeline, save_pipeline
+from cvloc.descriptor import (
+    VIEWS,
+    Branch,
+    Pipeline,
+    _layout,
+    load_pipeline,
+    random_dual_pipeline,
+    random_shared_pipeline,
+    save_pipeline,
+)
 from cvloc.retrieval import load_db
 
 SMALL = [
@@ -599,6 +609,65 @@ def params_file(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def params_files(tmp_path_factory):
+    """A dual and a shared parameter file."""
+    tmp = tmp_path_factory.mktemp("params")
+    paths = {"dual": tmp / "dual.params", "shared": tmp / "shared.params"}
+    save_pipeline(random_dual_pipeline(11), str(paths["dual"]))
+    save_pipeline(random_shared_pipeline(11, hidden_dim=12), str(paths["shared"]))
+    return paths
+
+
+def former_load_pipeline(path: str) -> Pipeline:
+    """The parameter reader before the body was one record: the declared
+    size checked, then one ``fh.read`` of the body sliced by
+    ``np.frombuffer``, ``np.split`` and ``reshape``. The oracle of
+    :func:`cvloc.descriptor.load_pipeline`."""
+    with open(path, "rb") as fh:
+        magic = fh.read(8)
+        if magic != b"CVLDESC1":
+            raise ValueError(f"not a descriptor parameter file: bad magic {magic!r}")
+        version, variant = struct.unpack("<II", fh.read(8))
+        if version != 1:
+            raise ValueError(f"unsupported parameter file version {version}")
+        *dims, norm = struct.unpack("<IIIIII", fh.read(24))
+        layout = _layout(variant, *dims)
+        shapes = [s for _, cls, (rows, cols) in layout
+                  for s in [(rows, cols)] * (len(fields(cls)) - 1) + [(rows,)]]
+        sizes = [math.prod(s) for s in shapes]
+        body = os.fstat(fh.fileno()).st_size - fh.tell()
+        if 4 * sum(sizes) != body:
+            raise ValueError(f"parameter file truncated or overlong: the header declares "
+                             f"{4 * sum(sizes)} body bytes, but {body} follow")
+        flat = np.frombuffer(fh.read(body), dtype="<f4")
+    arrays = iter([a.reshape(s) for a, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)])
+    part = {name: cls(*(next(arrays) for _ in fields(cls))) for name, cls, _ in layout}
+    if variant == 1:
+        branches = [Branch((), part[f"{view}.vlad"], part[f"{view}.reduction"]) for view in VIEWS]
+    else:
+        shared = part["satellite.layers.1"], part["satellite.vlad"], part["satellite.reduction"]
+        branches = [Branch((part[f"{view}.layers.0"], shared[0]), *shared[1:]) for view in VIEWS]
+    return Pipeline(*branches, bool(norm))
+
+
+def pipeline_arrays(pipeline: Pipeline) -> list[np.ndarray]:
+    """Every parameter array of both branches, in a fixed order."""
+    out = []
+    for branch in (pipeline.satellite, pipeline.ground):
+        for part in (*branch.layers, branch.vlad, branch.reduction):
+            out += [getattr(part, f.name) for f in fields(part)]
+    return out
+
+
+def load_outcome(load, path):
+    """``load(path)``, or the type of the ValueError or struct.error it raised."""
+    try:
+        return load(path)
+    except (ValueError, struct.error) as e:
+        return type(e)
+
+
 class TestHostileParams:
     @settings(max_examples=200, deadline=None)
     @example(mutations=[("float", (PARAMS_BIAS0 - 40) // 4, float("nan"))])
@@ -621,6 +690,47 @@ class TestHostileParams:
         assert code in (0, 2), err.getvalue()
         if code == 0:
             assert np.all(np.isfinite(load_db(str(out)).descriptors))
+
+
+class TestParamsReaderAgainstTheFormerReader:
+    @settings(max_examples=150, deadline=None)
+    @example(variant="dual", mutations=[("float", (PARAMS_BIAS0 - 40) // 4, float("nan"))])
+    @example(variant="dual", mutations=[("set", "r", 0), ("set", "norm", 0)])
+    @example(variant="shared", mutations=[("set", "h1", 0)])
+    @example(variant="shared", mutations=[("set", "variant", 1)])
+    @example(variant="dual", mutations=[("cut", 30)])
+    @example(variant="shared", mutations=[("cut", 2**20)])
+    @given(variant=st.sampled_from(["dual", "shared"]), mutations=st.lists(PARAMS_MUTATION, min_size=0, max_size=3))
+    def test_accepts_exactly_what_the_former_reader_accepts(self, params_files, variant, mutations):
+        data = bytearray(params_files[variant].read_bytes())
+        for mutation in mutations:
+            data = mutate_params(data, mutation)
+        path = params_files[variant].with_name("mutated.params")
+        path.write_bytes(bytes(data))
+        want, got = load_outcome(former_load_pipeline, str(path)), load_outcome(load_pipeline, str(path))
+        if isinstance(want, type):
+            assert got is want
+            return
+        assert isinstance(got, Pipeline) and got.normalize_output == want.normalize_output
+        for a, b in zip(pipeline_arrays(got), pipeline_arrays(want), strict=True):
+            assert a.dtype == b.dtype == np.float32 and a.shape == b.shape and a.tobytes() == b.tobytes()
+        for g, w in ((got.satellite, want.satellite), (got.ground, want.ground)):
+            assert len(g.layers) == len(w.layers)
+        sharing = [got.satellite.vlad is got.ground.vlad, got.satellite.reduction is got.ground.reduction]
+        assert sharing == [want.satellite.vlad is want.ground.vlad,
+                           want.satellite.reduction is want.ground.reduction]
+
+    def test_short_read_is_a_value_error_and_build_db_exits_2(self, params_files, tmp_path, monkeypatch):
+        path, out = params_files["dual"], tmp_path / "map.db"
+        monkeypatch.setattr(cvloc.descriptor, "open", lambda p, mode: ShortRead(io.FileIO(p, mode[0])),
+                            raising=False)
+        body = path.stat().st_size - 40
+        with pytest.raises(ValueError, match=f"^parameter file ended after {body - 1} of its {body} declared bytes$"):
+            load_pipeline(str(path))
+        code, out_text, err = run_quietly(["build-db", *SMALL, "--set", f"params_file={path}", "--out", str(out)])
+        assert code == 2 and out_text == ""
+        assert err.startswith("error[input]: parameter file ended after"), err
+        assert not out.exists()
 
 
 class TestMapSizeBound:
@@ -701,6 +811,8 @@ TRAJECTORY_MUTATION = st.one_of(
               | st.floats().map(repr)),
     st.tuples(st.just("cut"), st.integers(0, 40)),
     st.tuples(st.just("drop column"), st.integers(0, 40)),
+    # a byte that is not UTF-8, appended to a value as its surrogate escape
+    st.tuples(st.just("byte"), st.integers(0, 40), st.integers(0, 3), st.integers(0x80, 0xFF)),
 )
 
 
@@ -723,6 +835,7 @@ class TestHostileTrajectory:
     @example(mutations=[("value", 0, 2, "nan")])
     @example(mutations=[("value", 17, 3, "inf")])
     @example(mutations=[("cut", 1)])
+    @example(mutations=[("byte", 1, 1, 0xFF)])
     @given(mutations=st.lists(TRAJECTORY_MUTATION, min_size=1, max_size=3))
     def test_simulate_never_exits_1(self, trajectory_rows, tmp_path_factory, mutations):
         header, rows = trajectory_rows[0], [row.split(",") for row in trajectory_rows[1:]]
@@ -734,13 +847,30 @@ class TestHostileTrajectory:
                 rows = rows[:index % len(rows)]
             elif kind == "drop column":
                 del row[-1:]
+            elif kind == "byte":
+                if args[0] < len(row):
+                    row[args[0]] += chr(0xDC00 + args[1])
             elif args[0] < len(row):
                 row[args[0]] = args[1]
         tmp = tmp_path_factory.mktemp("traj")
         path = tmp / "hostile.csv"
-        path.write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n")
+        text = "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         assert_clean_simulate(*run_quietly(
             ["simulate", *SMALL, "--out-dir", str(tmp / "out"), "--set", f"trajectory_file={path}"]))
+
+    @pytest.mark.parametrize("x", ["abc", "nan", "5\udcff"], ids=["bad number", "non-finite", "non-UTF-8 byte"])
+    def test_a_bad_value_on_line_3_exits_2_naming_it(self, trajectory_rows, tmp_path, x, capsys):
+        rows = list(trajectory_rows)
+        t, _, y, theta = rows[2].split(",")
+        rows[2] = ",".join([t, x, y, theta])
+        path = tmp_path / "traj.csv"
+        path.write_bytes(("\n".join(rows) + "\n").encode("utf-8", "surrogateescape"))
+        code, out, err = run_cli(["simulate", *SMALL, "--out-dir", str(tmp_path / "out"),
+                                  "--set", f"trajectory_file={path}"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error[input]: {path}:3: "), err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("x", ["-50", "nan"])
     def test_first_pose_off_the_map_exits_2(self, trajectory_rows, tmp_path, x, capsys):

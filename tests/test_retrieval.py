@@ -12,7 +12,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import OPENBLAS, POOLED, assert_golden
+from helpers import OPENBLAS, POOLED, ShortRead, assert_golden
 
 import cvloc.retrieval
 from cvloc.cli import main
@@ -1073,15 +1073,6 @@ def extreme_db(count, dim):
         np.resize(signs, (count, 2)) * 1e308,
         (np.resize(signs, (count, dim)) * 3.4e38).astype(np.float32),
     )
-
-
-class ShortRead(io.BufferedReader):
-    """A reader whose body read stops one byte short, as when the file
-    shrinks between its size check and the read."""
-
-    def readinto(self, buffer):
-        view = memoryview(buffer).cast("B")
-        return super().readinto(view[:-1])
 
 
 # a query on the 31 x 31 map of a small scenario

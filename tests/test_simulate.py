@@ -101,6 +101,19 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             load_trajectory(str(p))
 
+    @pytest.mark.parametrize("row, message", [
+        (b"2,abc,10,0", "could not convert string to float: 'abc'"),
+        (b"2,nan,10,0", "non-finite pose (nan, 10.0, 0.0)"),
+        (b"2,5\xff,10,0", "not UTF-8 text: byte 0xff at column 4"),
+    ], ids=["bad number", "non-finite value", "non-UTF-8 byte"])
+    def test_a_bad_row_names_its_file_and_line(self, row, message, tmp_path):
+        # the third line of the file, after the header and one good row
+        p = tmp_path / "traj.csv"
+        p.write_bytes(b"t,x,y,theta\n0,0,0,0\n" + row + b"\n3,1,1,0\n")
+        with pytest.raises(ValueError) as info:
+            load_trajectory(str(p))
+        assert str(info.value) == f"{p}:3: {message}"
+
 
 class TestRunSimulation:
     def test_noise_free_peaked_world_stays_within_a_cell(self):
