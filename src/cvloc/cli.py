@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import os
-import struct
 import sys
 
 import numpy as np
@@ -163,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ConfigError, OutOfMapError) as e:
         message, code = f"error[config]: {e}", 2
-    except (OSError, ValueError, struct.error, MemoryError) as e:  # MemoryError: a size the input asks for
+    except (OSError, ValueError, MemoryError) as e:  # MemoryError: a size the input asks for
         message, code = f"error[input]: {e}", 2
     except Exception as e:  # pragma: no cover - last-resort reporting
         message, code = f"error[internal]: {e}", 1

@@ -7,9 +7,10 @@ from the command line via ``--set key=value``.
 
 Every file the program writes goes through :func:`write_lines` (text) or
 :func:`write_records` (a binary header and one record array), so a failed
-command can remove what it created. The two binary inputs read their bodies
-with :func:`read_records`, and the two text inputs, a config and a
-trajectory, read their lines with :func:`read_lines`.
+command can remove what it created. The two binary files, the database and
+the parameter container, pack their headers with :func:`pack_header` and
+are read, header and body, by :func:`read_container`; the two text inputs,
+a config and a trajectory, read their lines with :func:`read_lines`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Literal, get_args, get_type_hints
 
 import numpy as np
 
@@ -67,21 +68,44 @@ def write_records(path: str, header: bytes, records: np.ndarray) -> None:
         fh.write(records)
 
 
-def read_records(fh, fields: list[tuple[str, str, tuple[int, ...]]], count: int, kind: str) -> np.ndarray:
-    """The rest of the binary file ``fh``: ``count`` packed records of the
-    (name, format, shape) ``fields``, read by one ``readinto`` into one record
-    array. The declared size is checked against the bytes that follow, in
-    Python ints, before anything is allocated; a mismatch or a short read is
-    a ValueError that starts with ``kind``."""
-    size = count * sum(np.dtype(fmt).itemsize * math.prod(shape) for _, fmt, shape in fields)
-    body = os.fstat(fh.fileno()).st_size - fh.tell()
-    if size != body:
-        raise ValueError(f"{kind} file truncated or overlong: its header declares {size} body bytes, "
-                         f"which does not match the {body} bytes that follow")
-    records = np.empty(count, dtype=fields)
-    if (read := fh.readinto(records)) != body:
-        raise ValueError(f"{kind} file ended after {read} of its {body} declared bytes")
-    return records
+def _header(magic: bytes, fields: list[tuple[str, str]]) -> np.dtype:
+    """``magic``, a u32 version, then the (name, format) header ``fields``."""
+    return np.dtype([("magic", f"S{len(magic)}"), ("version", "<u4"), *fields])
+
+
+def pack_header(magic: bytes, fields: list[tuple[str, str]], *values: int) -> bytes:
+    """The header of version 1 that states ``values`` as the little-endian ``fields``."""
+    return np.array((magic, 1, *values), dtype=_header(magic, fields)).tobytes()
+
+
+def read_container(path: str, magic: bytes, fields: list[tuple[str, str]], kind: str,
+                   body: Callable[..., tuple[list, int]]) -> tuple[list[int], np.ndarray]:
+    """The header values, as Python ints (numpy's would wrap), and the body of
+    the :func:`pack_header` file at ``path``. ``body(*values)`` gives the
+    body's (name, format, shape) record fields and count, whose size is
+    checked against the bytes that follow before anything is allocated. The
+    header and the body are each read by one ``readinto``; every error is a
+    ValueError that names ``kind``."""
+    header = np.zeros((), dtype=_header(magic, fields))
+    with open(path, "rb") as fh:
+        read = fh.readinto(header)
+        found, version, *values = header.item()
+        if found != magic:
+            raise ValueError(f"not a {kind} file")
+        if read != header.nbytes:
+            raise ValueError(f"{kind} file ended after {read} of its {header.nbytes} header bytes")
+        if version != 1:
+            raise ValueError(f"unsupported {kind} file version {version}")
+        layout, count = body(*values)
+        size = count * sum(np.dtype(fmt).itemsize * math.prod(shape) for _, fmt, shape in layout)
+        rest = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != rest:
+            raise ValueError(f"{kind} file truncated or overlong: its header declares {size} body bytes, "
+                             f"which does not match the {rest} bytes that follow")
+        records = np.empty(count, dtype=layout)
+        if (read := fh.readinto(records)) != rest:
+            raise ValueError(f"{kind} file ended after {read} of its {rest} declared bytes")
+    return values, records
 
 
 def read_lines(path: str, error: type[ValueError] = ValueError) -> Iterator[tuple[str, str]]:
@@ -116,7 +140,7 @@ class ScenarioConfig:
     lon_min: float = -105.0
     lon_max: float = -104.99483
     cell_interval: float = 5.0
-    world_kind: str = "smooth"  # smooth | flat (flat = uninformative descriptors)
+    world_kind: Literal["smooth", "flat"] = "smooth"  # flat = uninformative descriptors
     world_seed: int = 7
     world_features: int = 24
     world_feature_dim: int = 16
@@ -128,7 +152,7 @@ class ScenarioConfig:
     alias_regions: str = ""  # "src_x,src_y,dst_x,dst_y,radius;..."
 
     # descriptor pipeline
-    pipeline_variant: str = "dual"  # dual | shared
+    pipeline_variant: Literal["dual", "shared"] = "dual"
     clusters: int = 8
     reduced_dim: int = 32
     hidden_dim: int = 16
@@ -138,14 +162,14 @@ class ScenarioConfig:
 
     # trajectory
     trajectory_file: str = ""
-    traj_kind: str = "loop"  # loop | line
+    traj_kind: Literal["loop", "line"] = "loop"
     traj_steps: int = 200
     traj_length: float = 1000.0
 
     # filter
     particles: int = 1000
     master_seed: int = 1
-    measurement_mode: str = "corner-sum"  # corner-sum | bilinear
+    measurement_mode: Literal["corner-sum", "bilinear"] = "corner-sum"
     probability_floor: float = 1e-12
     sigma_trans: float = 0.1
     sigma_trans_rate: float = 0.02
@@ -163,9 +187,9 @@ class ScenarioConfig:
 
     # outputs
     out_dir: str = "out"
-    log_format: str = "csv"  # csv | jsonl
+    log_format: Literal["csv", "jsonl"] = "csv"
     heatmap_every: int = 0
-    heatmap_contrast: str = "exponential"  # linear | exponential
+    heatmap_contrast: Literal["linear", "exponential"] = "exponential"
 
     # retrieval evaluation
     eval_queries: int = 200
@@ -180,18 +204,9 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.cell_interval <= 0:
             raise ConfigError("cell_interval must be positive")
-        if self.world_kind not in ("smooth", "flat"):
-            raise ConfigError(f"world_kind must be smooth or flat, got {self.world_kind!r}")
-        if self.pipeline_variant not in ("dual", "shared"):
-            raise ConfigError(f"pipeline_variant must be dual or shared, got {self.pipeline_variant!r}")
-        if self.traj_kind not in ("loop", "line"):
-            raise ConfigError(f"traj_kind must be loop or line, got {self.traj_kind!r}")
-        if self.measurement_mode not in ("corner-sum", "bilinear"):
-            raise ConfigError("measurement_mode must be corner-sum or bilinear")
-        if self.log_format not in ("csv", "jsonl"):
-            raise ConfigError("log_format must be csv or jsonl")
-        if self.heatmap_contrast not in ("linear", "exponential"):
-            raise ConfigError("heatmap_contrast must be linear or exponential")
+        for name, choices in _CHOICES.items():
+            if (value := getattr(self, name)) not in choices:
+                raise ConfigError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
         for name in ("particles", "traj_steps", "clusters", "reduced_dim", "hidden_dim", "world_features",
                      "world_feature_dim"):
             if getattr(self, name) < 1:
@@ -254,6 +269,8 @@ class ScenarioConfig:
         return vals
 
 
+# the choices of each key typed as a Literal, which _FIELDS reads as a str
+_CHOICES = {name: get_args(hint) for name, hint in get_type_hints(ScenarioConfig).items() if get_args(hint)}
 _FIELDS = {f.name: {"bool": _parse_bool, "int": int, "float": float}.get(f.type, str)
            for f in fields(ScenarioConfig)}
 

@@ -30,13 +30,12 @@ ones, so a batch of ground views must equal each view computed alone.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from .config import read_records, write_records
+from .config import pack_header, read_container, write_records
 
 SATELLITE = "satellite"
 GROUND = "ground"
@@ -47,7 +46,7 @@ DEFAULT_CLUSTERS = 8
 DEFAULT_REDUCED_DIM = 32
 
 _MAGIC = b"CVLDESC1"
-_VERSION = 1
+_HEADER = [(name, "<u4") for name in ("variant", "k", "d", "r", "h1", "h2", "norm")]  # after magic and version
 
 
 @dataclass(frozen=True)
@@ -382,21 +381,13 @@ def save_pipeline(pipeline: Pipeline, path: str) -> None:
         component = _component(pipeline, name)
         for f in fields(cls):
             record[f"{name}.{f.name}"] = getattr(component, f.name)
-    header = _MAGIC + struct.pack("<II6I", _VERSION, variant, *dims, int(pipeline.normalize_output))
-    write_records(path, header, record)
+    write_records(path, pack_header(_MAGIC, _HEADER, variant, *dims, int(pipeline.normalize_output)), record)
 
 
 def load_pipeline(path: str) -> Pipeline:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ValueError(f"not a descriptor parameter file: bad magic {magic!r}")
-        version, variant = struct.unpack("<II", fh.read(8))
-        if version != _VERSION:
-            raise ValueError(f"unsupported parameter file version {version}")
-        *dims, norm = struct.unpack("<IIIIII", fh.read(24))
-        layout = _layout(variant, *dims)
-        record = read_records(fh, _record(layout), 1, "parameter")[0]
+    (variant, *dims, norm), (record,) = read_container(
+        path, _MAGIC, _HEADER, "parameter", lambda *header: (_record(_layout(*header[:-1])), 1))
+    layout = _layout(variant, *dims)
     part = {name: cls(*(record[f"{name}.{f.name}"] for f in fields(cls))) for name, cls, _ in layout}
     if variant == 1:
         branches = [Branch((), part[f"{view}.vlad"], part[f"{view}.reduction"]) for view in VIEWS]

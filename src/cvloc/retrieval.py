@@ -18,18 +18,17 @@ from that rank table.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .blas import one_thread
-from .config import read_records, write_records
+from .config import pack_header, read_container, write_records
 from .mapgrid import geo_distance_m
 
 _MAGIC = b"CVLOCDB1"
-_VERSION = 1
+_HEADER = [("count", "<u8"), ("dim", "<u4")]  # after magic and version
 _BLOCK_FLOATS = 1 << 15  # float64 difference scratch per row block of distances(): 256 KB
 _SCORE_FLOATS = 1 << 18  # float32 pre-filter scores per query block of query(): 1 MiB
 _U32, _U64 = 2.0**-24, 2.0**-53  # unit roundoff of float32 and of float64
@@ -322,16 +321,10 @@ def save_db(db: DescriptorDatabase, path: str) -> None:
     :func:`_record` per entry (u64 id, f64 lat, f64 lon, f32 descriptor)."""
     records = np.empty(len(db), dtype=_record(db.dimension))
     records["id"], records["geo"], records["desc"] = db.ids, db.geos, db.descriptors
-    write_records(path, _MAGIC + struct.pack("<IQI", _VERSION, len(db), db.dimension), records)
+    write_records(path, pack_header(_MAGIC, _HEADER, len(db), db.dimension), records)
 
 
 def load_db(path: str) -> DescriptorDatabase:
     """Read a :func:`save_db` file; its columns are fields of one record array."""
-    with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
-            raise ValueError("not a descriptor database file")
-        version, count, dim = struct.unpack("<IQI", fh.read(16))
-        if version != _VERSION:
-            raise ValueError(f"unsupported database version {version}")
-        records = read_records(fh, _record(dim), count, "database")
+    _, records = read_container(path, _MAGIC, _HEADER, "database", lambda count, dim: (_record(dim), count))
     return DescriptorDatabase(records["id"], records["geo"], records["desc"])

@@ -216,12 +216,12 @@ def generate_trajectory(cfg: ScenarioConfig, grid: GridMap) -> list[Pose]:
 
 
 def load_trajectory(path: str) -> list[Pose]:
-    """CSV trajectory with header t,x,y,theta; an error in a line names its ``path:line``."""
+    """CSV trajectory with header t,x,y,theta and t finite and increasing; an error names its ``path:line``."""
     lines = read_lines(path)
     source, header = next(lines, (path, ""))
     if header != "t,x,y,theta":
         raise ValueError(f"{source}: expected header 't,x,y,theta', got {header!r}")
-    poses = []
+    poses, last = [], -math.inf
     for source, line in lines:
         if not line:
             continue
@@ -229,9 +229,15 @@ def load_trajectory(path: str) -> list[Pose]:
         if len(parts) != 4:
             raise ValueError(f"{source}: expected 4 columns")
         try:
-            poses.append(Pose(*map(float, parts[1:])))
-        except ValueError as e:  # a value that is not a number, or not finite
+            t, *pose = map(float, parts)
+            if not math.isfinite(t):
+                raise ValueError(f"non-finite time {t}")
+            if t <= last:
+                raise ValueError(f"time {t} does not follow the row before's {last}")
+            poses.append(Pose(*pose))
+        except ValueError as e:  # a value that is not a number, not finite, or a time out of order
             raise ValueError(f"{source}: {e}") from None
+        last = t
     if len(poses) < 2:
         raise ValueError(f"{path}: trajectory needs at least 2 poses")
     return poses

@@ -1,8 +1,8 @@
 """Small helpers shared by several test files: a seeded generator, a uniform
 field, the corner indices of one point, a trajectory writer, the per-pose
 ground-view oracle, numpy's OpenBLAS thread-count functions, the golden
-assertion that names the library versions and a reader whose body read
-stops short."""
+assertion that names the library versions and a reader whose header or
+body read stops short."""
 
 from __future__ import annotations
 
@@ -97,9 +97,14 @@ def ground_view_oracle(world: SyntheticWorld, pipeline: Pipeline, pose: Pose, rn
 
 
 class ShortRead(io.BufferedReader):
-    """A reader whose body read stops one byte short, as when the file
-    shrinks between its size check and the read."""
+    """A reader whose ``cut``-th ``readinto`` (0: a binary container's header,
+    1: its body) stops one byte short, as when the file shrinks while it is read."""
+
+    def __init__(self, raw, cut: int):
+        super().__init__(raw)
+        self.cut, self.calls = cut, 0
 
     def readinto(self, buffer):
         view = memoryview(buffer).cast("B")
-        return super().readinto(view[:-1])
+        self.calls += 1
+        return super().readinto(view[:-1] if self.calls == self.cut + 1 else view)

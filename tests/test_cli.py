@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from helpers import ShortRead, save_trajectory
 
-import cvloc.descriptor
+import cvloc.config
 import cvloc.mapgrid
 import cvloc.retrieval
 import cvloc.simulate
@@ -132,6 +132,7 @@ class TestConfigHandling:
         (["--set", "pipeline_variant=shared", "--set", "hidden_dim=0"], "hidden_dim"),
         (["--set", "world_features=0"], "world_features"),
         (["--set", "world_feature_dim=0"], "world_feature_dim"),
+        (["--set", "log_format=xml"], "error[config]: log_format must be one of csv, jsonl, got 'xml'"),
         # passes validation, overflows the field: the map build's own check
         (["--set", "world_length_scale=1e-308"], "non-finite map descriptors"),
         # subnormal intervals: the cell count overflows to infinity
@@ -542,6 +543,15 @@ class TestHostileDatabase:
             numbers = [float(v) for row in rows for v in row.split(",")[2:]]
             assert rows and np.all(np.isfinite(numbers)), out.getvalue()
 
+    @pytest.mark.parametrize("length", range(DB_HEADER_BYTES))
+    def test_a_header_cut_short_exits_2_naming_the_database(self, small_db, length, capsys):
+        path = small_db.with_name("cut.db")
+        path.write_bytes(small_db.read_bytes()[:length])
+        code, out, err = run_cli(["query", *SMALL, "--db", str(path), "--pose", "60,60,0"], capsys)
+        assert code == 2 and out == ""
+        want = "not a database file" if length < 8 else f"database file ended after {length} of its 24 header bytes"
+        assert err == f"error[input]: {want}\n"
+
     @pytest.mark.parametrize("field", ["desc", "lat", "lon"])
     @pytest.mark.parametrize("value", NON_FINITE)
     def test_non_finite_entry_exits_2(self, small_db, field, value, capsys):
@@ -661,11 +671,11 @@ def pipeline_arrays(pipeline: Pipeline) -> list[np.ndarray]:
 
 
 def load_outcome(load, path):
-    """``load(path)``, or the type of the ValueError or struct.error it raised."""
+    """``load(path)``, or the ValueError or struct.error it raised."""
     try:
         return load(path)
     except (ValueError, struct.error) as e:
-        return type(e)
+        return e
 
 
 class TestHostileParams:
@@ -691,6 +701,17 @@ class TestHostileParams:
         if code == 0:
             assert np.all(np.isfinite(load_db(str(out)).descriptors))
 
+    @pytest.mark.parametrize("length", range(40))
+    def test_a_header_cut_short_exits_2_naming_the_parameter_file(self, params_file, length, tmp_path, capsys):
+        path, out = tmp_path / "cut.params", tmp_path / "map.db"
+        path.write_bytes(params_file.read_bytes()[:length])
+        code, out_text, err = run_cli(["build-db", *SMALL, "--set", f"params_file={path}", "--out", str(out)],
+                                      capsys)
+        assert code == 2 and out_text == ""
+        want = "not a parameter file" if length < 8 else f"parameter file ended after {length} of its 40 header bytes"
+        assert err == f"error[input]: {want}\n"
+        assert not out.exists()
+
 
 class TestParamsReaderAgainstTheFormerReader:
     @settings(max_examples=150, deadline=None)
@@ -708,8 +729,12 @@ class TestParamsReaderAgainstTheFormerReader:
         path = params_files[variant].with_name("mutated.params")
         path.write_bytes(bytes(data))
         want, got = load_outcome(former_load_pipeline, str(path)), load_outcome(load_pipeline, str(path))
-        if isinstance(want, type):
-            assert got is want
+        if isinstance(want, struct.error):  # a header cut short: the one outcome whose type changed
+            assert type(got) is ValueError
+            assert str(got) == f"parameter file ended after {len(data)} of its 40 header bytes", got
+            return
+        if isinstance(want, Exception):
+            assert type(got) is type(want), (got, want)
             return
         assert isinstance(got, Pipeline) and got.normalize_output == want.normalize_output
         for a, b in zip(pipeline_arrays(got), pipeline_arrays(want), strict=True):
@@ -720,12 +745,18 @@ class TestParamsReaderAgainstTheFormerReader:
         assert sharing == [want.satellite.vlad is want.ground.vlad,
                            want.satellite.reduction is want.ground.reduction]
 
-    def test_short_read_is_a_value_error_and_build_db_exits_2(self, params_files, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("cut, message", [
+        (1, "^parameter file ended after {body_less_1} of its {body} declared bytes$"),
+        (0, "^parameter file ended after 39 of its 40 header bytes$"),
+    ], ids=["body", "header"])
+    def test_short_read_is_a_value_error_and_build_db_exits_2(self, params_files, tmp_path, monkeypatch, cut,
+                                                              message):
         path, out = params_files["dual"], tmp_path / "map.db"
-        monkeypatch.setattr(cvloc.descriptor, "open", lambda p, mode: ShortRead(io.FileIO(p, mode[0])),
+        # the file layer opens every binary input
+        monkeypatch.setattr(cvloc.config, "open", lambda p, mode: ShortRead(io.FileIO(p, mode[0]), cut),
                             raising=False)
         body = path.stat().st_size - 40
-        with pytest.raises(ValueError, match=f"^parameter file ended after {body - 1} of its {body} declared bytes$"):
+        with pytest.raises(ValueError, match=message.format(body=body, body_less_1=body - 1)):
             load_pipeline(str(path))
         code, out_text, err = run_quietly(["build-db", *SMALL, "--set", f"params_file={path}", "--out", str(out)])
         assert code == 2 and out_text == ""
@@ -859,11 +890,16 @@ class TestHostileTrajectory:
         assert_clean_simulate(*run_quietly(
             ["simulate", *SMALL, "--out-dir", str(tmp / "out"), "--set", f"trajectory_file={path}"]))
 
-    @pytest.mark.parametrize("x", ["abc", "nan", "5\udcff"], ids=["bad number", "non-finite", "non-UTF-8 byte"])
-    def test_a_bad_value_on_line_3_exits_2_naming_it(self, trajectory_rows, tmp_path, x, capsys):
+    @pytest.mark.parametrize("column, value", [
+        (1, "abc"), (1, "nan"), (1, "5\udcff"), (0, "abc"), (0, "nan"), (0, "inf"), (0, "0"), (0, "-1"),
+    ], ids=["bad number", "non-finite", "non-UTF-8 byte", "bad time", "NaN time", "infinite time",
+            "repeated time", "earlier time"])
+    def test_a_bad_value_on_line_3_exits_2_naming_it(self, trajectory_rows, tmp_path, column, value, capsys):
+        # line 2 holds t = 0, so a t of 0 or less on line 3 does not follow it
         rows = list(trajectory_rows)
-        t, _, y, theta = rows[2].split(",")
-        rows[2] = ",".join([t, x, y, theta])
+        row = rows[2].split(",")
+        row[column] = value
+        rows[2] = ",".join(row)
         path = tmp_path / "traj.csv"
         path.write_bytes(("\n".join(rows) + "\n").encode("utf-8", "surrogateescape"))
         code, out, err = run_cli(["simulate", *SMALL, "--out-dir", str(tmp_path / "out"),

@@ -75,18 +75,20 @@ class TestFileParsing:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("key,value", [
-        ("world_kind", "bumpy"),
-        ("pipeline_variant", "triple"),
-        ("traj_kind", "zigzag"),
-        ("measurement_mode", "cubic"),
-        ("log_format", "xml"),
-        ("heatmap_contrast", "gamma"),
+    @pytest.mark.parametrize("key,value,choices", [
+        ("world_kind", "bumpy", "smooth, flat"),
+        ("pipeline_variant", "triple", "dual, shared"),
+        ("traj_kind", "zigzag", "loop, line"),
+        ("measurement_mode", "cubic", "corner-sum, bilinear"),
+        ("log_format", "xml", "csv, jsonl"),
+        ("heatmap_contrast", "gamma", "linear, exponential"),
     ])
-    def test_enum_keys_reject_unknown_values(self, key, value):
+    def test_enum_keys_reject_unknown_values(self, key, value, choices):
+        for choice in choices.split(", "):  # read as strings from an entry
+            load_config(None, [f"{key}={choice}"]).validate()
         cfg = ScenarioConfig()
         setattr(cfg, key, value)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=f"^{key} must be one of {choices}, got '{value}'$"):
             cfg.validate()
 
     @pytest.mark.parametrize("key,value", [

@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from helpers import OPENBLAS, POOLED, ShortRead, assert_golden
 
+import cvloc.config
 import cvloc.retrieval
 from cvloc.cli import main
 from cvloc.config import ScenarioConfig
@@ -1110,18 +1111,36 @@ class TestRecordArrayPersistence:
         assert records is not None and records.dtype.names == ("id", "geo", "desc")
         assert db.geos.base is records and db.descriptors.base is records
 
-    def test_short_read_is_a_value_error_and_exits_2(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("cut, message", [
+        (1, "^database file ended after {body_less_1} of its {body} declared bytes$"),
+        (0, "^database file ended after 23 of its 24 header bytes$"),
+    ], ids=["body", "header"])
+    def test_short_read_is_a_value_error_and_exits_2(self, tmp_path, monkeypatch, capsys, cut, message):
         path = tmp_path / "map.db"
         save_db(random_records(17, 9, seed=4), str(path))
-        monkeypatch.setattr(cvloc.retrieval, "open", lambda p, mode: ShortRead(io.FileIO(p, mode[0])),
+        # the file layer opens every binary input
+        monkeypatch.setattr(cvloc.config, "open", lambda p, mode: ShortRead(io.FileIO(p, mode[0]), cut),
                             raising=False)
         body = path.stat().st_size - 24
-        with pytest.raises(ValueError, match=f"ended after {body - 1} of its {body} declared bytes"):
+        with pytest.raises(ValueError, match=message.format(body=body, body_less_1=body - 1)):
             load_db(str(path))
         code = main(["query", *SMALL_QUERY, "--db", str(path)])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith("error[input]: database file ended after")
+
+    def test_a_count_that_would_wrap_in_uint64_is_rejected_before_allocating(self, tmp_path):
+        # 28 * (2**62 + 1) is 28 modulo 2**64: only Python ints see that it does not match one record
+        path = tmp_path / "wrap.db"
+        path.write_bytes(b"CVLOCDB1" + struct.pack("<IQI", 1, 2**62 + 1, 1) + bytes(28))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="does not match"):
+                load_db(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
     def test_empty_database_loads_and_query_exits_2(self, tmp_path, capsys):
         path = tmp_path / "empty.db"

@@ -105,7 +105,13 @@ class TestTrajectory:
         (b"2,abc,10,0", "could not convert string to float: 'abc'"),
         (b"2,nan,10,0", "non-finite pose (nan, 10.0, 0.0)"),
         (b"2,5\xff,10,0", "not UTF-8 text: byte 0xff at column 4"),
-    ], ids=["bad number", "non-finite value", "non-UTF-8 byte"])
+        (b"abc,10,10,0", "could not convert string to float: 'abc'"),
+        (b"nan,10,10,0", "non-finite time nan"),
+        (b"-inf,10,10,0", "non-finite time -inf"),
+        (b"0,10,10,0", "time 0.0 does not follow the row before's 0.0"),
+        (b"-1,10,10,0", "time -1.0 does not follow the row before's 0.0"),
+    ], ids=["bad number", "non-finite value", "non-UTF-8 byte", "bad time", "NaN time", "infinite time",
+            "repeated time", "earlier time"])
     def test_a_bad_row_names_its_file_and_line(self, row, message, tmp_path):
         # the third line of the file, after the header and one good row
         p = tmp_path / "traj.csv"
