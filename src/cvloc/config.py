@@ -208,27 +208,21 @@ class ScenarioConfig:
             if (value := getattr(self, name)) not in choices:
                 raise ConfigError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
         for name in ("particles", "traj_steps", "clusters", "reduced_dim", "hidden_dim", "world_features",
-                     "world_feature_dim"):
+                     "world_feature_dim", "eval_queries", "eval_top_k"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if not (math.isfinite(self.traj_length) and self.traj_length > 0):
-            raise ConfigError("traj_length must be finite and positive")
+        for name in ("traj_length", "world_length_scale", "corridor_width", "loss_alpha"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ConfigError(f"{name} must be finite and positive")
         if not (0 < self.probability_floor < 1):
             raise ConfigError("probability_floor must be in (0, 1)")
-        if self.eval_queries < 1 or self.eval_top_k < 1:
-            raise ConfigError("eval_queries and eval_top_k must be >= 1")
         if not (0 < self.eval_percent <= 100):
             raise ConfigError("eval_percent must be in (0, 100]")
         if self.heatmap_every < 0:
             raise ConfigError("heatmap_every must be >= 0")
-        if not (math.isfinite(self.world_length_scale) and self.world_length_scale > 0):
-            raise ConfigError("world_length_scale must be finite and positive")
-        if not (math.isfinite(self.corridor_width) and self.corridor_width > 0):
-            raise ConfigError("corridor_width must be finite and positive")
         if not math.isfinite(self.corridor_gain):
             raise ConfigError("corridor_gain must be finite")
-        if not (math.isfinite(self.loss_alpha) and self.loss_alpha > 0):
-            raise ConfigError("loss_alpha must be finite and positive")
         for name in (
             "sigma_trans", "sigma_trans_rate", "sigma_rot_deg", "sigma_rot_rate",
             "odom_sigma_trans", "odom_sigma_trans_rate", "odom_sigma_rot_deg",

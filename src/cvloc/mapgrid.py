@@ -9,10 +9,13 @@ under the grid interval for maps up to a few kilometres across.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .world import MapTiles
 
 EARTH_RADIUS_M = 6371008.8  # WGS-84 mean radius
 
@@ -53,7 +56,9 @@ class GridMap:
     Cells are stored row-major: index = row * width + col, col increasing
     east, row increasing north. Cell (0, 0) sits at the geographic origin.
     Descriptor and probability payloads are kept as dense arrays aligned
-    with the cell index.
+    with the cell index. A map with ``tiles`` builds its descriptors on
+    demand: a cell not yet built holds NaN, so its descriptors are read
+    through :meth:`built_descriptors`.
     """
 
     origin: tuple[float, float]  # (lat, lon) degrees of cell index 0
@@ -62,6 +67,7 @@ class GridMap:
     height: int
     descriptors: np.ndarray | None = None  # (num_cells, R) float32
     probabilities: np.ndarray | None = None  # (num_cells,) float64
+    tiles: MapTiles | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.width < 2 or self.height < 2:
@@ -92,11 +98,12 @@ class GridMap:
         row, col = divmod(index, self.width)
         return LocalPoint(*self.locations(slice(row, row + 1))[col].tolist())
 
-    def locations(self, rows: slice = slice(None)) -> np.ndarray:
-        """Locations of the cells in grid rows ``rows`` (default: every row)
-        as a (cells, 2) array of (x, y) = (col, row) · cell_interval, row-major."""
-        cols, row_ids = np.meshgrid(np.arange(self.width), np.arange(self.height)[rows])
-        return np.stack([cols, row_ids], axis=-1).reshape(-1, 2) * self.cell_interval
+    def locations(self, rows: slice = slice(None), cols: slice = slice(None)) -> np.ndarray:
+        """Locations of the cells in grid rows ``rows`` and columns ``cols``
+        (default: every row and column) as a (cells, 2) array of
+        (x, y) = (col, row) · cell_interval, row-major."""
+        col_ids, row_ids = np.meshgrid(np.arange(self.width)[cols], np.arange(self.height)[rows])
+        return np.stack([col_ids, row_ids], axis=-1).reshape(-1, 2) * self.cell_interval
 
     @property
     def extent(self) -> tuple[float, float]:
@@ -107,8 +114,16 @@ class GridMap:
         ex, ey = self.extent
         return 0.0 <= p.x <= ex and 0.0 <= p.y <= ey
 
+    def built_descriptors(self, rows: slice | None = None, cols: slice | None = None) -> np.ndarray:
+        """``descriptors`` once every cell in grid rows ``rows`` and columns
+        ``cols`` (default: every cell) is built: a map whose tiles over them
+        are not all built completes itself first."""
+        if self.tiles is not None:
+            self.tiles.ensure(rows, cols)
+        return self.descriptors
+
     def with_descriptors(self, descriptors: np.ndarray) -> "GridMap":
-        return replace(self, descriptors=descriptors)
+        return replace(self, descriptors=descriptors, tiles=None)
 
     def with_probabilities(self, probabilities: np.ndarray) -> "GridMap":
         return replace(self, probabilities=probabilities)

@@ -108,7 +108,7 @@ def _softmax_field(db_map: GridMap, values: np.ndarray) -> np.ndarray:
     for any distance scale; smaller distance always means strictly larger
     probability.
     """
-    d = distances(db_map.descriptors, values)
+    d = distances(db_map.built_descriptors(), values)
     np.subtract(d.min(), d, out=d)
     np.exp(d, out=d)
     d /= d.sum()
@@ -125,20 +125,24 @@ def _corner_scores(
     in ascending map order: the SW corners are marked first, and the other
     three corners of each distinct one after. Returns the window's scores
     (flat, row-major), each SW corner's index in them, the window width and
-    m; the window, not the map, sets the cost."""
+    m; the window, not the map, sets the cost. The map is asked for the
+    window's cells (``GridMap.built_descriptors``), which builds the whole
+    map first only when a tile under the window is not yet built."""
     grid = field.grid
     i0, j0 = int(i.min()), int(j.min())
     w = int(i.max()) - i0 + 2
+    h = int(j.max()) - j0 + 2
     sw = j * w
     sw += i
     sw -= j0 * w + i0
-    mark = np.zeros((int(j.max()) - j0 + 2) * w, dtype=bool)
+    mark = np.zeros(h * w, dtype=bool)
     mark[sw] = True
     distinct = np.flatnonzero(mark)
     for offset in (1, w, w + 1):
         mark[distinct + offset] = True
     rows, cols = np.nonzero(mark.reshape(-1, w))
-    d = distances(grid.descriptors[(rows + j0) * grid.width + (cols + i0)], field.query)
+    descriptors = grid.built_descriptors(slice(j0, j0 + h), slice(i0, i0 + w))
+    d = distances(descriptors[(rows + j0) * grid.width + (cols + i0)], field.query)
     m = float(d.min())
     scores = np.empty(mark.size)
     scores[rows * w + cols] = np.exp(m - d)

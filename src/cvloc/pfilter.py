@@ -156,10 +156,11 @@ def estimate_pose(pset: ParticleSet, fallback_heading: float = 0.0) -> tuple[Pos
     if not total > 0:
         raise ValueError("cannot estimate a pose from all-zero weights")
     w = pset.weights / total
-    x = _dot(w, pset.states[:, 0])
-    y = _dot(w, pset.states[:, 1])
-    sin_sum = _dot(w, np.sin(pset.states[:, 2]))
-    cos_sum = _dot(w, np.cos(pset.states[:, 2]))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum fails the Pose check below
+        x = _dot(w, pset.states[:, 0])
+        y = _dot(w, pset.states[:, 1])
+        sin_sum = _dot(w, np.sin(pset.states[:, 2]))
+        cos_sum = _dot(w, np.cos(pset.states[:, 2]))
     if math.hypot(sin_sum, cos_sum) < 1e-12:
         return Pose(x, y, fallback_heading), False
     return Pose(x, y, math.atan2(sin_sum, cos_sum)), True

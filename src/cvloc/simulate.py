@@ -34,8 +34,9 @@ from .measurement import location_probabilities, emit_heatmap
 from .motion import MotionNoise, Pose, wrap_angles
 from .pfilter import init_particles, localize_step
 from .retrieval import DescriptorDatabase, build_db, rank_table, recall_in_table, threshold_recall, top_percent_k
-from .world import (AliasRegion, Corridor, SyntheticWorld, build_descriptor_map, pose_features,
-                    sets_per_block, synth_features)
+from .world import (AliasRegion, Corridor, SyntheticWorld, pose_features, sets_per_block, synth_features,
+                    tiled_descriptor_map)
+from .world import build_descriptor_map  # noqa: F401  (the whole map at once; callers import it from here)
 
 
 def position_error(est: Pose, gt: Pose) -> float:
@@ -145,9 +146,16 @@ class Scenario:
     pipeline: Pipeline
 
     @cached_property
+    def tiled_map(self) -> GridMap:
+        """The satellite descriptor map, built tile by tile as its cells are
+        read (``GridMap.built_descriptors``, ``world.MapTiles``)."""
+        return tiled_descriptor_map(self.world, self.pipeline, self.cfg.world_seed)
+
+    @property
     def db_map(self) -> GridMap:
-        """The satellite descriptor map, built on first use."""
-        return build_descriptor_map(self.world, self.pipeline, self.cfg.world_seed)
+        """The satellite descriptor map with every cell built, on first use."""
+        self.tiled_map.built_descriptors()
+        return self.tiled_map
 
     def ground_view(self, pose: Pose) -> GlobalDescriptor:
         """The ground-view descriptor at ``pose``."""
@@ -273,7 +281,15 @@ def run_simulation(cfg: ScenarioConfig, out_dir: str | None = None) -> tuple[Run
     """
     scenario = build_scenario(cfg)
     poses = scenario_trajectory(cfg, scenario.world.grid)
-    db_map = scenario.db_map  # built before the clock starts, so wall_time_s is the loop alone
+    target = out_dir if out_dir is not None else (cfg.out_dir or None)
+    heatmaps = bool(target) and cfg.heatmap_every > 0
+    db_map = scenario.tiled_map
+    # built before the clock starts, so that wall_time_s is the loop alone: the whole map when
+    # heatmaps read it, else the route's corridor, which holds the cells a step near the route reads
+    if heatmaps:
+        db_map.built_descriptors()
+    else:
+        db_map.tiles.build_route([p.x for p in poses], [p.y for p in poses])
 
     master = np.random.SeedSequence(cfg.master_seed)
     filter_ss, sensor_ss = master.spawn(2)
@@ -286,11 +302,10 @@ def run_simulation(cfg: ScenarioConfig, out_dir: str | None = None) -> tuple[Run
     pset = init_particles(poses[0], spread, cfg.particles, filter_rng)
     est_heading = poses[0].theta
 
-    target = out_dir if out_dir is not None else (cfg.out_dir or None)
     heat_dir = None
     if target:
         make_output_dir(target)
-        if cfg.heatmap_every > 0:
+        if heatmaps:
             heat_dir = os.path.join(target, "heatmaps")
             make_output_dir(heat_dir)
 
@@ -299,7 +314,8 @@ def run_simulation(cfg: ScenarioConfig, out_dir: str | None = None) -> tuple[Run
     t0 = time.perf_counter()
     for t in range(1, len(poses)):
         gt_prev, gt = poses[t - 1], poses[t]
-        field = location_probabilities(db_map, scenario.ground_view(gt), floor=cfg.probability_floor)
+        with np.errstate(over="ignore", invalid="ignore"):  # location_probabilities rejects a non-finite view
+            field = location_probabilities(db_map, scenario.ground_view(gt), floor=cfg.probability_floor)
 
         est, pset = localize_step(
             field, gt_prev, gt, pset, noise, filter_rng,
@@ -359,9 +375,10 @@ def database_from_map(db_map: GridMap) -> DescriptorDatabase:
     """One database entry per cell: id = cell index, geo = cell location."""
     if db_map.descriptors is None:
         raise ValueError("map has no descriptors")
+    descriptors = db_map.built_descriptors()
     locs = db_map.locations()
     lat, lon = local_to_geo(db_map, LocalPoint(locs[:, 0], locs[:, 1]))
-    return build_db(zip(range(db_map.num_cells), zip(lat, lon), db_map.descriptors))
+    return build_db(zip(range(db_map.num_cells), zip(lat, lon), descriptors))
 
 
 def eval_retrieval(cfg: ScenarioConfig) -> dict:

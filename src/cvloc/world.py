@@ -14,14 +14,14 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .blas import one_thread
 from .descriptor import GROUND, SATELLITE, LocalFeatureSet, Pipeline, forward_batch
-from .mapgrid import GridMap, OutOfMapError
+from .mapgrid import GridMap, OutOfMapError, corner_cells
 from .motion import Pose
 
 TWO_PI = 2.0 * math.pi
@@ -32,6 +32,8 @@ TWO_PI = 2.0 * math.pi
 # Fixed, not derived from the worker count, so the map's bits never depend on the machine.
 MAP_BLOCK_BYTES = 3 << 19
 FEATURE_CHUNK_COLUMNS = 128
+# A map built on demand builds tiles of TILE x TILE cells (see MapTiles).
+TILE = 16
 
 
 @dataclass(frozen=True)
@@ -182,30 +184,35 @@ def synth_features(world: SyntheticWorld, pose: Pose, rng_seed: int, view: str =
     return LocalFeatureSet(pose_features(world, np.array([pose.x, pose.y, pose.theta]), rng_seed, view)[0], view)
 
 
-def satellite_cell_features(world: SyntheticWorld, rng_seed: int, rows: slice = slice(None)) -> np.ndarray:
-    """Features of the cells in grid rows ``rows`` (default: every row):
-    (cells, N, D), row-major like ``GridMap.locations``.
+def satellite_cell_features(world: SyntheticWorld, rng_seed: int, rows: slice = slice(None),
+                            cols: slice = slice(None)) -> np.ndarray:
+    """Features of the cells in grid rows ``rows`` and columns ``cols``
+    (default: every row and column): (cells, N, D), row-major like
+    ``GridMap.locations``.
 
     Cells sit on a lattice, x = col·s and y = row·s, so each sinusoid splits
     as cos(a + b) = cos a·cos b − sin a·sin b with a = kx·x + φ per column and
-    b = ky·y per row: (W + H)·N·D trig calls instead of W·H·N·D. Cells that
-    an alias region remaps off the lattice take the direct path; the corridor
-    is additive and applied per cell either way. A flat world's zero
-    wavevectors give cos φ on this path too.
+    b = ky·y per row: (W + H)·N·D trig calls instead of W·H·N·D. Each cell is
+    the same elementwise formula whatever the slices, so it has the same
+    bits. Cells that an alias region remaps off the lattice take the direct
+    path; the corridor is additive and applied per cell either way. A flat
+    world's zero wavevectors give cos φ on this path too.
     """
     grid = world.grid
-    positions = grid.locations(rows)
+    positions = grid.locations(rows, cols)
     wave, _ = _field_params(rng_seed, world.n_features, world.feature_dim, world.length_scale, 0, world.flat)
-    cos_a, sin_a = _column_factors(rng_seed, world.n_features, world.feature_dim, world.length_scale,
-                                   world.flat, grid.width, grid.cell_interval)
-    b = positions[:: grid.width, 1, None, None] * wave[..., 1]  # (rows, N, D)
+    cos_a, sin_a = (f[cols] for f in _column_factors(rng_seed, world.n_features, world.feature_dim,
+                                                      world.length_scale, world.flat, grid.width,
+                                                      grid.cell_interval))
+    width = len(cos_a)
+    b = positions[::width, 1, None, None] * wave[..., 1]  # (rows, N, D)
     tmp = np.empty_like(cos_a[:FEATURE_CHUNK_COLUMNS])
     feats = np.empty((len(b),) + cos_a.shape)
-    for c in range(0, grid.width, FEATURE_CHUNK_COLUMNS):
-        cols = slice(c, c + FEATURE_CHUNK_COLUMNS)
-        for out, cos_b, sin_b in zip(feats[:, cols], np.cos(b), np.sin(b)):
-            np.multiply(cos_a[cols], cos_b, out=out)
-            out -= np.multiply(sin_a[cols], sin_b, out=tmp[: len(out)])
+    for c in range(0, width, FEATURE_CHUNK_COLUMNS):
+        chunk = slice(c, c + FEATURE_CHUNK_COLUMNS)
+        for out, cos_b, sin_b in zip(feats[:, chunk], np.cos(b), np.sin(b)):
+            np.multiply(cos_a[chunk], cos_b, out=out)
+            out -= np.multiply(sin_a[chunk], sin_b, out=tmp[: len(out)])
     feats = feats.reshape((-1,) + wave.shape[:2])
     _apply_corridor(world, feats, positions)
     if world.aliases:
@@ -220,43 +227,128 @@ def sets_per_block(world: SyntheticWorld) -> int:
     return max(1, MAP_BLOCK_BYTES // (world.n_features * world.feature_dim * 8))
 
 
-def build_descriptor_map(world: SyntheticWorld, pipeline: Pipeline, rng_seed: int) -> GridMap:
-    """Run every cell's satellite features through the pipeline and store
-    the descriptors on the grid (float32, matching the database format).
+def _blocks(world: SyntheticWorld, rows: slice, cols: slice | None = None) -> list[tuple[slice, ...]]:
+    """The map-build blocks of grid rows ``rows`` over columns ``cols``
+    (default: every column): whole rows of that span whose float64 features
+    fit ``MAP_BLOCK_BYTES``, at least one row each. A block is the trailing
+    arguments of :func:`satellite_cell_features`: its rows, then its columns
+    unless it spans the map."""
+    span = () if cols is None else (cols,)
+    step = max(1, sets_per_block(world) // (world.grid.width if cols is None else cols.stop - cols.start))
+    return [(slice(r, min(r + step, rows.stop)), *span) for r in range(rows.start, rows.stop, step)]
 
-    The map is built in blocks of whole grid rows whose float64 features fit
-    ``MAP_BLOCK_BYTES`` (one row if larger), so a block stays in cache and peak
-    memory does not grow with the map beyond the float32 output itself. Block
-    i goes to worker i mod workers, one per CPU and the calling thread first,
-    with OpenBLAS on one thread; each block writes only its own rows.
+
+def _build(world: SyntheticWorld, pipeline: Pipeline, rng_seed: int, out: np.ndarray,
+           blocks: list[tuple[slice, ...]]) -> None:
+    """Run the :func:`_blocks` ``blocks`` through the pipeline into their
+    cells of the (num_cells, R) float32 array ``out``.
+
+    Block i goes to worker i mod workers, one per CPU and the calling thread
+    first, with OpenBLAS on one thread; each block writes only its own cells
+    and is checked finite as it is stored. A ValueError names the first
+    non-finite block in list order.
     """
     grid = world.grid
-    step = max(1, sets_per_block(world) // grid.width)
-    blocks = [slice(r0, min(r0 + step, grid.height)) for r0 in range(0, grid.height, step)]
-    out, bad = None, []
+    cells = out.reshape(grid.height, grid.width, -1)
+    bad = []
 
-    def build(share: list[slice]) -> None:
-        nonlocal out
-        for rows in share:
-            descs = forward_batch(pipeline, satellite_cell_features(world, rng_seed, rows), SATELLITE)
-            if out is None:  # filled here: map pages first touched by a worker slowed later reads
-                out = np.full((grid.num_cells, descs.shape[1]), np.nan, dtype=np.float32)
-            block = out[rows.start * grid.width : rows.stop * grid.width]
-            block[:] = descs
+    def build(share: list[tuple[int, tuple[slice, ...]]]) -> None:
+        for index, block in share:
+            stored = cells[block]
+            # the block's float64 descriptors are freed once stored, before the next block's features
+            stored[:] = forward_batch(pipeline, satellite_cell_features(world, rng_seed, *block),
+                                      SATELLITE).reshape(stored.shape)
             # checked as stored: a finite float64 value can still overflow float32
-            if not np.all(np.isfinite(block)):
-                bad.append(rows)
+            if not np.all(np.isfinite(stored)):
+                bad.append(index)
 
     with one_thread() as pinned:
-        workers = min(len(os.sched_getaffinity(0)), len(blocks)) if pinned else 1
-        shares = [blocks[i::workers] for i in range(workers)]
-        build(shares[0][:1])  # alone: sizes the output and caches the lattice factors
+        workers = max(1, min(len(os.sched_getaffinity(0)), len(blocks))) if pinned else 1
+        indexed = list(enumerate(blocks))
+        shares = [indexed[i::workers] for i in range(workers)]
+        build(shares[0][:1])  # alone: caches the lattice factors
         with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # threads start on submit only
             futures = [pool.submit(build, share) for share in shares[1:]]
             build(shares[0][1:])
             for f in futures:
                 f.result()
     if bad:
-        rows = min(bad, key=lambda r: r.start)
-        raise ValueError(f"non-finite map descriptors in grid rows {rows.start}..{rows.stop - 1}")
-    return grid.with_descriptors(out)
+        rows, *cols = blocks[min(bad)]
+        where = "".join(f", columns {c.start}..{c.stop - 1}" for c in cols)
+        raise ValueError(f"non-finite map descriptors in grid rows {rows.start}..{rows.stop - 1}{where}")
+
+
+class MapTiles:
+    """The build state of a descriptor map whose cells are built on demand,
+    in tiles of ``TILE`` × ``TILE`` cells (narrower at the north and east
+    edges): ``built`` marks the tiles whose cells are built into
+    ``descriptors``, which holds NaN everywhere else.
+
+    :meth:`build_route` builds the tiles around a route. Any other read goes
+    through ``GridMap.built_descriptors``, which calls :meth:`ensure`: that
+    is a lookup in ``built`` while the cells read lie in built tiles, and
+    otherwise builds the whole map, once, in the row blocks of
+    :func:`build_descriptor_map`. Only the cells built are checked finite.
+    """
+
+    def __init__(self, world: SyntheticWorld, pipeline: Pipeline, rng_seed: int, descriptors: np.ndarray):
+        grid = world.grid
+        self.world, self.pipeline, self.rng_seed, self.descriptors = world, pipeline, rng_seed, descriptors
+        self.built = np.zeros((-(-grid.height // TILE), -(-grid.width // TILE)), dtype=bool)
+
+    def ensure(self, rows: slice | None = None, cols: slice | None = None) -> None:
+        """Build the whole map unless every tile over grid rows ``rows`` and
+        columns ``cols`` (default: every cell) is built."""
+        tiles = self.built if rows is None else self.built[
+            rows.start // TILE : (rows.stop - 1) // TILE + 1, cols.start // TILE : (cols.stop - 1) // TILE + 1]
+        if not tiles.all():
+            _build(self.world, self.pipeline, self.rng_seed, self.descriptors,
+                   _blocks(self.world, slice(0, self.world.grid.height)))
+            self.built[:] = True
+
+    def build_route(self, xs: np.ndarray, ys: np.ndarray) -> None:
+        """Build the corridor of the route through the points (xs, ys), each
+        on the map: every tile that holds one of a point's four corner cells
+        (``corner_cells``), and one ring of tiles around them."""
+        grid = self.world.grid
+        _, i, j, _, _ = corner_cells(grid, np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
+        corners = np.zeros_like(self.built)
+        for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            corners[(j + dj) // TILE, (i + di) // TILE] = True
+        padded, (h, w) = np.pad(corners, 1), corners.shape
+        todo = np.zeros_like(corners)
+        for dy in range(3):
+            for dx in range(3):
+                todo |= padded[dy : dy + h, dx : dx + w]
+        todo &= ~self.built
+        blocks = []
+        for r, row in enumerate(todo):
+            rows = slice(r * TILE, min((r + 1) * TILE, grid.height))
+            edges = np.flatnonzero(np.diff(row, prepend=False, append=False))  # each run's start and stop
+            for c0, c1 in edges.reshape(-1, 2) * TILE:  # a run of adjacent tiles is one column span
+                blocks += _blocks(self.world, rows, slice(c0, min(c1, grid.width)))
+        _build(self.world, self.pipeline, self.rng_seed, self.descriptors, blocks)
+        self.built |= todo
+
+
+def tiled_descriptor_map(world: SyntheticWorld, pipeline: Pipeline, rng_seed: int) -> GridMap:
+    """The world's satellite descriptor map with no cell built yet: float32
+    NaN descriptors whose :class:`MapTiles` build them on demand."""
+    grid = world.grid
+    # filled here, in the calling thread: map pages first touched by a worker slowed later reads
+    out = np.full((grid.num_cells, pipeline.satellite.reduction.out_dim), np.nan, dtype=np.float32)
+    return replace(grid, descriptors=out, tiles=MapTiles(world, pipeline, rng_seed, out))
+
+
+def build_descriptor_map(world: SyntheticWorld, pipeline: Pipeline, rng_seed: int) -> GridMap:
+    """Run every cell's satellite features through the pipeline and store
+    the descriptors on the grid (float32, matching the database format).
+
+    The map is built in blocks of whole grid rows whose float64 features fit
+    ``MAP_BLOCK_BYTES`` (one row if larger), so a block stays in cache and peak
+    memory does not grow with the map beyond the float32 output itself; see
+    :func:`_build` for the workers.
+    """
+    db_map = tiled_descriptor_map(world, pipeline, rng_seed)
+    db_map.built_descriptors()
+    return db_map

@@ -260,13 +260,13 @@ class TestSimulateCommand:
         assert summary["mean_position_error"] >= 0
 
     def test_wall_time_excludes_the_map_build(self, tmp_path, monkeypatch, capsys):
-        build = cvloc.simulate.build_descriptor_map
+        build = cvloc.world._build  # every map build, the route corridor included
 
         def slow_build(*args, **kwargs):
             time.sleep(0.3)
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(cvloc.simulate, "build_descriptor_map", slow_build)
+        monkeypatch.setattr(cvloc.world, "_build", slow_build)
         t0 = time.perf_counter()
         code, out, _ = run_cli(["simulate", *SMALL, "--set", "traj_steps=20",
                                 "--out-dir", str(tmp_path / "o")], capsys)
@@ -314,6 +314,27 @@ class TestOversizedAllocation:
                               capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
         assert proc.returncode == 2 and proc.stderr.startswith("error[input]: "), proc.stderr
         assert list(tmp_path.iterdir()) == []
+
+
+class TestHostileValueOneErrorLine:
+    """A value that passes validation and overflows a computation prints its
+    error line alone: no numpy RuntimeWarning comes before it."""
+
+    @pytest.mark.parametrize("entry, message", [
+        ("world_view_noise=1e308", "error[input]: query descriptor must be finite"),
+        ("sigma_trans=1e308", "error[input]: non-finite pose (nan, nan, "),
+    ])
+    def test_simulate_prints_one_stderr_line(self, entry, message, tmp_path):
+        out = tmp_path / "out"
+        src = os.path.dirname(os.path.dirname(cvloc.world.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "cvloc.cli", "simulate", "--set", "traj_steps=5",
+                               "--set", entry, "--out-dir", str(out)],
+                              capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(message), proc.stderr
+        assert not out.exists()
 
 
 class TestValidatedOnce:

@@ -1,4 +1,7 @@
+import math
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +118,22 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"^{key} must be >= 1"):
             cfg.validate()
 
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("key", ["eval_queries", "eval_top_k"])
+    def test_eval_counts_below_one_rejected_by_name(self, key, value):
+        cfg = ScenarioConfig()
+        setattr(cfg, key, value)
+        with pytest.raises(ConfigError, match=f"^{key} must be >= 1$"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["traj_length", "world_length_scale", "corridor_width", "loss_alpha"])
+    def test_finite_positive_keys_rejected_by_name(self, key, value):
+        cfg = ScenarioConfig()
+        setattr(cfg, key, value)
+        with pytest.raises(ConfigError, match=f"^{key} must be finite and positive$"):
+            cfg.validate()
+
     def test_missing_referenced_files_rejected(self):
         cfg = ScenarioConfig(trajectory_file="/nonexistent/t.csv")
         with pytest.raises(ConfigError):
@@ -126,6 +145,14 @@ class TestValidation:
     def test_unknown_override_key_rejected(self):
         with pytest.raises(ConfigError):
             load_config(None, ["nope=1"])
+
+
+class TestReadme:
+    def test_scenario_configuration_section_names_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Scenario configuration", 1)[1].split("\n## ", 1)[0]
+        named = set(re.findall(r"`([a-z_0-9]+)`", section))
+        assert [f.name for f in fields(ScenarioConfig) if f.name not in named] == []
 
 
 class TestParsedFields:

@@ -7,10 +7,15 @@ import pytest
 
 from helpers import assert_golden, save_trajectory
 
+import cvloc.world
+from cvloc.cli import main
 from cvloc.config import ScenarioConfig
+from cvloc.measurement import emit_heatmap, location_probabilities, measurement_probabilities
 from cvloc.motion import Pose
 from cvloc.simulate import (
     build_grid,
+    build_scenario,
+    database_from_map,
     eval_retrieval,
     generate_trajectory,
     heading_error,
@@ -243,6 +248,106 @@ class TestGoldenStepLogs:
     def test_1m_step_log_bytes_unchanged(self, mode, tmp_path):
         got = step_log_sha256(tmp_path, cell_interval=1.0, traj_steps=20, master_seed=1, measurement_mode=mode)
         assert_golden(got, STEP_LOG_1M_SHA256[mode], "1 m steps.csv sha256")
+
+
+def counted_builds(monkeypatch):
+    """Record the blocks of every map build (world._build): a route corridor's
+    blocks name their columns, a whole map's are whole rows."""
+    builds, build = [], cvloc.world._build
+
+    def counting(world, pipeline, seed, out, blocks):
+        builds.append(blocks)
+        return build(world, pipeline, seed, out, blocks)
+
+    monkeypatch.setattr(cvloc.world, "_build", counting)
+    return builds
+
+
+def poison_cell(monkeypatch, x, y):
+    """NaN features for the map cell at (x, y) metres, wherever a build reads them."""
+    features = cvloc.world.satellite_cell_features
+
+    def poisoned(world, seed, rows=slice(None), cols=slice(None)):
+        feats = features(world, seed, rows, cols)
+        locs = world.grid.locations(rows, cols)
+        feats[(locs[:, 0] == x) & (locs[:, 1] == y)] = np.nan
+        return feats
+
+    monkeypatch.setattr(cvloc.world, "satellite_cell_features", poisoned)
+
+
+# the default 200-step run on the 2 m map (221 x 221 cells): its route corridor is 118 of 196 tiles,
+# and no step's window leaves it (the 50 m steps of a 20-step loop do)
+TWO_METRE = ["--set", "cell_interval=2"]
+
+
+class TestRouteCorridor:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_no_step_of_the_fine_map_benchmark_run_completes_the_map(self, seed, monkeypatch):
+        builds = counted_builds(monkeypatch)
+        run_simulation(ScenarioConfig(cell_interval=1.0, particles=1000, master_seed=seed, out_dir=""))
+        assert len(builds) == 1 and all(len(block) == 2 for block in builds[0])  # the corridor alone
+
+    @pytest.mark.parametrize("mode", sorted(STEP_LOG_1M_SHA256))
+    def test_a_window_outside_the_corridor_completes_the_map_and_keeps_the_log(self, mode, tmp_path,
+                                                                                monkeypatch):
+        # the corridor of the first three poses only: a later window leaves it
+        build_route = cvloc.world.MapTiles.build_route
+        monkeypatch.setattr(cvloc.world.MapTiles, "build_route", lambda tiles, xs, ys: build_route(tiles, xs[:3], ys[:3]))
+        builds = counted_builds(monkeypatch)
+        got = step_log_sha256(tmp_path, cell_interval=1.0, traj_steps=20, master_seed=1, measurement_mode=mode)
+        assert len(builds) == 2 and all(len(block) == 1 for block in builds[1])  # then the whole map, once
+        assert_golden(got, STEP_LOG_1M_SHA256[mode], "1 m steps.csv sha256")
+
+    def test_heatmaps_build_the_whole_map_before_the_loop(self, tmp_path, monkeypatch):
+        builds = counted_builds(monkeypatch)
+        run_simulation(ScenarioConfig(cell_interval=2.0, traj_steps=4, heatmap_every=2, out_dir=str(tmp_path)))
+        assert len(builds) == 1 and all(len(block) == 1 for block in builds[0])
+
+    def test_a_non_finite_corridor_cell_exits_2_and_leaves_no_out_dir(self, tmp_path, monkeypatch, capsys):
+        # the first pose, at (220 + 1000 / 2π, 220) m, lies in cell (378, 220) m
+        poison_cell(monkeypatch, 378.0, 220.0)
+        out = tmp_path / "run"
+        with np.errstate(invalid="ignore"):
+            assert main(["simulate", *TWO_METRE, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[input]: non-finite map descriptors in grid rows ") and ", columns " in err
+        assert not out.exists()
+
+    def test_a_non_finite_cell_outside_the_corridor_is_never_built(self, tmp_path, monkeypatch, capsys):
+        assert main(["simulate", *TWO_METRE, "--out-dir", str(tmp_path / "plain")]) == 0
+        poison_cell(monkeypatch, 0.0, 0.0)  # the south-west corner, ~150 m from the loop
+        assert main(["simulate", *TWO_METRE, "--out-dir", str(tmp_path / "poisoned")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "poisoned" / "steps.csv").read_bytes() == (tmp_path / "plain" / "steps.csv").read_bytes()
+        # a whole-map reader of the same scenario builds it, and stops at the cell as before
+        with np.errstate(invalid="ignore"):
+            assert main(["build-db", "--set", "cell_interval=2", "--out", str(tmp_path / "map.db")]) == 2
+        assert "non-finite map descriptors in grid rows 0..1" in capsys.readouterr().err
+
+    def test_no_reader_sees_an_unbuilt_cell(self):
+        cfg = ScenarioConfig(cell_interval=2.0, out_dir="")
+        whole = build_scenario(cfg).db_map
+        assert not np.isnan(whole.descriptors).any()
+        scenario = build_scenario(cfg)
+        q = scenario.ground_view(Pose(30.0, 40.0, 0.3))
+        ex, ey = whole.extent
+        states = np.column_stack([np.linspace(1.0, ex - 1, 50), np.linspace(1.0, 30.0, 50)])
+        readers = {
+            "field": lambda m: location_probabilities(m, q).probabilities,
+            "weights": lambda m: measurement_probabilities(location_probabilities(m, q), states)[0],
+            "heatmap": lambda m: emit_heatmap(location_probabilities(m, q)),
+            "database": lambda m: database_from_map(m).descriptors,
+        }
+        for name, read in readers.items():
+            partial = build_scenario(cfg).tiled_map
+            partial.tiles.build_route([220.0, 230.0], [220.0, 220.0])  # a few tiles in the middle
+            assert np.isnan(partial.descriptors).any()
+            got = read(partial)
+            assert partial.tiles.built.all(), name
+            np.testing.assert_array_equal(got, read(whole), err_msg=name)
+        assert not np.isnan(build_scenario(cfg).db_map.descriptors).any()
+
 
 class TestEvalRetrieval:
     def test_metrics_shapes_and_monotonicity(self, tmp_path):

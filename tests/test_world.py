@@ -21,14 +21,16 @@ from cvloc.descriptor import (
     forward,
     forward_batch,
     random_dual_pipeline,
+    random_shared_pipeline,
     save_pipeline,
 )
 from cvloc.mapgrid import GridMap, OutOfMapError
 from cvloc.motion import Pose
-from cvloc.simulate import build_pipeline, build_scenario, build_world
+from cvloc.simulate import build_pipeline, build_scenario, build_world, scenario_trajectory
 from cvloc.world import (
     FEATURE_CHUNK_COLUMNS,
     MAP_BLOCK_BYTES,
+    TILE,
     TWO_PI,
     AliasRegion,
     Corridor,
@@ -39,6 +41,7 @@ from cvloc.world import (
     satellite_cell_features,
     sets_per_block,
     synth_features,
+    tiled_descriptor_map,
 )
 
 
@@ -594,6 +597,156 @@ class TestPooledMapBuild:
         finally:
             set_(former)
         assert set(seen) == {1}
+
+
+def route_map(world, pipeline, seed, xs, ys):
+    """The map with the route corridor of the points (xs, ys) built, and
+    nothing else."""
+    db_map = tiled_descriptor_map(world, pipeline, seed)
+    db_map.tiles.build_route(xs, ys)
+    return db_map
+
+
+def built_cells(db_map):
+    """Mask over the map's cells: those in its built tiles."""
+    tiles = np.repeat(np.repeat(db_map.tiles.built, TILE, axis=0), TILE, axis=1)
+    return tiles[: db_map.height, : db_map.width].ravel()
+
+
+def corridor_oracle(grid, xs, ys):
+    """The route corridor's tiles, point by point: the tile of each of a
+    point's four corner cells and the tiles around it."""
+    want = np.zeros((-(-grid.height // TILE), -(-grid.width // TILE)), dtype=bool)
+    for x, y in zip(xs, ys):
+        i = min(int(x / grid.cell_interval), grid.width - 2)
+        j = min(int(y / grid.cell_interval), grid.height - 2)
+        for col, row in ((i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)):
+            r, c = row // TILE, col // TILE
+            want[max(r - 1, 0) : r + 2, max(c - 1, 0) : c + 2] = True
+    return want
+
+
+def edge_route(grid):
+    """Points along the map's four edges, corners included."""
+    ex, ey = grid.extent
+    t = np.linspace(0.0, 1.0, 9)
+    xs = np.concatenate([t * ex, np.full(9, ex), t[::-1] * ex, np.zeros(9)])
+    ys = np.concatenate([np.zeros(9), t * ey, np.full(9, ey), t[::-1] * ey])
+    return xs, ys
+
+
+PIPELINES = {"dual": random_dual_pipeline(11, tie_views=True),
+             "shared": random_shared_pipeline(11, hidden_dim=16, tie_views=True)}
+
+
+class TestRouteCorridor:
+    @pytest.mark.parametrize("variant", ["dual", "shared"])
+    @pytest.mark.parametrize("cell_interval", [1.0, 2.0])
+    def test_corridor_cells_equal_the_whole_map_bit_for_bit(self, cell_interval, variant):
+        cfg = ScenarioConfig(cell_interval=cell_interval, pipeline_variant=variant, out_dir="")
+        world, pipeline, seed = build_world(cfg), build_pipeline(cfg), cfg.world_seed
+        poses = scenario_trajectory(cfg, world.grid)
+        xs, ys = [p.x for p in poses], [p.y for p in poses]
+        db_map = route_map(world, pipeline, seed, xs, ys)
+        np.testing.assert_array_equal(db_map.tiles.built, corridor_oracle(world.grid, xs, ys))
+        built = built_cells(db_map)
+        assert 0 < built.sum() < built.size
+        want = build_descriptor_map(world, pipeline, seed).descriptors  # the golden-hashed map
+        assert db_map.descriptors[built].tobytes() == want[built].tobytes()
+        assert np.isnan(db_map.descriptors[~built]).all()
+
+    @pytest.mark.parametrize("variant", sorted(PIPELINES))
+    @pytest.mark.parametrize("kind", ["default", "corridor+alias"])
+    def test_edge_tiles_of_an_odd_grid_equal_the_whole_map(self, kind, variant):
+        # 97 x 131 cells: the east tile column is 1 cell wide, the north tile row 3 cells high
+        w, pipeline = SyntheticWorld(grid=ODD_GRID, **WORLD_KINDS[kind]), PIPELINES[variant]
+        xs, ys = edge_route(ODD_GRID)
+        db_map = route_map(w, pipeline, 7, xs, ys)
+        np.testing.assert_array_equal(db_map.tiles.built, corridor_oracle(ODD_GRID, xs, ys))
+        built = built_cells(db_map)
+        assert built[-1] and built[0] and not built.all()
+        want = build_descriptor_map(w, pipeline, 7).descriptors
+        assert db_map.descriptors[built].tobytes() == want[built].tobytes()
+
+    def test_aliased_and_corridor_cells_equal_the_whole_map(self):
+        w = SyntheticWorld(grid=ODD_GRID, **WORLD_KINDS["corridor+alias"])
+        # through the alias region around (150, 150) and across the corridor ring around (120, 160)
+        xs, ys = np.linspace(100.0, 200.0, 21), np.linspace(120.0, 190.0, 21)
+        db_map = route_map(w, PIPELINES["dual"], 7, xs, ys)
+        locs = ODD_GRID.locations()
+        aliased = np.hypot(locs[:, 0] - 150.0, locs[:, 1] - 150.0) <= 30.0
+        built = built_cells(db_map)
+        assert (built & aliased).sum() > 100 and not built.all()
+        want = build_descriptor_map(w, PIPELINES["dual"], 7).descriptors
+        assert db_map.descriptors[built].tobytes() == want[built].tobytes()
+
+    def test_a_route_built_twice_builds_no_tile_twice(self, monkeypatch):
+        w = SyntheticWorld(grid=ODD_GRID)
+        db_map = route_map(w, PIPELINES["dual"], 7, [100.0], [100.0])
+        blocks = forward_block_sizes(monkeypatch)
+        db_map.tiles.build_route([100.0, 110.0], [100.0, 100.0])
+        assert sum(blocks) == 0
+        db_map.tiles.build_route([160.0], [100.0])
+        first = corridor_oracle(ODD_GRID, [100.0], [100.0])
+        new_tiles = corridor_oracle(ODD_GRID, [160.0], [100.0]) & ~first
+        assert sum(blocks) == new_tiles.sum() * TILE * TILE > 0  # no edge tile among them
+
+    def test_a_read_outside_the_built_tiles_completes_the_map_once(self, monkeypatch):
+        w = SyntheticWorld(grid=ODD_GRID)
+        want = build_descriptor_map(w, PIPELINES["dual"], 7).descriptors
+        db_map = route_map(w, PIPELINES["dual"], 7, [100.0], [100.0])
+        blocks = forward_block_sizes(monkeypatch)
+        inside = db_map.built_descriptors(slice(40, 41), slice(40, 42))
+        assert sum(blocks) == 0 and np.isnan(inside).any()  # the other tiles are not built
+        whole = db_map.built_descriptors(slice(0, 2), slice(0, 2))
+        assert sum(blocks) == ODD_GRID.num_cells and all(b % ODD_GRID.width == 0 for b in blocks)
+        assert db_map.tiles.built.all() and whole.tobytes() == want.tobytes()
+        db_map.built_descriptors()
+        assert sum(blocks) == ODD_GRID.num_cells
+
+    def test_the_first_non_finite_tile_block_is_named_by_rows_and_columns(self, monkeypatch):
+        # one point in cell (40, 40): tile (2, 2) and the ring around it, grid rows and columns
+        # 16..63; 48 columns fit 512 // 48 = 10 rows a block, so each tile row takes two blocks
+        w = SyntheticWorld(grid=ODD_GRID)
+        assert sets_per_block(w) == 512
+
+        def poisoned(world, seed, rows, cols):
+            feats = satellite_cell_features(world, seed, rows, cols)
+            if rows.start in (26, 42):
+                feats[:] = np.nan
+            return feats
+
+        monkeypatch.setattr(cvloc.world, "satellite_cell_features", poisoned)
+        x = 40 * ODD_GRID.cell_interval + 1.0
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError) as err:
+            route_map(w, PIPELINES["dual"], 7, [x], [x])
+        assert str(err.value) == "non-finite map descriptors in grid rows 26..31, columns 16..63"
+
+    # A corridor block's features may fill the whole budget (16 rows of a two-tile run: 512 cells),
+    # where a 2 m row block holds 442 cells. The shared pipeline then holds the features and both
+    # layer outputs of the block at once, three budgets, plus small temporaries; the dual pipeline
+    # holds the features, the assignments and the weighted sums, under two.
+    @pytest.mark.parametrize("variant, budgets", [("dual", 2), ("shared", 3.25)])
+    def test_traced_peak_of_a_2m_simulate_setup_stays_within_the_block_budgets(self, variant, budgets,
+                                                                                monkeypatch):
+        # the set-up run_simulation does before its clock starts: the scenario, the trajectory,
+        # the map's NaN-filled float32 array and the route corridor, once the lattice factors are cached
+        cfg = ScenarioConfig(cell_interval=2.0, pipeline_variant=variant, out_dir="")
+        world, _, seed = default_map(2.0, variant)
+        satellite_cell_features(world, seed, slice(0, 1))
+        for workers in (1, 2):
+            with_workers(monkeypatch, workers)
+            tracemalloc.start()
+            try:
+                scenario = build_scenario(cfg)
+                poses = scenario_trajectory(cfg, scenario.world.grid)
+                db_map = scenario.tiled_map
+                db_map.tiles.build_route([p.x for p in poses], [p.y for p in poses])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert not db_map.tiles.built.all()
+            assert peak - db_map.descriptors.nbytes <= workers * budgets * MAP_BLOCK_BYTES, workers
 
 
 # The shapes the batched ground views are held to, as config entries.
