@@ -26,8 +26,9 @@ _COUNT_EPS = 1e-9
 # Most cells :func:`tessellate` lays out (a 2,048 x 2,048 lattice). Memory
 # grows with the cell count: the float32 map holds R floats a cell, about
 # 537 MB at R = 32 for this many cells, and a built field adds 8 bytes a cell
-# (34 MB). Both are computed, not measured. The 1 m cells of the default map
-# are 194,481.
+# (34 MB). Both are computed, not measured. A map is resident only where it
+# is built, so a ``simulate`` without heatmaps holds its route corridor's
+# cells, not the whole map. The 1 m cells of the default map are 194,481.
 MAX_CELLS = 2048 * 2048
 
 
@@ -57,8 +58,9 @@ class GridMap:
     east, row increasing north. Cell (0, 0) sits at the geographic origin.
     Descriptor and probability payloads are kept as dense arrays aligned
     with the cell index. A map with ``tiles`` builds its descriptors on
-    demand: a cell not yet built holds NaN, so its descriptors are read
-    through :meth:`built_descriptors`.
+    demand: a cell not yet built holds zero, and ``tiles.built`` alone says
+    which are built, so its descriptors are read through
+    :meth:`built_descriptors`.
     """
 
     origin: tuple[float, float]  # (lat, lon) degrees of cell index 0
@@ -117,7 +119,7 @@ class GridMap:
     def built_descriptors(self, rows: slice | None = None, cols: slice | None = None) -> np.ndarray:
         """``descriptors`` once every cell in grid rows ``rows`` and columns
         ``cols`` (default: every cell) is built: a map whose tiles over them
-        are not all built completes itself first."""
+        are not all built builds them first (``MapTiles.ensure``)."""
         if self.tiles is not None:
             self.tiles.ensure(rows, cols)
         return self.descriptors

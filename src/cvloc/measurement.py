@@ -126,8 +126,8 @@ def _corner_scores(
     three corners of each distinct one after. Returns the window's scores
     (flat, row-major), each SW corner's index in them, the window width and
     m; the window, not the map, sets the cost. The map is asked for the
-    window's cells (``GridMap.built_descriptors``), which builds the whole
-    map first only when a tile under the window is not yet built."""
+    window's cells (``GridMap.built_descriptors``), which first builds the
+    tiles under the window that are not yet built."""
     grid = field.grid
     i0, j0 = int(i.min()), int(j.min())
     w = int(i.max()) - i0 + 2

@@ -12,6 +12,7 @@ cross-view matching realistic rather than exact.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -26,10 +27,12 @@ from .motion import Pose
 
 TWO_PI = 2.0 * math.pi
 
-# A map-build block is whole grid rows (at least one) whose float64 features fit
-# MAP_BLOCK_BYTES, ~512 cells at 24 × 16; lattice features go in chunks of
+# A map-build block is whole grid rows (at least one) of a column span whose float64
+# features fit MAP_BLOCK_BYTES, ~512 cells at 24 × 16; lattice features go in chunks of
 # FEATURE_CHUNK_COLUMNS columns. Blocks, chunks and their temporaries stay in cache.
 # Fixed, not derived from the worker count, so the map's bits never depend on the machine.
+# It bounds a block's features only: through forward_batch a full block peaks at ~1.9
+# budgets with the dual pipeline and ~3.0 with the shared one (features and both layer outputs).
 MAP_BLOCK_BYTES = 3 << 19
 FEATURE_CHUNK_COLUMNS = 128
 # A map built on demand builds tiles of TILE x TILE cells (see MapTiles).
@@ -282,12 +285,14 @@ class MapTiles:
     """The build state of a descriptor map whose cells are built on demand,
     in tiles of ``TILE`` × ``TILE`` cells (narrower at the north and east
     edges): ``built`` marks the tiles whose cells are built into
-    ``descriptors``, which holds NaN everywhere else.
+    ``descriptors``, and is the only record of it. A cell in no built tile
+    holds zero and is never read.
 
     :meth:`build_route` builds the tiles around a route. Any other read goes
     through ``GridMap.built_descriptors``, which calls :meth:`ensure`: that
-    is a lookup in ``built`` while the cells read lie in built tiles, and
-    otherwise builds the whole map, once, in the row blocks of
+    is a lookup in ``built`` while the cells read lie in built tiles. A
+    read of a window otherwise builds the window's tiles not yet built, and
+    a read of every cell builds the whole map, once, in the row blocks of
     :func:`build_descriptor_map`. Only the cells built are checked finite.
     """
 
@@ -297,14 +302,20 @@ class MapTiles:
         self.built = np.zeros((-(-grid.height // TILE), -(-grid.width // TILE)), dtype=bool)
 
     def ensure(self, rows: slice | None = None, cols: slice | None = None) -> None:
-        """Build the whole map unless every tile over grid rows ``rows`` and
-        columns ``cols`` (default: every cell) is built."""
-        tiles = self.built if rows is None else self.built[
-            rows.start // TILE : (rows.stop - 1) // TILE + 1, cols.start // TILE : (cols.stop - 1) // TILE + 1]
-        if not tiles.all():
-            _build(self.world, self.pipeline, self.rng_seed, self.descriptors,
-                   _blocks(self.world, slice(0, self.world.grid.height)))
-            self.built[:] = True
+        """Build every tile over grid rows ``rows`` and columns ``cols`` that
+        is not built; with no window, the whole map unless every tile is built."""
+        if rows is None:
+            if not self.built.all():
+                _build(self.world, self.pipeline, self.rng_seed, self.descriptors,
+                       _blocks(self.world, slice(0, self.world.grid.height)))
+                self.built[:] = True
+            return
+        window = np.s_[rows.start // TILE : (rows.stop - 1) // TILE + 1,
+                       cols.start // TILE : (cols.stop - 1) // TILE + 1]
+        if not self.built[window].all():
+            tiles = np.zeros_like(self.built)
+            tiles[window] = True
+            self._build_tiles(tiles)
 
     def build_route(self, xs: np.ndarray, ys: np.ndarray) -> None:
         """Build the corridor of the route through the points (xs, ys), each
@@ -316,11 +327,15 @@ class MapTiles:
         for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
             corners[(j + dj) // TILE, (i + di) // TILE] = True
         padded, (h, w) = np.pad(corners, 1), corners.shape
-        todo = np.zeros_like(corners)
+        corridor = np.zeros_like(corners)
         for dy in range(3):
             for dx in range(3):
-                todo |= padded[dy : dy + h, dx : dx + w]
-        todo &= ~self.built
+                corridor |= padded[dy : dy + h, dx : dx + w]
+        self._build_tiles(corridor)
+
+    def _build_tiles(self, tiles: np.ndarray) -> None:
+        """Build the tiles marked in the tile mask ``tiles`` that are not built."""
+        grid, todo = self.world.grid, tiles & ~self.built
         blocks = []
         for r, row in enumerate(todo):
             rows = slice(r * TILE, min((r + 1) * TILE, grid.height))
@@ -333,10 +348,18 @@ class MapTiles:
 
 def tiled_descriptor_map(world: SyntheticWorld, pipeline: Pipeline, rng_seed: int) -> GridMap:
     """The world's satellite descriptor map with no cell built yet: float32
-    NaN descriptors whose :class:`MapTiles` build them on demand."""
+    descriptors whose :class:`MapTiles` build them on demand.
+
+    The array is anonymous zero pages, which the kernel backs only once a
+    build writes them, so a map is resident only where it is built."""
     grid = world.grid
-    # filled here, in the calling thread: map pages first touched by a worker slowed later reads
-    out = np.full((grid.num_cells, pipeline.satellite.reduction.out_dim), np.nan, dtype=np.float32)
+    shape = (grid.num_cells, pipeline.satellite.reduction.out_dim)
+    # an mmap, not np.zeros: numpy advises an array of 4 MB or more to use huge pages,
+    # and malloc may hand back heap that is already resident
+    pages = mmap.mmap(-1, 4 * math.prod(shape))
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):  # where THP is "always", one write would back 2 MiB
+        pages.madvise(mmap.MADV_NOHUGEPAGE)
+    out = np.frombuffer(pages, dtype=np.float32).reshape(shape)
     return replace(grid, descriptors=out, tiles=MapTiles(world, pipeline, rng_seed, out))
 
 

@@ -24,6 +24,7 @@ from cvloc.simulate import (
     run_simulation,
     scenario_trajectory,
 )
+from cvloc.world import TILE, build_descriptor_map
 
 
 def small_cfg(**overrides) -> ScenarioConfig:
@@ -289,14 +290,18 @@ class TestRouteCorridor:
         assert len(builds) == 1 and all(len(block) == 2 for block in builds[0])  # the corridor alone
 
     @pytest.mark.parametrize("mode", sorted(STEP_LOG_1M_SHA256))
-    def test_a_window_outside_the_corridor_completes_the_map_and_keeps_the_log(self, mode, tmp_path,
-                                                                                monkeypatch):
-        # the corridor of the first three poses only: a later window leaves it
+    def test_a_window_outside_the_corridor_builds_only_tiles_and_keeps_the_log(self, mode, tmp_path, monkeypatch):
+        # the corridor of the first three poses only: later windows leave it
         build_route = cvloc.world.MapTiles.build_route
         monkeypatch.setattr(cvloc.world.MapTiles, "build_route", lambda tiles, xs, ys: build_route(tiles, xs[:3], ys[:3]))
         builds = counted_builds(monkeypatch)
         got = step_log_sha256(tmp_path, cell_interval=1.0, traj_steps=20, master_seed=1, measurement_mode=mode)
-        assert len(builds) == 2 and all(len(block) == 1 for block in builds[1])  # then the whole map, once
+        assert len(builds) > 1 and all(len(block) == 2 for build in builds for block in build)  # tiles only
+        grid = build_grid(ScenarioConfig(cell_interval=1.0))
+        times = np.zeros((grid.height, grid.width), dtype=int)
+        for rows, cols in (block for build in builds for block in build):
+            times[rows, cols] += 1
+        assert times.max() == 1 and not times.all()  # no cell twice, and the map is never completed
         assert_golden(got, STEP_LOG_1M_SHA256[mode], "1 m steps.csv sha256")
 
     def test_heatmaps_build_the_whole_map_before_the_loop(self, tmp_path, monkeypatch):
@@ -327,26 +332,32 @@ class TestRouteCorridor:
 
     def test_no_reader_sees_an_unbuilt_cell(self):
         cfg = ScenarioConfig(cell_interval=2.0, out_dir="")
-        whole = build_scenario(cfg).db_map
-        assert not np.isnan(whole.descriptors).any()
         scenario = build_scenario(cfg)
+        want = build_descriptor_map(scenario.world, scenario.pipeline, cfg.world_seed).descriptors.tobytes()
+        whole = scenario.db_map
+        assert whole.tiles.built.all() and whole.descriptors.tobytes() == want
         q = scenario.ground_view(Pose(30.0, 40.0, 0.3))
         ex, ey = whole.extent
         states = np.column_stack([np.linspace(1.0, ex - 1, 50), np.linspace(1.0, 30.0, 50)])
+        every = np.ones_like(whole.tiles.built)
+        window = every.copy()
+        window[(30 // 2 + 1) // TILE + 1 :] = False  # the weighting reads grid rows 0..16 of every column
         readers = {
-            "field": lambda m: location_probabilities(m, q).probabilities,
-            "weights": lambda m: measurement_probabilities(location_probabilities(m, q), states)[0],
-            "heatmap": lambda m: emit_heatmap(location_probabilities(m, q)),
-            "database": lambda m: database_from_map(m).descriptors,
+            "field": (lambda m: location_probabilities(m, q).probabilities, every),
+            "weights": (lambda m: measurement_probabilities(location_probabilities(m, q), states)[0], window),
+            "heatmap": (lambda m: emit_heatmap(location_probabilities(m, q)), every),
+            "database": (lambda m: database_from_map(m).descriptors, every),
         }
-        for name, read in readers.items():
+        for name, (read, tiles) in readers.items():
             partial = build_scenario(cfg).tiled_map
             partial.tiles.build_route([220.0, 230.0], [220.0, 220.0])  # a few tiles in the middle
-            assert np.isnan(partial.descriptors).any()
+            corridor = partial.tiles.built.copy()
+            assert not corridor.all()
             got = read(partial)
-            assert partial.tiles.built.all(), name
+            np.testing.assert_array_equal(partial.tiles.built, corridor | tiles, err_msg=name)
             np.testing.assert_array_equal(got, read(whole), err_msg=name)
-        assert not np.isnan(build_scenario(cfg).db_map.descriptors).any()
+        fresh = build_scenario(cfg).db_map
+        assert fresh.tiles.built.all() and fresh.descriptors.tobytes() == want
 
 
 class TestEvalRetrieval:

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import mmap
+import os
+import re
 import threading
 import tracemalloc
 
@@ -461,20 +464,21 @@ class TestBlockedMapBuild:
     @pytest.mark.parametrize("variant, budgets", [("dual", 2), ("shared", 3)])
     def test_traced_peak_stays_within_the_block_budgets(self, variant, budgets, monkeypatch):
         # The per-map lattice factors (one row of cos and sin, cached) are
-        # computed first; the traced peak is then the float32 output plus, per
-        # worker, one block's features, assignments and temporaries. The build
-        # with 8,192-cell blocks and a prefix-sum array peaked ~58 MB over the output.
+        # computed first; the float32 output is an mmap, which tracemalloc does
+        # not trace, so the traced peak is, per worker, one block's features,
+        # assignments and temporaries. The build with 8,192-cell blocks and a
+        # prefix-sum array peaked ~58 MB over the output.
         world, pipeline, seed = default_map(2.0, variant)
         satellite_cell_features(world, seed, slice(0, 1))
         for workers in (1, 2):
             with_workers(monkeypatch, workers)
             tracemalloc.start()
             try:
-                descriptors = build_descriptor_map(world, pipeline, seed).descriptors
+                build_descriptor_map(world, pipeline, seed)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak - descriptors.nbytes <= workers * budgets * MAP_BLOCK_BYTES, workers
+            assert peak <= workers * budgets * MAP_BLOCK_BYTES, workers
 
     def test_default_5m_map_equals_oneshot_build_exactly(self, monkeypatch):
         world, pipeline, seed = default_map(5.0)
@@ -635,6 +639,24 @@ def edge_route(grid):
     return xs, ys
 
 
+def backed_bytes(array):
+    """The bytes the kernel backs (Rss plus Swap) of the memory mapping that
+    holds ``array`` in /proc/self/smaps, and that mapping's size."""
+    address, fields = array.ctypes.data, None
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            span = re.match(r"([0-9a-f]+)-([0-9a-f]+) ", line)
+            if span:
+                if fields is not None:
+                    break
+                start, stop = (int(a, 16) for a in span.groups())
+                fields = {} if start <= address < stop else None
+            elif fields is not None and line.endswith(" kB\n"):
+                key, value = line.split(":")
+                fields[key] = int(value.split()[0]) * 1024
+    return fields["Rss"] + fields["Swap"], fields["Size"]
+
+
 PIPELINES = {"dual": random_dual_pipeline(11, tie_views=True),
              "shared": random_shared_pipeline(11, hidden_dim=16, tie_views=True)}
 
@@ -653,7 +675,7 @@ class TestRouteCorridor:
         assert 0 < built.sum() < built.size
         want = build_descriptor_map(world, pipeline, seed).descriptors  # the golden-hashed map
         assert db_map.descriptors[built].tobytes() == want[built].tobytes()
-        assert np.isnan(db_map.descriptors[~built]).all()
+        assert not db_map.descriptors[~built].any()  # untouched: the zero pages of a fresh map
 
     @pytest.mark.parametrize("variant", sorted(PIPELINES))
     @pytest.mark.parametrize("kind", ["default", "corridor+alias"])
@@ -667,6 +689,23 @@ class TestRouteCorridor:
         assert built[-1] and built[0] and not built.all()
         want = build_descriptor_map(w, pipeline, 7).descriptors
         assert db_map.descriptors[built].tobytes() == want[built].tobytes()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="reads /proc/self/smaps")
+    def test_a_corridor_map_is_resident_only_where_it_is_built(self):
+        cfg = ScenarioConfig(cell_interval=1.0, out_dir="")
+        world = build_world(cfg)
+        poses = scenario_trajectory(cfg, world.grid)
+        db_map = route_map(world, build_pipeline(cfg), cfg.world_seed, [p.x for p in poses], [p.y for p in poses])
+        descriptors = db_map.descriptors
+        # a page is backed once a built cell's bytes are written to it; a 128-byte cell lies in one page,
+        # so a run of built cells in a grid row backs at most one page more at each end than it fills
+        cells, cell_bytes, page = np.flatnonzero(built_cells(db_map)), descriptors[0].nbytes, mmap.PAGESIZE
+        ends = descriptors.ctypes.data + np.concatenate([cells * cell_bytes, (cells + 1) * cell_bytes - 1])
+        pages = len(np.unique(ends // page))
+        backed, size = backed_bytes(descriptors)
+        assert len(cells) * cell_bytes <= backed <= pages * page < size / 2
+        db_map.built_descriptors()
+        assert backed_bytes(descriptors) == (size, size) and size >= descriptors.nbytes
 
     def test_aliased_and_corridor_cells_equal_the_whole_map(self):
         w = SyntheticWorld(grid=ODD_GRID, **WORLD_KINDS["corridor+alias"])
@@ -691,18 +730,32 @@ class TestRouteCorridor:
         new_tiles = corridor_oracle(ODD_GRID, [160.0], [100.0]) & ~first
         assert sum(blocks) == new_tiles.sum() * TILE * TILE > 0  # no edge tile among them
 
-    def test_a_read_outside_the_built_tiles_completes_the_map_once(self, monkeypatch):
+    def test_a_read_outside_the_built_tiles_builds_only_its_missing_tiles(self, monkeypatch):
         w = SyntheticWorld(grid=ODD_GRID)
         want = build_descriptor_map(w, PIPELINES["dual"], 7).descriptors
-        db_map = route_map(w, PIPELINES["dual"], 7, [100.0], [100.0])
+        db_map = route_map(w, PIPELINES["dual"], 7, [100.0], [100.0])  # tile rows and columns 1..3
         blocks = forward_block_sizes(monkeypatch)
-        inside = db_map.built_descriptors(slice(40, 41), slice(40, 42))
-        assert sum(blocks) == 0 and np.isnan(inside).any()  # the other tiles are not built
-        whole = db_map.built_descriptors(slice(0, 2), slice(0, 2))
-        assert sum(blocks) == ODD_GRID.num_cells and all(b % ODD_GRID.width == 0 for b in blocks)
+        db_map.built_descriptors(slice(40, 41), slice(40, 42))
+        corridor, before = db_map.tiles.built.copy(), built_cells(db_map)
+        assert sum(blocks) == 0 and not corridor.all()
+        # grid rows 20..130 and columns 50..96: tile rows 1..8 and columns 3..6, with the north tile
+        # row 3 cells high and the east tile column 1 cell wide; tile column 3 of rows 1..3 is built
+        got = db_map.built_descriptors(slice(20, 131), slice(50, 97))
+        window = np.zeros_like(corridor)
+        window[1:9, 3:7] = True
+        np.testing.assert_array_equal(db_map.tiles.built, corridor | window)
+        built = built_cells(db_map)
+        missing = (built & ~before).sum()
+        assert sum(blocks) == missing == (7 * TILE + 3) * (3 * TILE + 1) - 3 * TILE * TILE
+        assert got[built].tobytes() == want[built].tobytes() and not got[~built].any()
+        db_map.built_descriptors(slice(20, 131), slice(50, 97))
+        assert sum(blocks) == missing  # no tile twice
+        # a whole-map read builds the map once more in its row blocks, and then nothing
+        whole = db_map.built_descriptors()
         assert db_map.tiles.built.all() and whole.tobytes() == want.tobytes()
+        assert sum(blocks) == missing + ODD_GRID.num_cells
         db_map.built_descriptors()
-        assert sum(blocks) == ODD_GRID.num_cells
+        assert sum(blocks) == missing + ODD_GRID.num_cells
 
     def test_the_first_non_finite_tile_block_is_named_by_rows_and_columns(self, monkeypatch):
         # one point in cell (40, 40): tile (2, 2) and the ring around it, grid rows and columns
@@ -730,7 +783,8 @@ class TestRouteCorridor:
     def test_traced_peak_of_a_2m_simulate_setup_stays_within_the_block_budgets(self, variant, budgets,
                                                                                 monkeypatch):
         # the set-up run_simulation does before its clock starts: the scenario, the trajectory,
-        # the map's NaN-filled float32 array and the route corridor, once the lattice factors are cached
+        # the map's float32 array (an mmap, untraced) and the route corridor, once the lattice
+        # factors are cached
         cfg = ScenarioConfig(cell_interval=2.0, pipeline_variant=variant, out_dir="")
         world, _, seed = default_map(2.0, variant)
         satellite_cell_features(world, seed, slice(0, 1))
@@ -746,7 +800,7 @@ class TestRouteCorridor:
             finally:
                 tracemalloc.stop()
             assert not db_map.tiles.built.all()
-            assert peak - db_map.descriptors.nbytes <= workers * budgets * MAP_BLOCK_BYTES, workers
+            assert peak <= workers * budgets * MAP_BLOCK_BYTES, workers
 
 
 # The shapes the batched ground views are held to, as config entries.
