@@ -116,12 +116,15 @@ class GridMap:
         ex, ey = self.extent
         return 0.0 <= p.x <= ex and 0.0 <= p.y <= ey
 
-    def built_descriptors(self, rows: slice | None = None, cols: slice | None = None) -> np.ndarray:
-        """``descriptors`` once every cell in grid rows ``rows`` and columns
-        ``cols`` (default: every cell) is built: a map whose tiles over them
-        are not all built builds them first (``MapTiles.ensure``)."""
+    def built_descriptors(self, rows: slice | None = None, cols: slice | None = None,
+                          cells: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+        """``descriptors`` once the ``cells`` ((row, column) index arrays) in
+        grid rows ``rows`` and columns ``cols`` are built, or every cell when
+        no window is given: a map whose tiles over the window are not all
+        built first builds the missing ones that hold a cell read
+        (``MapTiles.ensure``)."""
         if self.tiles is not None:
-            self.tiles.ensure(rows, cols)
+            self.tiles.ensure(rows, cols, cells)
         return self.descriptors
 
     def with_descriptors(self, descriptors: np.ndarray) -> "GridMap":

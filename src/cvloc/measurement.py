@@ -126,8 +126,9 @@ def _corner_scores(
     three corners of each distinct one after. Returns the window's scores
     (flat, row-major), each SW corner's index in them, the window width and
     m; the window, not the map, sets the cost. The map is asked for the
-    window's cells (``GridMap.built_descriptors``), which first builds the
-    tiles under the window that are not yet built."""
+    window's marked cells (``GridMap.built_descriptors``): while every tile
+    under the window is built that is one lookup, and otherwise it first
+    builds the missing tiles that hold a marked cell."""
     grid = field.grid
     i0, j0 = int(i.min()), int(j.min())
     w = int(i.max()) - i0 + 2
@@ -141,8 +142,9 @@ def _corner_scores(
     for offset in (1, w, w + 1):
         mark[distinct + offset] = True
     rows, cols = np.nonzero(mark.reshape(-1, w))
-    descriptors = grid.built_descriptors(slice(j0, j0 + h), slice(i0, i0 + w))
-    d = distances(descriptors[(rows + j0) * grid.width + (cols + i0)], field.query)
+    cells = (rows + j0, cols + i0)
+    descriptors = grid.built_descriptors(slice(j0, j0 + h), slice(i0, i0 + w), cells)
+    d = distances(descriptors[cells[0] * grid.width + cells[1]], field.query)
     m = float(d.min())
     scores = np.empty(mark.size)
     scores[rows * w + cols] = np.exp(m - d)

@@ -28,15 +28,20 @@ from .motion import Pose
 TWO_PI = 2.0 * math.pi
 
 # A map-build block is whole grid rows (at least one) of a column span whose float64
-# features fit MAP_BLOCK_BYTES, ~512 cells at 24 × 16; lattice features go in chunks of
-# FEATURE_CHUNK_COLUMNS columns. Blocks, chunks and their temporaries stay in cache.
+# features fit MAP_BLOCK_BYTES, ~512 cells at 24 × 16: a tile row's 8 grid rows of a run
+# of up to 8 tiles (64 columns), fewer rows of a longer run; lattice features go in chunks
+# of FEATURE_CHUNK_COLUMNS columns. Blocks, chunks and their temporaries stay in cache.
 # Fixed, not derived from the worker count, so the map's bits never depend on the machine.
-# It bounds a block's features only: through forward_batch a full block peaks at ~1.9
-# budgets with the dual pipeline and ~3.0 with the shared one (features and both layer outputs).
+# It bounds a block's features only: through forward_batch a full block (8 × 64 cells)
+# peaks at ~1.9 budgets with the dual pipeline and ~3.05 with the shared one (features and
+# both layer outputs).
 MAP_BLOCK_BYTES = 3 << 19
 FEATURE_CHUNK_COLUMNS = 128
-# A map built on demand builds tiles of TILE x TILE cells (see MapTiles).
-TILE = 16
+# A map built on demand builds tiles of TILE x TILE cells (see MapTiles). With 8 the
+# corridor's one ring leaves a margin of 8..15 cells around a route's corner cells, which
+# holds the ≤ 12 cells beyond them that a fine-map benchmark step reads, at half the cells
+# of 16-cell tiles.
+TILE = 8
 
 
 @dataclass(frozen=True)
@@ -290,9 +295,10 @@ class MapTiles:
 
     :meth:`build_route` builds the tiles around a route. Any other read goes
     through ``GridMap.built_descriptors``, which calls :meth:`ensure`: that
-    is a lookup in ``built`` while the cells read lie in built tiles. A
-    read of a window otherwise builds the window's tiles not yet built, and
-    a read of every cell builds the whole map, once, in the row blocks of
+    is a lookup in ``built`` while the window read lies in built tiles. A
+    read of a window's cells otherwise builds the missing tiles that hold
+    one of them, and a read of every cell builds the whole map, once, in
+    the row blocks of
     :func:`build_descriptor_map`. Only the cells built are checked finite.
     """
 
@@ -301,9 +307,13 @@ class MapTiles:
         self.world, self.pipeline, self.rng_seed, self.descriptors = world, pipeline, rng_seed, descriptors
         self.built = np.zeros((-(-grid.height // TILE), -(-grid.width // TILE)), dtype=bool)
 
-    def ensure(self, rows: slice | None = None, cols: slice | None = None) -> None:
-        """Build every tile over grid rows ``rows`` and columns ``cols`` that
-        is not built; with no window, the whole map unless every tile is built."""
+    def ensure(self, rows: slice | None = None, cols: slice | None = None,
+               cells: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+        """Build what a read of ``cells``, the (row, column) index arrays of
+        cells in grid rows ``rows`` and columns ``cols``, needs: nothing while
+        every tile over that window is built, else the tiles not built that
+        hold one of the cells. With no window, the whole map unless every
+        tile is built."""
         if rows is None:
             if not self.built.all():
                 _build(self.world, self.pipeline, self.rng_seed, self.descriptors,
@@ -314,7 +324,7 @@ class MapTiles:
                        cols.start // TILE : (cols.stop - 1) // TILE + 1]
         if not self.built[window].all():
             tiles = np.zeros_like(self.built)
-            tiles[window] = True
+            tiles[cells[0] // TILE, cells[1] // TILE] = True
             self._build_tiles(tiles)
 
     def build_route(self, xs: np.ndarray, ys: np.ndarray) -> None:
@@ -336,6 +346,8 @@ class MapTiles:
     def _build_tiles(self, tiles: np.ndarray) -> None:
         """Build the tiles marked in the tile mask ``tiles`` that are not built."""
         grid, todo = self.world.grid, tiles & ~self.built
+        if not todo.any():
+            return
         blocks = []
         for r, row in enumerate(todo):
             rows = slice(r * TILE, min((r + 1) * TILE, grid.height))

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
 
 from helpers import assert_golden, save_trajectory
 
+import cvloc.measurement
 import cvloc.world
 from cvloc.cli import main
 from cvloc.config import ScenarioConfig
@@ -277,8 +279,8 @@ def poison_cell(monkeypatch, x, y):
     monkeypatch.setattr(cvloc.world, "satellite_cell_features", poisoned)
 
 
-# the default 200-step run on the 2 m map (221 x 221 cells): its route corridor is 118 of 196 tiles,
-# and no step's window leaves it (the 50 m steps of a 20-step loop do)
+# the default 200-step run on the 2 m map (221 x 221 cells): its route corridor is 244 of 784 tiles,
+# and no step reads outside it (the 50 m steps of a 20-step loop do)
 TWO_METRE = ["--set", "cell_interval=2"]
 
 
@@ -302,6 +304,38 @@ class TestRouteCorridor:
         for rows, cols in (block for build in builds for block in build):
             times[rows, cols] += 1
         assert times.max() == 1 and not times.all()  # no cell twice, and the map is never completed
+        assert_golden(got, STEP_LOG_1M_SHA256[mode], "1 m steps.csv sha256")
+
+    @pytest.mark.parametrize("mode", sorted(STEP_LOG_1M_SHA256))
+    def test_a_step_outside_the_corridor_builds_only_the_tiles_of_the_corners_it_reads(self, mode, tmp_path,
+                                                                                      monkeypatch):
+        # the 50 m steps of a 20-step loop leave the corridor of its route
+        corner_scores, corners = cvloc.measurement._corner_scores, []
+
+        def recording(field, i, j):
+            corners.append((i.copy(), j.copy()))
+            return corner_scores(field, i, j)
+
+        monkeypatch.setattr(cvloc.measurement, "_corner_scores", recording)
+        builds = counted_builds(monkeypatch)
+        got = step_log_sha256(tmp_path, cell_interval=1.0, traj_steps=20, master_seed=1, measurement_mode=mode)
+        grid = build_grid(ScenarioConfig(cell_interval=1.0))
+        read, window = (np.zeros((-(-grid.height // TILE), -(-grid.width // TILE)), dtype=bool) for _ in range(2))
+        for i, j in corners:
+            for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                read[(j + dj) // TILE, (i + di) // TILE] = True
+            window[j.min() // TILE : (j.max() + 1) // TILE + 1, i.min() // TILE : (i.max() + 1) // TILE + 1] = True
+        corridor, in_loop = np.zeros_like(read), np.zeros_like(read)
+        for tiles, blocks in ((corridor, builds[0]), (in_loop, chain(*builds[1:]))):
+            for rows, cols in blocks:
+                tiles[rows.start // TILE, cols.start // TILE : (cols.stop - 1) // TILE + 1] = True
+        assert len(builds) > 1 and not (corridor & in_loop).any()
+        # every tile built in the loop holds a corner cell a step read, and every such tile is built
+        np.testing.assert_array_equal(in_loop, read & ~corridor)
+        # fewer cells than building every window tile takes
+        cells = sum((rows.stop - rows.start) * (cols.stop - cols.start) for rows, cols in chain(*builds[1:]))
+        every = np.repeat(np.repeat(window & ~corridor, TILE, axis=0), TILE, axis=1)
+        assert cells < every[: grid.height, : grid.width].sum()
         assert_golden(got, STEP_LOG_1M_SHA256[mode], "1 m steps.csv sha256")
 
     def test_heatmaps_build_the_whole_map_before_the_loop(self, tmp_path, monkeypatch):
@@ -340,11 +374,12 @@ class TestRouteCorridor:
         ex, ey = whole.extent
         states = np.column_stack([np.linspace(1.0, ex - 1, 50), np.linspace(1.0, 30.0, 50)])
         every = np.ones_like(whole.tiles.built)
-        window = every.copy()
-        window[(30 // 2 + 1) // TILE + 1 :] = False  # the weighting reads grid rows 0..16 of every column
+        corners = np.zeros_like(every)  # the weighting reads the tiles of each state's four corner cells
+        for i, j in (states / 2.0).astype(int):
+            corners[j // TILE : (j + 1) // TILE + 1, i // TILE : (i + 1) // TILE + 1] = True
         readers = {
             "field": (lambda m: location_probabilities(m, q).probabilities, every),
-            "weights": (lambda m: measurement_probabilities(location_probabilities(m, q), states)[0], window),
+            "weights": (lambda m: measurement_probabilities(location_probabilities(m, q), states)[0], corners),
             "heatmap": (lambda m: emit_heatmap(location_probabilities(m, q)), every),
             "database": (lambda m: database_from_map(m).descriptors, every),
         }

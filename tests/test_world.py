@@ -733,22 +733,23 @@ class TestRouteCorridor:
     def test_a_read_outside_the_built_tiles_builds_only_its_missing_tiles(self, monkeypatch):
         w = SyntheticWorld(grid=ODD_GRID)
         want = build_descriptor_map(w, PIPELINES["dual"], 7).descriptors
-        db_map = route_map(w, PIPELINES["dual"], 7, [100.0], [100.0])  # tile rows and columns 1..3
+        db_map = route_map(w, PIPELINES["dual"], 7, [100.0], [100.0])  # tile rows and columns 4..6
         blocks = forward_block_sizes(monkeypatch)
-        db_map.built_descriptors(slice(40, 41), slice(40, 42))
+        db_map.built_descriptors(slice(40, 41), slice(40, 42), (np.array([40, 40]), np.array([40, 41])))
         corridor, before = db_map.tiles.built.copy(), built_cells(db_map)
         assert sum(blocks) == 0 and not corridor.all()
-        # grid rows 20..130 and columns 50..96: tile rows 1..8 and columns 3..6, with the north tile
-        # row 3 cells high and the east tile column 1 cell wide; tile column 3 of rows 1..3 is built
-        got = db_map.built_descriptors(slice(20, 131), slice(50, 97))
+        # every cell of grid rows 20..130 and columns 50..96: tile rows 2..16 and columns 6..12, with the
+        # north tile row 3 cells high and the east tile column 1 cell wide; tile column 6 of rows 4..6 is built
+        rows, cols, every = slice(20, 131), slice(50, 97), tuple(np.mgrid[20:131, 50:97].reshape(2, -1))
+        got = db_map.built_descriptors(rows, cols, every)
         window = np.zeros_like(corridor)
-        window[1:9, 3:7] = True
+        window[2:17, 6:13] = True
         np.testing.assert_array_equal(db_map.tiles.built, corridor | window)
         built = built_cells(db_map)
         missing = (built & ~before).sum()
-        assert sum(blocks) == missing == (7 * TILE + 3) * (3 * TILE + 1) - 3 * TILE * TILE
+        assert sum(blocks) == missing == (14 * TILE + 3) * (6 * TILE + 1) - 3 * TILE * TILE
         assert got[built].tobytes() == want[built].tobytes() and not got[~built].any()
-        db_map.built_descriptors(slice(20, 131), slice(50, 97))
+        db_map.built_descriptors(rows, cols, every)
         assert sum(blocks) == missing  # no tile twice
         # a whole-map read builds the map once more in its row blocks, and then nothing
         whole = db_map.built_descriptors()
@@ -757,28 +758,66 @@ class TestRouteCorridor:
         db_map.built_descriptors()
         assert sum(blocks) == missing + ODD_GRID.num_cells
 
+    def test_a_read_of_a_window_s_cells_builds_only_the_tiles_that_hold_them(self, monkeypatch):
+        w = SyntheticWorld(grid=ODD_GRID)
+        want = build_descriptor_map(w, PIPELINES["dual"], 7).descriptors
+        db_map = route_map(w, PIPELINES["dual"], 7, [100.0], [100.0])  # tile rows and columns 4..6
+        corridor = db_map.tiles.built.copy()
+        blocks, builds = forward_block_sizes(monkeypatch), []
+        build = cvloc.world._build
+        monkeypatch.setattr(cvloc.world, "_build", lambda *args: (builds.append(args[-1]), build(*args)))
+        # the window of grid rows 20..130 and columns 50..96 (tile rows 2..16, columns 6..12), of which
+        # the read takes cell (21, 51) in tile (2, 6), cell (130, 96) in the 3 x 1 north-east edge tile
+        # (16, 12) and cell (40, 50) in the built tile (5, 6)
+        cells = (np.array([21, 130, 40]), np.array([51, 96, 50]))
+        got = db_map.built_descriptors(slice(20, 131), slice(50, 97), cells)
+        new = np.zeros_like(corridor)
+        new[2, 6] = new[16, 12] = True
+        np.testing.assert_array_equal(db_map.tiles.built, corridor | new)
+        assert sum(blocks) == TILE * TILE + 3 and len(builds) == 1
+        built = built_cells(db_map)
+        assert built[cells[0] * ODD_GRID.width + cells[1]].all()
+        assert got[built].tobytes() == want[built].tobytes() and not got[~built].any()
+        # the window still has tiles not built, but every cell read is built: no build is started
+        db_map.built_descriptors(slice(20, 131), slice(50, 97), (cells[0][::-1], cells[1][::-1]))
+        assert sum(blocks) == TILE * TILE + 3 and len(builds) == 1
+
+    @pytest.mark.parametrize("cell_interval, tiles, cells", [(1.0, 474, 30_336), (2.0, 244, 15_616),
+                                                               (5.0, 96, 6_144)])
+    def test_the_default_route_corridor_keeps_its_size(self, cell_interval, tiles, cells, monkeypatch):
+        # the one-ring margin is 8..15 cells; no cell a step of the fine-map benchmark (master seeds
+        # 1..10) reads lies more than 12 cells from a route corner cell
+        cfg = ScenarioConfig(cell_interval=cell_interval, out_dir="")
+        world = build_world(cfg)
+        poses = scenario_trajectory(cfg, world.grid)
+        blocks = forward_block_sizes(monkeypatch)
+        db_map = route_map(world, build_pipeline(cfg), cfg.world_seed, [p.x for p in poses], [p.y for p in poses])
+        assert db_map.tiles.built.sum() == tiles and built_cells(db_map).sum() == sum(blocks) == cells
+
     def test_the_first_non_finite_tile_block_is_named_by_rows_and_columns(self, monkeypatch):
-        # one point in cell (40, 40): tile (2, 2) and the ring around it, grid rows and columns
-        # 16..63; 48 columns fit 512 // 48 = 10 rows a block, so each tile row takes two blocks
+        # points in cells (8, 40), (16, 40) .. (80, 40): tiles 1..10 of tile row 5 and the ring around
+        # them, grid rows 32..55 of columns 0..95; 96 columns fit 512 // 96 = 5 rows a block, so each
+        # tile row takes two blocks
         w = SyntheticWorld(grid=ODD_GRID)
         assert sets_per_block(w) == 512
 
         def poisoned(world, seed, rows, cols):
             feats = satellite_cell_features(world, seed, rows, cols)
-            if rows.start in (26, 42):
+            if rows.start in (37, 45):
                 feats[:] = np.nan
             return feats
 
         monkeypatch.setattr(cvloc.world, "satellite_cell_features", poisoned)
-        x = 40 * ODD_GRID.cell_interval + 1.0
+        xs = np.arange(8, 81, 8) * ODD_GRID.cell_interval + 1.0
         with np.errstate(invalid="ignore"), pytest.raises(ValueError) as err:
-            route_map(w, PIPELINES["dual"], 7, [x], [x])
-        assert str(err.value) == "non-finite map descriptors in grid rows 26..31, columns 16..63"
+            route_map(w, PIPELINES["dual"], 7, xs, np.full(len(xs), xs[4]))
+        assert str(err.value) == "non-finite map descriptors in grid rows 37..39, columns 0..95"
 
-    # A corridor block's features may fill the whole budget (16 rows of a two-tile run: 512 cells),
-    # where a 2 m row block holds 442 cells. The shared pipeline then holds the features and both
-    # layer outputs of the block at once, three budgets, plus small temporaries; the dual pipeline
-    # holds the features, the assignments and the weighted sums, under two.
+    # A corridor block's features may fill the whole budget (8 rows of an eight-tile run: 512 cells;
+    # the 2 m corridor's largest is 5 rows of 96 columns, 480 cells), where a 2 m row block holds 442
+    # cells. The shared pipeline then holds the features and both layer outputs of the block at once,
+    # ~3.05 budgets for a full block, plus small temporaries; the dual pipeline holds the features,
+    # the assignments and the weighted sums, under two.
     @pytest.mark.parametrize("variant, budgets", [("dual", 2), ("shared", 3.25)])
     def test_traced_peak_of_a_2m_simulate_setup_stays_within_the_block_budgets(self, variant, budgets,
                                                                                 monkeypatch):
